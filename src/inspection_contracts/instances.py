@@ -22,6 +22,7 @@ prefixed with the agent's name.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,7 +60,14 @@ class Instance:
 def _number(obj: object, where: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ValidationError(f"{where}: expected a number, got {obj!r}")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:
+        # an integer literal too large for a float; its digits are not echoed
+        raise ValidationError(f"{where}: number too large for a float") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{where}: expected a finite number, got {value!r}")
+    return value
 
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
@@ -104,7 +112,10 @@ def parse_instance(doc: object) -> Instance:
                     f"{aw}: missing field(s) {sorted(_ACTION_FIELDS - set(entry))}"
                 )
             actions.append(
-                Action(_number(entry["reward"], aw), _number(entry["cost"], aw))
+                Action(
+                    _number(entry["reward"], f"{aw}.reward"),
+                    _number(entry["cost"], f"{aw}.cost"),
+                )
             )
         try:
             spec = AgentSpec(

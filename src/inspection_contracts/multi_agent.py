@@ -23,6 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BelowMinimumInspection,
@@ -223,6 +224,17 @@ def min_beta(agent: AgentSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Largest DP grid, agents x (budget steps + 1), that allocate accepts; a finer
+# delta is rejected as invalid input before any grid array is built.  Each
+# cell costs an int32 choice and at most one gain (a utility evaluation), so
+# this bounds the grid's memory; 2e7 is 4x the m=1000, B=50, delta=0.01 grid.
+MAX_DP_CELLS = 20_000_000
+# candidate sums per vectorized block of the DP: a block covers
+# _DP_BLOCK // len(gains) budget cells (at least one), so its scratch memory
+# stays near 0.25 MB unless one gain curve alone is longer
+_DP_BLOCK = 1 << 15
+
+
 @dataclass(frozen=True)
 class AllocationProblem:
     """Agents, an integer budget of inspectors, and a grid step (or target).
@@ -301,68 +313,85 @@ def _resolve_delta(problem: AllocationProblem, curves: list[UtilityCurve]) -> fl
 
 
 def _dp(
-    gains: list[np.ndarray], sats: list[tuple[int, float] | None], steps: int
+    gains: list[np.ndarray],
+    sats: list[tuple[int, float] | None],
+    steps: int,
+    all_rows: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fill the budget-allocation table row by row.
 
     ``gains[l][eta]`` is agent l's utility gain from eta grid steps above its
     minimum inspection; ``sats[l]``, when present, is the extra saturation
     option (units charged, gain) that tops the agent out at its flat region.
-    Returns the final value row and the per-cell units chosen, for
-    backtracking.  argmax takes the first maximizer and saturation only wins
-    strictly, so ties resolve toward spending less (no inspection wasted on
-    flat curves).
+    Returns the final value row (with ``all_rows``, every row as an
+    (m+1, steps+1) table whose row 0 is the zero basis) and the per-cell units
+    chosen, for backtracking.
+
+    Each agent's row is one (max,+) convolution of the previous row with its
+    gains: cell j takes the best of ``values[j-eta] + g[eta]``, read from a
+    strided window view of the row padded on the left with -inf, for a block
+    of cells at a time.  That is O(sum_l len(g_l) * steps) numpy work and
+    O(block * max_l len(g_l)) scratch memory besides the table, where a block
+    holds ``_DP_BLOCK // len(g_l)`` cells (at least one).  The sums are the
+    same additions the per-cell definition makes, so values and choices do not
+    depend on the blocking.  argmax takes the first maximizer and saturation
+    only wins strictly, so ties resolve toward spending less (no inspection
+    wasted on flat curves).
     """
     m = len(gains)
     values = np.zeros(steps + 1)
+    rows = [values]
     choices = np.zeros((m, steps + 1), dtype=np.int32)
     for l, g in enumerate(gains):
-        sat = sats[l]
+        k = len(g)
+        padded = np.concatenate((np.full(k - 1, -np.inf), values))
+        # win[j, eta] = values[j - eta], -inf where eta > j
+        win = sliding_window_view(padded, k)[:, ::-1]
         nxt = np.empty(steps + 1)
-        for j in range(steps + 1):
-            k = min(j, len(g) - 1) + 1
-            window = values[j - k + 1 : j + 1][::-1]
-            cand = window + g[:k]
-            eta = int(np.argmax(cand))
-            best = cand[eta]
-            if sat is not None and sat[0] <= j and values[j - sat[0]] + sat[1] > best:
-                best = values[j - sat[0]] + sat[1]
-                eta = sat[0]
-            nxt[j] = best
-            choices[l, j] = eta
+        block = max(_DP_BLOCK // k, 1)
+        for lo in range(0, steps + 1, block):
+            cand = win[lo : lo + block] + g
+            eta = cand.argmax(axis=1)
+            nxt[lo : lo + block] = np.take_along_axis(cand, eta[:, None], 1)[:, 0]
+            choices[l, lo : lo + block] = eta
+        sat = sats[l]
+        if sat is not None and sat[0] <= steps:
+            u, s = sat
+            alt = values[: steps + 1 - u] + s
+            wins = alt > nxt[u:]
+            nxt[u:][wins] = alt[wins]
+            choices[l, u:][wins] = u
         values = nxt
-    return values, choices
+        if all_rows:
+            rows.append(nxt)
+    return (np.vstack(rows) if all_rows else values), choices
 
 
 def dp_value_table(problem: AllocationProblem) -> np.ndarray:
     """All DP rows (m+1, steps+1), for diagnostics; row 0 is the zero basis."""
     curves = [build_utility_curve(a) for a in problem.agents]
-    delta, steps, gains, sats, _ = _prepare_grid(problem, curves)
-    rows = [np.zeros(steps + 1)]
-    values = rows[0]
-    for g, sat in zip(gains, sats):
-        nxt = np.empty(steps + 1)
-        for j in range(steps + 1):
-            k = min(j, len(g) - 1) + 1
-            best = float(np.max(values[j - k + 1 : j + 1][::-1] + g[:k]))
-            if sat is not None and sat[0] <= j:
-                best = max(best, float(values[j - sat[0]]) + sat[1])
-            nxt[j] = best
-        rows.append(nxt)
-        values = nxt
-    return np.vstack(rows)
+    _, steps, gains, sats, _ = _prepare_grid(problem, curves)
+    return _dp(gains, sats, steps, all_rows=True)[0]
 
 
 def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
-    mins = [c.beta_min for c in curves]
-    if sum(mins) > problem.budget + 1e-12:
+    total_min = math.fsum(c.beta_min for c in curves)
+    if total_min > problem.budget + 1e-12:
         raise InfeasibleBudget(
-            f"minimum inspections sum to {sum(mins)} > budget {problem.budget} "
+            f"minimum inspections sum to {total_min} > budget {problem.budget} "
             "(Assumption 3)"
         )
     delta = _resolve_delta(problem, curves)
-    spare = max(problem.budget - sum(mins), 0.0)
-    steps = int(math.floor(spare / delta + 1e-9))
+    spare = max(problem.budget - total_min, 0.0)
+    ratio = spare / delta + 1e-9
+    # a tiny delta overflows the ratio to inf, which has no floor
+    steps = math.floor(ratio) if math.isfinite(ratio) else math.inf
+    if len(curves) * (steps + 1) > MAX_DP_CELLS:
+        raise ValidationError(
+            f"delta = {delta!r} needs a DP grid of {len(curves) * (ratio + 1):.3g} cells "
+            f"({len(curves)} agents x budget steps), above the limit of "
+            f"{MAX_DP_CELLS:,}; use a larger delta or epsilon"
+        )
     gains = []
     sats: list[tuple[int, float] | None] = []
     caps_x = []

@@ -61,6 +61,26 @@ class InspectionSchedule:
     rules: tuple[InspectorRule, ...] = field(repr=False)
 
 
+def _prefix_sums(xs: list[float]) -> list[float]:
+    """Running sums with Neumaier compensation.
+
+    The residuals zeta_b are differences of these sums, so a plain running
+    sum's error, which grows with the number of targets, would land directly
+    on the boundary agents' marginals.
+    """
+    out = []
+    total = comp = 0.0
+    for x in xs:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+        out.append(total + comp)
+    return out
+
+
 def build_schedule(targets: list[float] | tuple[float, ...], budget: int) -> InspectionSchedule:
     """Construct the sequential assignment rules for the given marginals.
 
@@ -74,8 +94,9 @@ def build_schedule(targets: list[float] | tuple[float, ...], budget: int) -> Ins
         if not math.isfinite(t) or t < -_EPS or t > 1.0 + _EPS:
             raise InvalidProbability(f"target {i} = {t!r} is not a probability")
         cleaned.append(min(max(float(t), 0.0), 1.0))
-    total = sum(cleaned)
-    if total > budget + _EPS:
+    total = math.fsum(cleaned)
+    # targets computed upstream each carry their own rounding error
+    if total > budget + _EPS * max(len(cleaned), 1):
         raise BudgetExceeded(f"targets sum to {total} > budget {budget}")
 
     padded = list(cleaned)
@@ -85,11 +106,7 @@ def build_schedule(targets: list[float] | tuple[float, ...], budget: int) -> Ins
         padded.append(chunk)
         leftover -= chunk
 
-    cums = []
-    acc = 0.0
-    for t in padded:
-        acc += t
-        cums.append(acc)
+    cums = _prefix_sums(padded)
 
     def scanner(seq: list[float]):
         # cumulative sums and b both grow, so one pointer serves all b
@@ -145,11 +162,8 @@ def build_schedule(targets: list[float] | tuple[float, ...], budget: int) -> Ins
 
     real_bounds: list[int | None] = []
     real_resid: list[float | None] = []
-    acc = 0.0
-    real_cums = []
-    for t in cleaned:
-        acc += t
-        real_cums.append(acc)
+    # padded extends cleaned, so its prefix sums start with the real ones
+    real_cums = cums[: len(cleaned)]
     next_real = scanner(real_cums)
     for b in range(1, budget + 1):
         l_b = next_real(b)

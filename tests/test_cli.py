@@ -1,4 +1,5 @@
 import json
+import time
 
 from inspection_contracts.cli import main
 
@@ -208,3 +209,22 @@ def test_verify_failure_prints_counterexample(tmp_path, capsys, monkeypatch):
 
 def test_missing_file(capsys):
     assert main(["solve", "/nonexistent/inst.json"]) == 2
+
+
+def test_huge_integer_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    text = json.dumps(UNIT1_DOC).replace('"reward": 10.0', '"reward": 1' + "0" * 400)
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main(["solve", str(path)]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().err.startswith("error: agents[0].actions[0].reward: ")
+
+
+def test_allocate_grid_above_limit_is_invalid_input(tmp_path, capsys):
+    path = write(tmp_path, UNIT1_DOC)
+    start = time.perf_counter()
+    assert main(["allocate", path, "--delta", "1e-9"]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "above the limit" in err

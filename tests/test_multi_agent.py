@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inspection_contracts import (
     AllocationProblem,
@@ -16,7 +18,8 @@ from inspection_contracts import (
     solve_single,
     utility_at,
 )
-from inspection_contracts.multi_agent import dp_value_table
+from inspection_contracts import multi_agent
+from inspection_contracts.multi_agent import _dp, _prepare_grid, dp_value_table
 from conftest import make_agent, random_agent
 
 
@@ -173,6 +176,99 @@ class TestAllocate:
     def test_dp_rows_nondecreasing(self, unit1):
         table = dp_value_table(AllocationProblem((unit1,) * 3, 2, delta=0.01))
         assert np.all(np.diff(table, axis=1) >= -1e-12)
+
+    def test_dp_table_last_row_is_allocate_row(self, nonconvex6, unit1):
+        problem = AllocationProblem((nonconvex6, unit1, nonconvex6), 2, delta=0.01)
+        curves = [build_utility_curve(a) for a in problem.agents]
+        _, steps, gains, sats, _ = _prepare_grid(problem, curves)
+        values, _ = _dp(gains, sats, steps)
+        table = dp_value_table(problem)
+        assert table.shape == (4, steps + 1)
+        assert np.array_equal(table[-1], values)
+        base = sum(c.base.utility for c in curves)
+        assert allocate(problem).total_utility == pytest.approx(base + values[-1])
+
+    def test_grid_cell_limit(self, unit1, monkeypatch):
+        # two minimums of 0.1 leave 0.8 spare: 80 steps, 2 * 81 cells
+        problem = AllocationProblem((unit1,) * 2, 1, delta=0.01)
+        monkeypatch.setattr(multi_agent, "MAX_DP_CELLS", 162)
+        allocate(problem)
+        monkeypatch.setattr(multi_agent, "MAX_DP_CELLS", 161)
+        with pytest.raises(ValidationError, match="162 cells"):
+            allocate(problem)
+
+    def test_tiny_delta_rejected_before_building_the_grid(self, unit1):
+        for delta in (1e-9, 5e-324):
+            with pytest.raises(ValidationError, match="above the limit"):
+                allocate(AllocationProblem((unit1,), 1, delta=delta))
+
+
+def _dp_per_cell(gains, sats, steps):
+    """The per-cell definition of the DP, the reference for the kernel."""
+    m = len(gains)
+    values = np.zeros(steps + 1)
+    choices = np.zeros((m, steps + 1), dtype=np.int32)
+    for l, g in enumerate(gains):
+        sat = sats[l]
+        nxt = np.empty(steps + 1)
+        for j in range(steps + 1):
+            k = min(j, len(g) - 1) + 1
+            cand = values[j - k + 1 : j + 1][::-1] + g[:k]
+            eta = int(np.argmax(cand))
+            best = cand[eta]
+            if sat is not None and sat[0] <= j and values[j - sat[0]] + sat[1] > best:
+                best = values[j - sat[0]] + sat[1]
+                eta = sat[0]
+            nxt[j] = best
+            choices[l, j] = eta
+        values = nxt
+    return values, choices
+
+
+# dyadic levels make sums exact, so equal candidates really tie
+_LEVELS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-1.0, 3.0)
+
+
+@st.composite
+def dp_inputs(draw):
+    steps = draw(st.integers(0, 40))
+    gains, sats = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, steps + 1))
+        if draw(st.booleans()):
+            # running-max shape: flat runs and rises, starting at 0
+            rises = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25]) | st.floats(0, 1),
+                                  min_size=k - 1, max_size=k - 1))
+            g = np.concatenate(([0.0], np.cumsum(rises)))
+        else:
+            g = np.array(draw(st.lists(_LEVELS, min_size=k, max_size=k)))
+        gains.append(g)
+        sats.append(draw(st.none() | st.tuples(st.integers(1, steps + 2), _LEVELS)))
+    return gains, sats, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(dp_inputs())
+def test_dp_kernel_matches_per_cell_loop(problem):
+    gains, sats, steps = problem
+    values, choices = _dp(gains, sats, steps)
+    ref_values, ref_choices = _dp_per_cell(gains, sats, steps)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(choices, ref_choices)
+    table = _dp(gains, sats, steps, all_rows=True)[0]
+    assert np.array_equal(table[-1], ref_values)
+
+
+def test_dp_kernel_blocks_match_per_cell_loop(monkeypatch):
+    # blocks of a few cells, so every row spans many blocks
+    rng = np.random.default_rng(12)
+    gains = [np.maximum.accumulate(rng.integers(0, 8, k) / 4.0) for k in (1, 7, 30, 61)]
+    sats = [None, (8, 2.0), None, (5, 9.0)]
+    monkeypatch.setattr(multi_agent, "_DP_BLOCK", 64)
+    values, choices = _dp(gains, sats, 60)
+    ref_values, ref_choices = _dp_per_cell(gains, sats, 60)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(choices, ref_choices)
 
 
 class TestDPvsOracle:

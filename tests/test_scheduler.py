@@ -104,6 +104,21 @@ def test_marginals_match_any_feasible_targets(raw, budget):
         assert abs(got - want) <= 1e-12
 
 
+def test_full_budget_many_targets():
+    # a plain float sum of these targets is 300.0000000000056
+    s = build_schedule([0.3] * 1000, 300)
+    assert all(abs(got - 0.3) <= 1e-12 for got in exact_marginals(s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2000), st.floats(0.0, 1.0))
+def test_uniform_full_budget_marginals(m, share):
+    budget = max(1, round(share * m))
+    target = budget / m
+    s = build_schedule([target] * m, budget)
+    assert all(abs(got - target) <= 1e-12 for got in exact_marginals(s))
+
+
 class TestSampling:
     def test_deterministic_given_seed(self):
         s = build_schedule([0.6, 0.8, 0.6], 2)
