@@ -18,6 +18,13 @@ import numpy as np
 from . import multi_agent, oracle, scheduler, single_agent
 from .errors import ContractError, InfeasibleError, ValidationError
 from .instances import Instance, load_instance
+from .tolerance import TOL
+
+
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _fmt(x: float, precision: int) -> str:
@@ -164,7 +171,7 @@ def _cmd_verify(args, out: IO[str]) -> int:
         sol = single_agent.solve_single(named.spec)
         pair = (sol.contract.gamma, sol.contract.beta)
         _, ref = oracle.brute_force_single(named.spec, step, include=[pair])
-        ok = sol.utility >= ref - 1e-9
+        ok = sol.utility >= ref - TOL * named.spec.actions[-1].reward
         report(
             ok,
             f"solve[{named.name}] vs grid oracle (step {step})",
@@ -180,7 +187,7 @@ def _cmd_verify(args, out: IO[str]) -> int:
         curve = single_agent.build_beta_curve(named.spec)
         gs = _linspace(curve.gamma_ir, 1.0, 201)
         vals = [single_agent.beta_at(curve, g) for g in gs]
-        mono = all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
+        mono = all(a >= b - TOL for a, b in zip(vals, vals[1:]))
         report(
             mono,
             f"beta-curve[{named.name}] nonincreasing",
@@ -193,7 +200,8 @@ def _cmd_verify(args, out: IO[str]) -> int:
         )
         alloc = multi_agent.allocate(problem)
         ref_alloc = oracle.brute_force_allocate(problem, 0.01)
-        ok = alloc.total_utility >= ref_alloc.total_utility - 1e-9
+        slack = TOL * sum(a.actions[-1].reward for a in instance.specs)
+        ok = alloc.total_utility >= ref_alloc.total_utility - slack
         report(
             ok,
             "allocate vs exhaustive search (step 0.01)",
@@ -202,7 +210,7 @@ def _cmd_verify(args, out: IO[str]) -> int:
         )
         sched = scheduler.build_schedule(list(alloc.caps), instance.budget)
         exact = scheduler.exact_marginals(sched)
-        ok = all(abs(e - t) <= 1e-12 for e, t in zip(exact, alloc.caps))
+        ok = all(abs(e - t) <= TOL for e, t in zip(exact, alloc.caps))
         report(
             ok,
             "schedule marginals match allocation caps",
@@ -228,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("file", help="instance JSON file")
-        p.add_argument("--precision", type=int, default=6, help="output decimal places")
+        p.add_argument("--precision", type=_nonnegative_int, default=6, help="decimal places")
         p.add_argument("--out", default=None, help="write output to this path")
 
     p = sub.add_parser("solve", help="optimal single-agent contract per agent")
@@ -239,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("beta-curve", help="CSV sample of beta(gamma)")
     common(p)
     p.add_argument("--agent", required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_nonnegative_int, required=True)
     p.set_defaults(func=_cmd_beta_curve)
 
     p = sub.add_parser("sweep", help="CSV of optimal contracts along a parameter grid")
@@ -263,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--from-allocation", action="store_true")
     group.add_argument("--targets", default=None, help="comma-separated marginals")
-    p.add_argument("--samples", type=int, default=0, help="Monte Carlo sample count")
+    p.add_argument("--samples", type=_nonnegative_int, default=0, help="Monte Carlo draws")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=None, help="DP step for --from-allocation")
     p.add_argument("--epsilon", type=float, default=None)

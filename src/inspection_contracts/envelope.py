@@ -20,9 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import BelowRange, DegenerateInput, ValidationError
-
-#: Absolute tolerance for real comparisons (collinearity test, range checks).
-ATOL = 1e-9
+from .tolerance import TOL
 
 
 @dataclass(frozen=True)
@@ -76,34 +74,29 @@ def build_envelope(actions: list[Action] | tuple[Action, ...]) -> UpperEnvelope:
     """Build the upper envelope of the lines gamma*R_i - c_i.
 
     Expects actions sorted with strictly increasing costs and rewards
-    (Assumption 1); raises DegenerateInput otherwise.  A line collinear with
-    its hull neighbours (cross product within ``ATOL`` of zero) is weakly
+    (Assumption 1); raises DegenerateInput otherwise.  The slope into a lower
+    hull point (R_i, c_i) is the breakpoint where line i takes over; a point
+    whose slope exceeds the previous one by no more than ``TOL`` is weakly
     dominated and dropped, so every segment has a unique owner.
     """
     _check_assumption1(actions)
-    hull: list[int] = []
-    for i, act in enumerate(actions):
-        # lower hull of (reward, cost): pop the middle point unless the chain
-        # turns strictly counterclockwise there
-        while len(hull) >= 2:
-            o = actions[hull[-2]]
-            a = actions[hull[-1]]
-            cross = (a.reward - o.reward) * (act.cost - o.cost) - (
-                act.reward - o.reward
-            ) * (a.cost - o.cost)
-            if cross <= ATOL:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-
+    hull = [0]
     breakpoints: list[float] = []
-    values: list[float] = []
-    for j in range(1, len(hull)):
-        lo, hi = actions[hull[j - 1]], actions[hull[j]]
-        g = (hi.cost - lo.cost) / (hi.reward - lo.reward)
+    for i in range(1, len(actions)):
+        act = actions[i]
+        while True:
+            h = actions[hull[-1]]
+            g = (act.cost - h.cost) / (act.reward - h.reward)
+            if not breakpoints or g > breakpoints[-1] + TOL:
+                break
+            hull.pop()
+            breakpoints.pop()
+        hull.append(i)
         breakpoints.append(g)
-        values.append(g * hi.reward - hi.cost)
+    values = []
+    for g, i in zip(breakpoints, hull[1:]):
+        act = actions[i]
+        values.append(g * act.reward - act.cost)
     if any(b >= a for a, b in zip(breakpoints[1:], breakpoints)):
         raise RuntimeError("envelope breakpoints are not strictly increasing")
     return UpperEnvelope(tuple(hull), tuple(breakpoints), tuple(values))
@@ -134,10 +127,10 @@ def invert_envelope(
     """The unique gamma >= 0 with u_h(gamma) = y.
 
     Uniqueness comes from strict monotonicity of the envelope on [0, inf).
-    Raises BelowRange when y is below u_h(0) = -min_i c_i.
+    Raises BelowRange when y < u_h(0) - TOL*R_n, where u_h(0) = -min_i c_i.
     """
     floor = -actions[env.hull_actions[0]].cost
-    if y < floor - ATOL * 1e-3:
+    if y < floor - TOL * actions[-1].reward:
         raise BelowRange(f"target {y} is below the envelope minimum {floor}")
     j = bisect_left(env.breakpoint_values, y)
     act = actions[env.hull_actions[j]]

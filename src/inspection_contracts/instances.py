@@ -86,6 +86,8 @@ def parse_instance(doc: object) -> Instance:
     budget = doc.get("budget", 1)
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise ValidationError(f"budget: expected a positive integer, got {budget!r}")
+    # the solvers do float arithmetic with the budget
+    _number(budget, "budget")
 
     agents: list[NamedAgent] = []
     for i, raw in enumerate(doc["agents"]):
@@ -148,6 +150,7 @@ def load_instance(path: str | Path) -> Instance:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past Python's digit limit
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     return parse_instance(doc)

@@ -37,9 +37,11 @@ from .single_agent import (
     BetaPiece,
     _beta_on_piece,
     _piece_coeffs,
+    _stationary_gamma,
     beta_at,
     build_beta_curve,
 )
+from .tolerance import QUOTIENT_TOL, TOL
 
 
 @dataclass(frozen=True)
@@ -118,14 +120,13 @@ def build_utility_curve(agent: AgentSpec) -> UtilityCurve:
     envelope is flat.
     """
     bc = build_beta_curve(agent)
-    acts = agent.actions
     beta_min = beta_at(bc, 1.0)
 
     clamped = [p for p in bc.pieces if p.clamped]
     if clamped:
         base = None
         for p in clamped:
-            u = (1.0 - p.gamma_lo) * acts[p.owner].reward
+            u = (1.0 - p.gamma_lo) * agent.actions[p.owner].reward
             if base is None or u > base.utility:
                 base = ContractChoice(p.gamma_lo, 0.0, p.owner, u)
     else:
@@ -139,11 +140,9 @@ def build_utility_curve(agent: AgentSpec) -> UtilityCurve:
     for idx, piece in reversed(unclamped):
         lo = cursor
         hi = _beta_on_piece(agent, piece, piece.gamma_lo)
-        if hi <= lo + 1e-15:
+        if hi <= lo:
             continue
-        r_own, c_const, d = _piece_coeffs(agent, piece)
-        sh_r = acts[piece.shadow].reward
-        peak_gamma = math.sqrt(agent.kappa_i * c_const / (r_own * sh_r * (1.0 - agent.alpha)))
+        peak_gamma = _stationary_gamma(agent, piece)
         if peak_gamma >= piece.gamma_hi:
             beta_peak = lo
         elif peak_gamma <= piece.gamma_lo:
@@ -189,7 +188,7 @@ def best_contract_at(curve: UtilityCurve, beta_bar: float) -> ContractChoice:
     Ties between a rising stretch and the running max resolve toward the
     smaller beta, matching the single-agent tie-break.
     """
-    if beta_bar < curve.beta_min - 1e-12:
+    if beta_bar < curve.beta_min - TOL:
         raise BelowMinimumInspection(
             f"cap {beta_bar} is below beta_min = {curve.beta_min}; "
             "no safe action is implementable within it"
@@ -376,14 +375,14 @@ def dp_value_table(problem: AllocationProblem) -> np.ndarray:
 
 def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
     total_min = math.fsum(c.beta_min for c in curves)
-    if total_min > problem.budget + 1e-12:
+    if total_min > problem.budget + TOL:
         raise InfeasibleBudget(
             f"minimum inspections sum to {total_min} > budget {problem.budget} "
             "(Assumption 3)"
         )
     delta = _resolve_delta(problem, curves)
     spare = max(problem.budget - total_min, 0.0)
-    ratio = spare / delta + 1e-9
+    ratio = spare / delta + QUOTIENT_TOL
     # a tiny delta overflows the ratio to inf, which has no floor
     steps = math.floor(ratio) if math.isfinite(ratio) else math.inf
     if len(curves) * (steps + 1) > MAX_DP_CELLS:
@@ -398,14 +397,14 @@ def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
     for c in curves:
         cap = min(c.beta_cap - c.beta_min, spare)
         caps_x.append(cap)
-        n_l = int(math.floor(cap / delta + 1e-9))
+        n_l = int(math.floor(cap / delta + QUOTIENT_TOL))
         base = c.base.utility
         gains.append(
             np.array([utility_at(c, c.beta_min + eta * delta) - base for eta in range(n_l + 1)])
         )
         # the grid endpoint itself: reaching the flat region exactly costs a
         # rounded-up number of units but can beat every interior point
-        if cap > n_l * delta + 1e-12 and n_l + 1 <= steps:
+        if cap > n_l * delta + TOL and n_l + 1 <= steps:
             sats.append((n_l + 1, utility_at(c, c.beta_min + cap) - base))
         else:
             sats.append(None)
@@ -437,7 +436,9 @@ def allocate(problem: AllocationProblem) -> Allocation:
     contracts = tuple(best_contract_at(c, cap) for c, cap in zip(curves, caps))
     total = sum(ch.utility for ch in contracts)
     check = sum(c.base.utility for c in curves) + values[steps]
-    if abs(total - check) > 1e-6 * max(1.0, abs(total)):
+    # both sides add the same m utilities and m bases in different orders
+    scale = math.fsum(abs(ch.utility) + abs(c.base.utility) for c, ch in zip(curves, contracts))
+    if abs(total - check) > TOL * len(curves) * scale:
         raise RuntimeError(
             f"DP value {check} disagrees with backtracked total {total}"
         )

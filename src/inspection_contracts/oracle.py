@@ -24,15 +24,16 @@ from .multi_agent import (
     build_utility_curve,
     utility_at,
 )
-from .single_agent import TIE_TOL, AgentSpec, Contract
+from .single_agent import AgentSpec, Contract
+from .tolerance import QUOTIENT_TOL, TOL
 
 _BETA_CHUNK = 128
 
 
 def _grid(step: float) -> np.ndarray:
-    k = int(math.floor(1.0 / step + 1e-9))
+    k = int(math.floor(1.0 / step + QUOTIENT_TOL))
     g = np.arange(k + 1) * step
-    if g[-1] < 1.0 - 1e-12:
+    if g[-1] < 1.0 - TOL:
         g = np.append(g, 1.0)
     return np.minimum(g, 1.0)
 
@@ -46,6 +47,7 @@ class _Best:
 
 def _scan(best: _Best, agent: AgentSpec, gammas: np.ndarray, betas: np.ndarray) -> None:
     """Evaluate all (gamma, beta) pairs, keeping the best safe-implementing one."""
+    tie = TOL * agent.actions[-1].reward
     rewards = np.array(agent.rewards)
     costs = np.array(agent.costs)
     safe = gammas[:, None] * rewards[None, :] - costs[None, :]
@@ -60,7 +62,7 @@ def _scan(best: _Best, agent: AgentSpec, gammas: np.ndarray, betas: np.ndarray) 
         unsafe = (shade[:, :, None] * rewards[None, None, :] - costs[None, None, :]).max(
             axis=2
         )
-        ok = (best_safe[None, :] >= unsafe - TIE_TOL) & (best_safe[None, :] >= -TIE_TOL)
+        ok = (best_safe[None, :] >= unsafe - tie) & (best_safe[None, :] >= -tie)
         util = np.where(ok, base[None, :] - agent.kappa_i * bc[:, None], -np.inf)
         flat = int(np.argmax(util))
         bi, gi = divmod(flat, len(gammas))
@@ -104,7 +106,7 @@ def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
     curves = [build_utility_curve(a) for a in agents]
     mins = [c.beta_min for c in curves]
     budget = float(problem.budget)
-    if sum(mins) > budget + 1e-12:
+    if sum(mins) > budget + TOL:
         raise InfeasibleBudget(
             f"minimum inspections sum to {sum(mins)} > budget {problem.budget}"
         )
@@ -112,18 +114,18 @@ def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
     grids = []
     values = []
     for c in curves:
-        k = int(math.floor((c.beta_cap - c.beta_min) / step + 1e-9))
+        k = int(math.floor((c.beta_cap - c.beta_min) / step + QUOTIENT_TOL))
         pts = c.beta_min + np.arange(k + 1) * step
         grids.append(pts)
         values.append(np.array([utility_at(c, b) for b in pts]))
 
     if len(agents) == 1:
-        ok = grids[0] <= budget + 1e-12
+        ok = grids[0] <= budget + TOL
         i = int(np.argmax(np.where(ok, values[0], -np.inf)))
         caps = (float(grids[0][i]),)
     elif len(agents) == 2:
         tot = values[0][:, None] + values[1][None, :]
-        ok = grids[0][:, None] + grids[1][None, :] <= budget + 1e-12
+        ok = grids[0][:, None] + grids[1][None, :] <= budget + TOL
         flat = int(np.argmax(np.where(ok, tot, -np.inf)))
         i, j = divmod(flat, len(grids[1]))
         caps = (float(grids[0][i]), float(grids[1][j]))
@@ -132,7 +134,7 @@ def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
         load = grids[1][:, None] + grids[2][None, :]
         best = (-math.inf, 0, 0, 0)
         for i, b1 in enumerate(grids[0]):
-            masked = np.where(load <= budget - b1 + 1e-12, pair, -np.inf)
+            masked = np.where(load <= budget - b1 + TOL, pair, -np.inf)
             flat = int(np.argmax(masked))
             j, k = divmod(flat, len(grids[2]))
             tot = values[0][i] + masked[j, k]
@@ -152,7 +154,8 @@ def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
 def check_ic_ir(
     agent: AgentSpec, contract: Contract, intended: tuple[int, bool]
 ) -> bool:
-    """Whether the intended (action, safety) pair is IC and IR, to 1e-12 slack."""
+    """Whether the intended (action, safety) pair is IC and IR, to TOL * R_n slack."""
+    tie = TOL * agent.actions[-1].reward
     gamma, beta = contract.gamma, contract.beta
     shade = (1.0 - beta) * (1.0 - agent.alpha) * gamma
 
@@ -163,10 +166,10 @@ def check_ic_ir(
         return shade * act.reward - act.cost
 
     u = util(*intended)
-    if u < -TIE_TOL:
+    if u < -tie:
         return False
     for i in range(agent.n):
         for safe in (True, False):
-            if u < util(i, safe) - TIE_TOL:
+            if u < util(i, safe) - tie:
                 return False
     return True

@@ -23,8 +23,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, InvalidProbability, ValidationError
-
-_EPS = 1e-12
+from .tolerance import QUOTIENT_TOL, TOL
 
 
 @dataclass(frozen=True)
@@ -91,44 +90,38 @@ def build_schedule(targets: list[float] | tuple[float, ...], budget: int) -> Ins
         raise ValidationError(f"budget must be a positive integer, got {budget!r}")
     cleaned = []
     for i, t in enumerate(targets):
-        if not math.isfinite(t) or t < -_EPS or t > 1.0 + _EPS:
+        if not math.isfinite(t) or t < -TOL or t > 1.0 + TOL:
             raise InvalidProbability(f"target {i} = {t!r} is not a probability")
         cleaned.append(min(max(float(t), 0.0), 1.0))
     total = math.fsum(cleaned)
     # targets computed upstream each carry their own rounding error
-    if total > budget + _EPS * max(len(cleaned), 1):
+    if total > budget + TOL * max(len(cleaned), 1):
         raise BudgetExceeded(f"targets sum to {total} > budget {budget}")
 
     padded = list(cleaned)
     leftover = budget - total
-    while leftover > _EPS:
+    while leftover > TOL:
         chunk = min(1.0, leftover)
         padded.append(chunk)
         leftover -= chunk
 
     cums = _prefix_sums(padded)
-
-    def scanner(seq: list[float]):
-        # cumulative sums and b both grow, so one pointer serves all b
-        pos = 0
-
-        def first_reaching(b: int) -> int | None:
-            nonlocal pos
-            while pos < len(seq) and seq[pos] < b - 1e-9:
-                pos += 1
-            return pos if pos < len(seq) else None
-
-        return first_reaching
-
-    next_boundary = scanner(cums)
     rules: list[InspectorRule] = []
+    real_bounds: list[int | None] = []
+    real_resid: list[float | None] = []
     prev_l, prev_zeta = 0, 0.0
+    pos = 0
     for b in range(1, budget + 1):
-        l_b = next_boundary(b)
-        if l_b is None:
-            l_b = len(padded) - 1
-        zeta = b - (cums[l_b - 1] if l_b > 0 else 0.0)
-        zeta = min(max(zeta, 0.0), padded[l_b])
+        # cumulative sums and b both grow, so one pointer serves all b
+        while pos < len(cums) and cums[pos] < b - QUOTIENT_TOL:
+            pos += 1
+        l_b = min(pos, len(padded) - 1)
+        resid = b - (cums[l_b - 1] if l_b > 0 else 0.0)
+        # padded extends cleaned, so its prefix sums start with the real ones
+        real = pos < len(cleaned)
+        real_bounds.append(l_b if real else None)
+        real_resid.append(resid if real else None)
+        zeta = min(max(resid, 0.0), padded[l_b])
 
         window: list[tuple[int, float]] = []
         for i in range(prev_l + 1, l_b):
@@ -138,16 +131,16 @@ def build_schedule(targets: list[float] | tuple[float, ...], budget: int) -> Ins
             window.append((l_b, zeta))
         norm = 1.0 - padded[prev_l] + prev_zeta
 
-        if norm > _EPS:
+        if norm > TOL:
             hit = tuple((i, w / norm) for i, w in window)
         else:
             hit = ()
-        if 1.0 - prev_zeta > _EPS:
+        if 1.0 - prev_zeta > TOL:
             p0 = (padded[prev_l] - prev_zeta) / (1.0 - prev_zeta)
             missed: list[tuple[int, float]] = []
             if p0 > 0.0:
                 missed.append((prev_l, p0))
-            if norm > _EPS:
+            if norm > TOL:
                 scale = (1.0 - p0) / norm
                 missed.extend((i, w * scale) for i, w in window)
             missed_t = tuple(missed)
@@ -155,23 +148,10 @@ def build_schedule(targets: list[float] | tuple[float, ...], budget: int) -> Ins
             missed_t = ()
         for branch in (hit, missed_t):
             s = sum(p for _, p in branch)
-            if s > 1.0 + 1e-9 or any(p < 0.0 for _, p in branch):
+            if s > 1.0 + QUOTIENT_TOL or any(p < 0.0 for _, p in branch):
                 raise RuntimeError(f"inspector {b}: malformed rule {branch}")
         rules.append(InspectorRule(prev_l, l_b, hit, missed_t))
         prev_l, prev_zeta = l_b, zeta
-
-    real_bounds: list[int | None] = []
-    real_resid: list[float | None] = []
-    # padded extends cleaned, so its prefix sums start with the real ones
-    real_cums = cums[: len(cleaned)]
-    next_real = scanner(real_cums)
-    for b in range(1, budget + 1):
-        l_b = next_real(b)
-        real_bounds.append(l_b)
-        if l_b is None:
-            real_resid.append(None)
-        else:
-            real_resid.append(b - (real_cums[l_b - 1] if l_b > 0 else 0.0))
 
     return InspectionSchedule(
         tuple(cleaned),

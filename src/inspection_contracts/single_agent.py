@@ -44,9 +44,7 @@ from .envelope import (
     segment_at,
 )
 from .errors import BelowIRThreshold, InfeasibleSafety, ValidationError
-
-#: Utilities closer than this are treated as tied when picking best responses.
-TIE_TOL = 1e-12
+from .tolerance import TOL
 
 
 @dataclass(frozen=True)
@@ -97,9 +95,9 @@ class Contract:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (-1e-12 <= self.gamma <= 1 + 1e-12):
+        if not (-TOL <= self.gamma <= 1 + TOL):
             raise ValidationError(f"gamma must lie in [0, 1], got {self.gamma!r}")
-        if not (-1e-12 <= self.beta <= 1 + 1e-12):
+        if not (-TOL <= self.beta <= 1 + TOL):
             raise ValidationError(f"beta must lie in [0, 1], got {self.beta!r}")
 
 
@@ -203,7 +201,7 @@ def build_beta_curve(agent: AgentSpec) -> BetaCurve:
     bounds = sorted(cuts)
     merged = [bounds[0]]
     for g in bounds[1:]:
-        if g - merged[-1] > 1e-12:
+        if g - merged[-1] > TOL:
             merged.append(g)
     if merged[-1] < 1.0:
         merged[-1] = 1.0
@@ -235,12 +233,12 @@ def build_beta_curve(agent: AgentSpec) -> BetaCurve:
 
 def beta_at(curve: BetaCurve, gamma: float) -> float:
     """Evaluate beta(gamma) for gamma in [gamma_ir, 1]."""
-    if gamma < curve.gamma_ir - 1e-12:
+    if gamma < curve.gamma_ir - TOL:
         raise BelowIRThreshold(
             f"gamma = {gamma} is below the participation threshold {curve.gamma_ir}; "
             "no safe action is implementable there"
         )
-    if gamma > 1.0 + 1e-12:
+    if gamma > 1.0 + TOL:
         raise ValueError(f"gamma must not exceed 1, got {gamma}")
     g = min(max(gamma, curve.gamma_ir), 1.0)
     return _beta_on_piece(curve.agent, curve.piece_at(g), g)
@@ -257,9 +255,10 @@ def agent_best_response(
     """The agent's utility-maximizing (action index, safe?) pair, or None.
 
     None means the outside option: every pair has utility below 0.  Utilities
-    within TIE_TOL are tied; ties prefer the safe variant, then the higher
-    reward action.
+    within ``TOL * R_n`` are tied; ties prefer the safe variant, then the
+    higher reward action.
     """
+    tie = TOL * agent.actions[-1].reward
     gamma, beta = contract.gamma, contract.beta
     shade = (1.0 - beta) * (1.0 - agent.alpha) * gamma
     best: tuple[int, bool] | None = None
@@ -270,14 +269,14 @@ def agent_best_response(
                 u = gamma * act.reward - act.cost - agent.kappa_s
             else:
                 u = shade * act.reward - act.cost
-            if u > best_u + TIE_TOL:
+            if u > best_u + tie:
                 best, best_u = (i, safe), u
-            elif u > best_u - TIE_TOL and best is not None:
+            elif u > best_u - tie and best is not None:
                 bi, bs = best
                 if (safe, i) > (bs, bi):
                     best = (i, safe)
                 best_u = max(best_u, u)
-    if best_u < -TIE_TOL:
+    if best_u < -tie:
         return None
     return best
 
@@ -305,6 +304,12 @@ class SingleAgentSolution:
     utility: float
 
 
+def _stationary_gamma(agent: AgentSpec, piece: BetaPiece) -> float:
+    """The stationary point sqrt(kappa_i*C / (R_own*D)) of the utility on a piece."""
+    r_own, c_const, d = _piece_coeffs(agent, piece)
+    return math.sqrt(max(agent.kappa_i * c_const / (r_own * d), 0.0))
+
+
 def _candidates(agent: AgentSpec, curve: BetaCurve):
     for piece in curve.pieces:
         if piece.clamped:
@@ -314,13 +319,9 @@ def _candidates(agent: AgentSpec, curve: BetaCurve):
         lo, hi = piece.gamma_lo, piece.gamma_hi
         yield lo, _beta_on_piece(agent, piece, lo), piece.owner
         yield hi, _beta_on_piece(agent, piece, hi), piece.owner
-        r_own, c_const, d = _piece_coeffs(agent, piece)
-        sh_r = agent.actions[piece.shadow].reward
-        inner = agent.kappa_i * c_const / (r_own * sh_r * (1.0 - agent.alpha))
-        if inner > 0:
-            g = math.sqrt(inner)
-            if lo < g < hi:
-                yield g, _beta_on_piece(agent, piece, g), piece.owner
+        g = _stationary_gamma(agent, piece)
+        if lo < g < hi:
+            yield g, _beta_on_piece(agent, piece, g), piece.owner
 
 
 def solve_single(agent: AgentSpec) -> SingleAgentSolution:

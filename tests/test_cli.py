@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from inspection_contracts.cli import main
 
 UNIT1_DOC = {
@@ -182,6 +184,30 @@ def test_verify_passes(tmp_path, capsys):
     assert "PASS" in out
 
 
+def test_verify_passes_priced_in_thousands(tmp_path, capsys):
+    # rewards (1.5, 3.1, 5), costs (0.2, 0.8, 1.3), kappa_s 1.74, kappa_i 2.7,
+    # all x 1e3; an absolute utility slack rejects the correct contract here
+    doc = {
+        "agents": [
+            {
+                "name": "a1",
+                "actions": [
+                    {"reward": 1500.0, "cost": 200.0},
+                    {"reward": 3100.0, "cost": 800.0},
+                    {"reward": 5000.0, "cost": 1300.0},
+                ],
+                "kappa_s": 1740.0,
+                "kappa_i": 2700.0,
+                "alpha": 0.22,
+            }
+        ],
+        "budget": 1,
+    }
+    path = write(tmp_path, doc)
+    assert main(["verify", path, "--grid-step", "0.01"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_verify_multi_agent(tmp_path, capsys):
     doc = four_unit1_doc()
     doc["agents"] = doc["agents"][:2]
@@ -219,6 +245,37 @@ def test_huge_integer_is_invalid_input(tmp_path, capsys):
     assert main(["solve", str(path)]) == 2
     assert time.perf_counter() - start < 5.0
     assert capsys.readouterr().err.startswith("error: agents[0].actions[0].reward: ")
+
+
+def test_huge_budget_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(UNIT1_DOC).replace('"budget": 1', '"budget": 1' + "0" * 400))
+    assert main(["allocate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: budget: number too large for a float\n"
+
+
+def test_integer_past_digit_limit_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    text = json.dumps(UNIT1_DOC).replace('"reward": 10.0', '"reward": 1' + "0" * 5000)
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--precision", "-2"],
+        ["schedule", "--targets", "0.5", "--samples", "-3"],
+        ["beta-curve", "--agent", "a1", "--samples", "-1"],
+    ],
+)
+def test_negative_counts_rejected_at_parsing(tmp_path, capsys, argv):
+    path = write(tmp_path, UNIT1_DOC)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], path, *argv[1:]])
+    assert exc.value.code == 2
+    assert "expected a nonnegative integer" in capsys.readouterr().err
 
 
 def test_allocate_grid_above_limit_is_invalid_input(tmp_path, capsys):

@@ -42,6 +42,14 @@ class TestBuild:
                 pointwise_max(acts, g), abs=1e-12
             )
 
+    @pytest.mark.parametrize("k", range(-9, 10))
+    def test_hull_does_not_depend_on_currency_unit(self, k):
+        unit = 10.0**k
+        acts = lines([r * unit for r in NONCONVEX_R], [c * unit for c in NONCONVEX_C])
+        env = build_envelope(acts)
+        assert env.hull_actions == (0, 1, 2, 3, 4, 5)
+        assert env.breakpoints == pytest.approx([0.2, 0.225, 0.5, 0.85, 0.9], abs=1e-12)
+
     def test_single_action(self):
         env = build_envelope(lines([10], [2]))
         assert env.hull_actions == (0,)

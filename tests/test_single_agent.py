@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from inspection_contracts import (
     Action,
@@ -11,6 +13,7 @@ from inspection_contracts import (
     agent_best_response,
     beta_at,
     build_beta_curve,
+    check_ic_ir,
     needs_inspection,
     principal_utility,
     solve_single,
@@ -185,6 +188,57 @@ class TestSolveSingle:
             gamma = sol.contract.gamma
             own = agent.actions[sol.action]
             assert gamma * own.reward - own.cost - agent.kappa_s >= -1e-9
+
+
+
+@st.composite
+def valid_agents(draw):
+    """Agents like conftest.random_agent: 1-8 actions, Assumptions 1-2 hold."""
+    n = draw(st.integers(1, 8))
+    rewards = np.cumsum(draw(st.lists(st.floats(0.3, 2.0), min_size=n, max_size=n)))
+    costs = np.cumsum(draw(st.lists(st.floats(0.05, 0.6), min_size=n, max_size=n)))
+    slack = float(np.max(rewards - costs))
+    assume(slack > 0.05)
+    return make_agent(
+        rewards,
+        costs,
+        kappa_s=draw(st.floats(0.0, 0.9)) * slack,
+        kappa_i=draw(st.floats(0.1, 5.0)),
+        alpha=draw(st.floats(0.0, 0.5)),
+    )
+
+
+def priced(agent, unit):
+    """The same agent with every amount of money multiplied by ``unit``."""
+    return make_agent(
+        [r * unit for r in agent.rewards],
+        [c * unit for c in agent.costs],
+        kappa_s=agent.kappa_s * unit,
+        kappa_i=agent.kappa_i * unit,
+        alpha=agent.alpha,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_agents(), st.integers(-9, 9))
+def test_answer_does_not_depend_on_currency_unit(agent, k):
+    unit = 10.0**k
+    base, sol = solve_single(agent), solve_single(priced(agent, unit))
+    assert sol.action == base.action
+    assert sol.contract.gamma == pytest.approx(base.contract.gamma, abs=1e-9)
+    assert sol.contract.beta == pytest.approx(base.contract.beta, abs=1e-9)
+    assert sol.utility == pytest.approx(base.utility * unit, rel=1e-9)
+    assert check_ic_ir(priced(agent, unit), sol.contract, (sol.action, True))
+
+
+@pytest.mark.parametrize("k", range(-9, 10))
+def test_nonconvex_optimum_in_any_currency_unit(nonconvex6, k):
+    agent = priced(nonconvex6, 10.0**k)
+    sol = solve_single(agent)
+    assert sol.action == 3
+    assert sol.contract.gamma == pytest.approx(1 / 2, abs=1e-12)
+    assert sol.contract.beta == pytest.approx(2 / 7, abs=1e-12)
+    assert check_ic_ir(agent, sol.contract, (3, True))
 
 
 class TestSweep:
