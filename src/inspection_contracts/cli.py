@@ -27,6 +27,14 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
+def _precision(text: str) -> int:
+    # no double's exact decimal expansion is longer (5e-324 has 1074 decimals)
+    value = _nonnegative_int(text)
+    if value > 1074:
+        raise argparse.ArgumentTypeError(f"expected at most 1074 decimal places, got {text!r}")
+    return value
+
+
 def _fmt(x: float, precision: int) -> str:
     return f"{x:.{precision}f}"
 
@@ -236,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("file", help="instance JSON file")
-        p.add_argument("--precision", type=_nonnegative_int, default=6, help="decimal places")
+        p.add_argument("--precision", type=_precision, default=6, help="decimal places")
         p.add_argument("--out", default=None, help="write output to this path")
 
     p = sub.add_parser("solve", help="optimal single-agent contract per agent")

@@ -9,8 +9,8 @@ gamma(beta), and composing with the principal's payoff yields
 
 concave on each inverted piece but discontinuous downward at envelope
 breakpoints.  The object the allocator consumes is the running maximum
-U_l(bar_beta) = max_{beta <= bar_beta} U_l(beta): nondecreasing, made of flat
-stretches and strictly increasing concave stretches.  Splitting the budget is
+U_l(bar_beta) = max_{beta <= bar_beta} U_l(beta): nondecreasing, and stored as
+each piece's peak plus the running best before it.  Splitting the budget is
 then a multiple-choice-knapsack-style problem solved approximately on a delta
 grid by dynamic programming; the discretization loss is bounded by the
 Lipschitz constants of the curves.
@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,25 +56,15 @@ class ContractChoice:
 
 
 @dataclass(frozen=True)
-class CurveSegment:
-    """One segment of the monotone utility envelope over inspection caps.
-
-    Flat segments carry the running-max value and the contract attaining it
-    (its beta sits at or left of ``beta_lo``).  Rising segments are strictly
-    increasing and concave; they reference the beta-curve piece whose inverse
-    gamma(beta) they evaluate.
-    """
-
-    beta_lo: float
-    beta_hi: float
-    flat: bool
-    anchor: ContractChoice
-    piece_index: int = -1
-
-
-@dataclass(frozen=True)
 class UtilityCurve:
-    """Monotone envelope of the principal's utility as a function of the cap."""
+    """Monotone envelope of the principal's utility as a function of the cap.
+
+    ``rises[j] = (piece index, beta_lo, beta_peak)`` is the j-th beta-curve
+    piece, in increasing beta, whose peak beats everything before it, and
+    ``before[j]`` the best contract left of ``beta_lo``, ``base`` included.
+    Up to its peak the piece is concave and increasing, so below a cap the
+    best contract is ``before[j]`` or the piece at min(cap, beta_peak).
+    """
 
     agent: AgentSpec
     beta_curve: BetaCurve
@@ -81,16 +72,14 @@ class UtilityCurve:
     beta_cap: float
     base: ContractChoice
     top: ContractChoice
-    segments: tuple[CurveSegment, ...]
-    _lows: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_lows", tuple(s.beta_lo for s in self.segments))
+    rises: tuple[tuple[int, float, float], ...]
+    before: tuple[ContractChoice, ...]
 
 
 def _gamma_on_piece(agent: AgentSpec, piece: BetaPiece, beta: float) -> float:
     r_own, c_const, d = _piece_coeffs(agent, piece)
-    return c_const / (r_own - (1.0 - beta) * d)
+    # grouped so a tiny beta is not lost to cancellation in 1 - beta
+    return c_const / ((r_own - d) + beta * d)
 
 
 def _utility_on_piece(agent: AgentSpec, piece: BetaPiece, beta: float) -> float:
@@ -98,26 +87,14 @@ def _utility_on_piece(agent: AgentSpec, piece: BetaPiece, beta: float) -> float:
     return (1.0 - g) * agent.actions[piece.owner].reward - beta * agent.kappa_i
 
 
-def _rising_root(agent, piece, target, lo, hi) -> float:
-    """Smallest beta in [lo, hi] with utility >= target, to one ulp."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            return hi
-        if _utility_on_piece(agent, piece, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-
-
 def build_utility_curve(agent: AgentSpec) -> UtilityCurve:
     """Invert the beta curve piecewise and apply the running maximum.
 
     The sweep walks the unclamped pieces from gamma = 1 downward, i.e. beta
     increasing.  Within a piece the utility is concave with its peak at the
-    same stationary point the single-agent solver uses; past the peak, and
-    wherever the piece never climbs above the best value seen so far, the
-    envelope is flat.
+    same stationary point the single-agent solver uses; a piece whose peak
+    beats the running best is recorded as a rise, and its peak becomes the
+    running best.
     """
     bc = build_beta_curve(agent)
     beta_min = beta_at(bc, 1.0)
@@ -133,7 +110,8 @@ def build_utility_curve(agent: AgentSpec) -> UtilityCurve:
         last = bc.pieces[-1]
         base = ContractChoice(1.0, beta_min, last.owner, -beta_min * agent.kappa_i)
 
-    segments: list[CurveSegment] = []
+    rises: list[tuple[int, float, float]] = []
+    before: list[ContractChoice] = []
     cur = base
     cursor = beta_min
     unclamped = [(i, p) for i, p in enumerate(bc.pieces) if not p.clamped]
@@ -142,6 +120,7 @@ def build_utility_curve(agent: AgentSpec) -> UtilityCurve:
         hi = _beta_on_piece(agent, piece, piece.gamma_lo)
         if hi <= lo:
             continue
+        cursor = hi
         peak_gamma = _stationary_gamma(agent, piece)
         if peak_gamma >= piece.gamma_hi:
             beta_peak = lo
@@ -150,36 +129,14 @@ def build_utility_curve(agent: AgentSpec) -> UtilityCurve:
         else:
             beta_peak = min(max(_beta_on_piece(agent, piece, peak_gamma), lo), hi)
         u_peak = _utility_on_piece(agent, piece, beta_peak)
-        if u_peak <= cur.utility:
-            segments.append(CurveSegment(lo, hi, True, cur))
-        else:
-            start = lo
-            if _utility_on_piece(agent, piece, lo) < cur.utility:
-                start = _rising_root(agent, piece, cur.utility, lo, beta_peak)
-                segments.append(CurveSegment(lo, start, True, cur))
+        if u_peak > cur.utility:
+            rises.append((idx, lo, beta_peak))
+            before.append(cur)
             cur = ContractChoice(
                 _gamma_on_piece(agent, piece, beta_peak), beta_peak, piece.owner, u_peak
             )
-            if start < beta_peak:
-                segments.append(CurveSegment(start, beta_peak, False, cur, idx))
-            if beta_peak < hi:
-                segments.append(CurveSegment(beta_peak, hi, True, cur))
-        cursor = hi
 
-    # merge runs of flat segments sharing one anchor
-    merged: list[CurveSegment] = []
-    for seg in segments:
-        if merged and seg.flat and merged[-1].flat and merged[-1].anchor is seg.anchor:
-            merged[-1] = CurveSegment(merged[-1].beta_lo, seg.beta_hi, True, seg.anchor)
-        else:
-            merged.append(seg)
-
-    return UtilityCurve(agent, bc, beta_min, cursor, base, cur, tuple(merged))
-
-
-def _locate(curve: UtilityCurve, beta_bar: float) -> CurveSegment:
-    j = max(bisect_right(curve._lows, beta_bar) - 1, 0)
-    return curve.segments[j]
+    return UtilityCurve(agent, bc, beta_min, cursor, base, cur, tuple(rises), tuple(before))
 
 
 def best_contract_at(curve: UtilityCurve, beta_bar: float) -> ContractChoice:
@@ -193,19 +150,19 @@ def best_contract_at(curve: UtilityCurve, beta_bar: float) -> ContractChoice:
             f"cap {beta_bar} is below beta_min = {curve.beta_min}; "
             "no safe action is implementable within it"
         )
-    if beta_bar >= curve.beta_cap or not curve.segments:
-        return curve.top
-    seg = _locate(curve, min(max(beta_bar, curve.beta_min), curve.beta_cap))
-    if seg.flat:
-        return seg.anchor
-    piece = curve.beta_curve.pieces[seg.piece_index]
-    b = min(max(beta_bar, seg.beta_lo), seg.beta_hi)
-    return ContractChoice(
-        _gamma_on_piece(curve.agent, piece, b),
-        b,
-        piece.owner,
-        _utility_on_piece(curve.agent, piece, b),
-    )
+    b = max(beta_bar, curve.beta_min)
+    j = bisect_right(curve.rises, b, key=itemgetter(1)) - 1
+    if j < 0:
+        return curve.base
+    idx, _, beta_peak = curve.rises[j]
+    if b >= beta_peak:
+        # past its peak the running best is the peak itself
+        return curve.before[j + 1] if j + 1 < len(curve.before) else curve.top
+    piece = curve.beta_curve.pieces[idx]
+    u = _utility_on_piece(curve.agent, piece, b)
+    if u > curve.before[j].utility:
+        return ContractChoice(_gamma_on_piece(curve.agent, piece, b), b, piece.owner, u)
+    return curve.before[j]
 
 
 def utility_at(curve: UtilityCurve, beta_bar: float) -> float:
@@ -228,6 +185,9 @@ def min_beta(agent: AgentSpec) -> float:
 # cell costs an int32 choice and at most one gain (a utility evaluation), so
 # this bounds the grid's memory; 2e7 is 4x the m=1000, B=50, delta=0.01 grid.
 MAX_DP_CELLS = 20_000_000
+# Most candidate sums, sum_l len(gains_l) x (budget steps + 1), the DP may take:
+# at 2-3 ns per sum a few seconds, 8x the m=100, B=10, delta=1e-3 DP.
+MAX_DP_WORK = 2_000_000_000
 # candidate sums per vectorized block of the DP: a block covers
 # _DP_BLOCK // len(gains) budget cells (at least one), so its scratch memory
 # stays near 0.25 MB unless one gain curve alone is longer
@@ -315,16 +275,14 @@ def _dp(
     gains: list[np.ndarray],
     sats: list[tuple[int, float] | None],
     steps: int,
-    all_rows: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fill the budget-allocation table row by row.
 
     ``gains[l][eta]`` is agent l's utility gain from eta grid steps above its
     minimum inspection; ``sats[l]``, when present, is the extra saturation
     option (units charged, gain) that tops the agent out at its flat region.
-    Returns the final value row (with ``all_rows``, every row as an
-    (m+1, steps+1) table whose row 0 is the zero basis) and the per-cell units
-    chosen, for backtracking.
+    Returns the final value row and the per-cell units chosen, for
+    backtracking.
 
     Each agent's row is one (max,+) convolution of the previous row with its
     gains: cell j takes the best of ``values[j-eta] + g[eta]``, read from a
@@ -339,7 +297,6 @@ def _dp(
     """
     m = len(gains)
     values = np.zeros(steps + 1)
-    rows = [values]
     choices = np.zeros((m, steps + 1), dtype=np.int32)
     for l, g in enumerate(gains):
         k = len(g)
@@ -361,16 +318,7 @@ def _dp(
             nxt[u:][wins] = alt[wins]
             choices[l, u:][wins] = u
         values = nxt
-        if all_rows:
-            rows.append(nxt)
-    return (np.vstack(rows) if all_rows else values), choices
-
-
-def dp_value_table(problem: AllocationProblem) -> np.ndarray:
-    """All DP rows (m+1, steps+1), for diagnostics; row 0 is the zero basis."""
-    curves = [build_utility_curve(a) for a in problem.agents]
-    _, steps, gains, sats, _ = _prepare_grid(problem, curves)
-    return _dp(gains, sats, steps, all_rows=True)[0]
+    return values, choices
 
 
 def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
@@ -391,20 +339,24 @@ def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
             f"({len(curves)} agents x budget steps), above the limit of "
             f"{MAX_DP_CELLS:,}; use a larger delta or epsilon"
         )
+    caps_x = [min(c.beta_cap - c.beta_min, spare) for c in curves]
+    ns = [int(math.floor(cap / delta + QUOTIENT_TOL)) for cap in caps_x]
+    work = sum(n_l + 1 for n_l in ns) * (steps + 1)
+    if work > MAX_DP_WORK:
+        raise ValidationError(
+            f"delta = {delta!r} needs {work:.3g} DP candidate sums, above the limit of "
+            f"{MAX_DP_WORK:,}; use a larger delta or epsilon"
+        )
     gains = []
     sats: list[tuple[int, float] | None] = []
-    caps_x = []
-    for c in curves:
-        cap = min(c.beta_cap - c.beta_min, spare)
-        caps_x.append(cap)
-        n_l = int(math.floor(cap / delta + QUOTIENT_TOL))
+    for c, cap, n_l in zip(curves, caps_x, ns):
         base = c.base.utility
         gains.append(
             np.array([utility_at(c, c.beta_min + eta * delta) - base for eta in range(n_l + 1)])
         )
         # the grid endpoint itself: reaching the flat region exactly costs a
         # rounded-up number of units but can beat every interior point
-        if cap > n_l * delta + TOL and n_l + 1 <= steps:
+        if cap > n_l * delta and n_l + 1 <= steps:
             sats.append((n_l + 1, utility_at(c, c.beta_min + cap) - base))
         else:
             sats.append(None)

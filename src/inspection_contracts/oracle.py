@@ -119,32 +119,21 @@ def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
         grids.append(pts)
         values.append(np.array([utility_at(c, b) for b in pts]))
 
-    if len(agents) == 1:
-        ok = grids[0] <= budget + TOL
-        i = int(np.argmax(np.where(ok, values[0], -np.inf)))
-        caps = (float(grids[0][i]),)
-    elif len(agents) == 2:
-        tot = values[0][:, None] + values[1][None, :]
-        ok = grids[0][:, None] + grids[1][None, :] <= budget + TOL
-        flat = int(np.argmax(np.where(ok, tot, -np.inf)))
-        i, j = divmod(flat, len(grids[1]))
-        caps = (float(grids[0][i]), float(grids[1][j]))
-    else:
-        pair = values[1][:, None] + values[2][None, :]
-        load = grids[1][:, None] + grids[2][None, :]
-        best = (-math.inf, 0, 0, 0)
-        for i, b1 in enumerate(grids[0]):
-            masked = np.where(load <= budget - b1 + TOL, pair, -np.inf)
-            flat = int(np.argmax(masked))
-            j, k = divmod(flat, len(grids[2]))
-            tot = values[0][i] + masked[j, k]
-            if tot > best[0]:
-                best = (tot, i, j, k)
-        caps = (
-            float(grids[0][best[1]]),
-            float(grids[1][best[2]]),
-            float(grids[2][best[3]]),
-        )
+    # zero agents (one cap of 0, worth 0) on the left make every m the m=3 case
+    pad = 3 - len(agents)
+    grids = [np.zeros(1)] * pad + grids
+    values = [np.zeros(1)] * pad + values
+    pair = values[1][:, None] + values[2][None, :]
+    load = grids[1][:, None] + grids[2][None, :]
+    best = (-math.inf, 0, 0, 0)
+    for i, b1 in enumerate(grids[0]):
+        masked = np.where(load <= budget - b1 + TOL, pair, -np.inf)
+        flat = int(np.argmax(masked))
+        j, k = divmod(flat, len(grids[2]))
+        tot = values[0][i] + masked[j, k]
+        if tot > best[0]:
+            best = (tot, i, j, k)
+    caps = tuple(float(g[i]) for g, i in zip(grids, best[1:]))[pad:]
 
     contracts = tuple(best_contract_at(c, cap) for c, cap in zip(curves, caps))
     total = sum(ch.utility for ch in contracts)

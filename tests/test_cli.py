@@ -285,3 +285,24 @@ def test_allocate_grid_above_limit_is_invalid_input(tmp_path, capsys):
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "above the limit" in err
+
+
+def test_allocate_dp_work_above_limit_is_invalid_input(tmp_path, capsys):
+    # 9e5 steps fit the grid limit, but the DP would add 2.1e11 candidate sums
+    path = write(tmp_path, UNIT1_DOC)
+    start = time.perf_counter()
+    assert main(["allocate", path, "--delta", "1e-6"]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "DP candidate sums" in err and "above the limit" in err
+
+
+def test_precision_above_double_digits_rejected_at_parsing(tmp_path, capsys):
+    path = write(tmp_path, UNIT1_DOC)
+    assert main(["solve", path, "--precision", "1074"]) == 0
+    capsys.readouterr()
+    for value in ("1075", "3000000000"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", path, "--precision", value])
+        assert exc.value.code == 2
+        assert "at most 1074 decimal places" in capsys.readouterr().err

@@ -19,7 +19,7 @@ from inspection_contracts import (
     utility_at,
 )
 from inspection_contracts import multi_agent
-from inspection_contracts.multi_agent import _dp, _prepare_grid, dp_value_table
+from inspection_contracts.multi_agent import _dp, _prepare_grid
 from conftest import make_agent, random_agent
 
 
@@ -49,7 +49,7 @@ class TestUtilityCurve:
         curve = build_utility_curve(agent)
         assert curve.beta_min == 0.0
         assert curve.beta_cap == 0.0
-        assert curve.segments == ()
+        assert curve.rises == ()
         assert utility_at(curve, 0.0) == pytest.approx(8.0)
         assert utility_at(curve, 0.7) == pytest.approx(8.0)
 
@@ -70,10 +70,20 @@ class TestUtilityCurve:
             bs = np.linspace(curve.beta_min, max(curve.beta_cap, curve.beta_min), 200)
             vals = [utility_at(curve, b) for b in bs]
             assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
-            for s1, s2 in zip(curve.segments, curve.segments[1:]):
-                left = utility_at(curve, np.nextafter(s1.beta_hi, s1.beta_lo))
-                right = utility_at(curve, s2.beta_lo)
+            for _, lo, _ in curve.rises:
+                left = utility_at(curve, np.nextafter(lo, -np.inf))
+                right = utility_at(curve, lo)
                 assert right == pytest.approx(left, abs=1e-9)
+
+    @pytest.mark.parametrize("kappa_s", [1e-12, 1e-14])
+    def test_tiny_safety_cost_keeps_the_curve(self, kappa_s):
+        # the whole cap range is a few times kappa_s / R wide
+        agent = make_agent([10.0], [2.0], kappa_s=kappa_s)
+        best = solve_single(agent).utility
+        curve = build_utility_curve(agent)
+        assert curve.top.utility == pytest.approx(best, rel=1e-12)
+        alloc = allocate(AllocationProblem((agent,), 1, delta=0.01))
+        assert alloc.total_utility == pytest.approx(best, rel=1e-12)
 
     def test_best_contract_at_attains_value(self, unit1):
         curve = build_utility_curve(unit1)
@@ -174,17 +184,19 @@ class TestAllocate:
                 assert bmin - 1e-12 <= ch.beta <= cap + 1e-12
 
     def test_dp_rows_nondecreasing(self, unit1):
-        table = dp_value_table(AllocationProblem((unit1,) * 3, 2, delta=0.01))
-        assert np.all(np.diff(table, axis=1) >= -1e-12)
+        problem = AllocationProblem((unit1,) * 3, 2, delta=0.01)
+        curves = [build_utility_curve(a) for a in problem.agents]
+        _, steps, gains, sats, _ = _prepare_grid(problem, curves)
+        for m in range(1, len(curves) + 1):
+            values, _ = _dp(gains[:m], sats[:m], steps)
+            assert values.shape == (steps + 1,)
+            assert np.all(np.diff(values) >= -1e-12)
 
-    def test_dp_table_last_row_is_allocate_row(self, nonconvex6, unit1):
+    def test_dp_final_row_gives_allocate_total(self, nonconvex6, unit1):
         problem = AllocationProblem((nonconvex6, unit1, nonconvex6), 2, delta=0.01)
         curves = [build_utility_curve(a) for a in problem.agents]
         _, steps, gains, sats, _ = _prepare_grid(problem, curves)
         values, _ = _dp(gains, sats, steps)
-        table = dp_value_table(problem)
-        assert table.shape == (4, steps + 1)
-        assert np.array_equal(table[-1], values)
         base = sum(c.base.utility for c in curves)
         assert allocate(problem).total_utility == pytest.approx(base + values[-1])
 
@@ -195,6 +207,16 @@ class TestAllocate:
         allocate(problem)
         monkeypatch.setattr(multi_agent, "MAX_DP_CELLS", 161)
         with pytest.raises(ValidationError, match="162 cells"):
+            allocate(problem)
+
+    def test_dp_work_limit(self, unit1, monkeypatch):
+        # 80 steps; each agent's grid stops at its cap 1/3 - 0.1 after 23
+        # steps, so the DP adds 2 * 24 * 81 candidate sums
+        problem = AllocationProblem((unit1,) * 2, 1, delta=0.01)
+        monkeypatch.setattr(multi_agent, "MAX_DP_WORK", 3888)
+        allocate(problem)
+        monkeypatch.setattr(multi_agent, "MAX_DP_WORK", 3887)
+        with pytest.raises(ValidationError, match="3.89e\\+03 DP candidate sums"):
             allocate(problem)
 
     def test_tiny_delta_rejected_before_building_the_grid(self, unit1):
@@ -255,8 +277,6 @@ def test_dp_kernel_matches_per_cell_loop(problem):
     ref_values, ref_choices = _dp_per_cell(gains, sats, steps)
     assert np.array_equal(values, ref_values)
     assert np.array_equal(choices, ref_choices)
-    table = _dp(gains, sats, steps, all_rows=True)[0]
-    assert np.array_equal(table[-1], ref_values)
 
 
 def test_dp_kernel_blocks_match_per_cell_loop(monkeypatch):
