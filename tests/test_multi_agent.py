@@ -20,6 +20,7 @@ from inspection_contracts import (
 )
 from inspection_contracts import multi_agent
 from inspection_contracts.multi_agent import _dp, _prepare_grid
+from inspection_contracts.tolerance import TOL
 from conftest import make_agent, random_agent
 
 
@@ -161,6 +162,23 @@ class TestAllocate:
                 continue
             a2 = allocate(AllocationProblem(agents, 2, delta=0.02))
             assert a2.total_utility >= a1.total_utility - 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.data())
+    def test_permuting_agents_permutes_the_allocation(self, seed, m, data):
+        rng = np.random.default_rng(seed)
+        agents = tuple(random_agent(rng, n_max=5) for _ in range(m))
+        budget = int(rng.integers(1, 3))
+        delta = data.draw(st.sampled_from([0.005, 0.01, 0.02]))
+        try:
+            alloc = allocate(AllocationProblem(agents, budget, delta=delta))
+        except InfeasibleBudget:
+            return
+        perm = data.draw(st.permutations(range(m)))
+        moved = allocate(AllocationProblem(tuple(agents[i] for i in perm), budget, delta=delta))
+        assert moved.caps == tuple(alloc.caps[i] for i in perm)
+        slack = TOL * m * sum(a.actions[-1].reward for a in agents)
+        assert abs(moved.total_utility - alloc.total_utility) <= slack
 
     def test_feasibility_and_grid_membership(self):
         rng = np.random.default_rng(99)

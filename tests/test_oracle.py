@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inspection_contracts import (
     AllocationProblem,
     Contract,
+    InfeasibleError,
     NoSafeContract,
+    ValidationError,
     allocate,
     brute_force_allocate,
     brute_force_single,
@@ -12,7 +18,48 @@ from inspection_contracts import (
     gap_bound,
     solve_single,
 )
+from inspection_contracts import oracle
+from inspection_contracts.oracle import _Best, _grid
+from inspection_contracts.tolerance import TOL
 from conftest import make_agent, random_agent
+
+
+def _scan_full(best, agent, gammas, betas):
+    """Every (gamma, beta) grid pair checked: the reference for the bisection."""
+    tie = TOL * agent.actions[-1].reward
+    rewards = np.array(agent.rewards)
+    costs = np.array(agent.costs)
+    safe = gammas[:, None] * rewards[None, :] - costs[None, :]
+    best_safe = safe.max(axis=1) - agent.kappa_s
+    act = (len(rewards) - 1) - np.argmax(safe[:, ::-1], axis=1)
+    base = (1.0 - gammas) * rewards[act]
+
+    for start in range(0, len(betas), 128):
+        bc = betas[start : start + 128]
+        shade = ((1.0 - bc) * (1.0 - agent.alpha))[:, None] * gammas[None, :]
+        unsafe = (shade[:, :, None] * rewards[None, None, :] - costs[None, None, :]).max(
+            axis=2
+        )
+        ok = (best_safe[None, :] >= unsafe - tie) & (best_safe[None, :] >= -tie)
+        util = np.where(ok, base[None, :] - agent.kappa_i * bc[:, None], -np.inf)
+        flat = int(np.argmax(util))
+        bi, gi = divmod(flat, len(gammas))
+        if util[bi, gi] > best.utility:
+            best.utility = float(util[bi, gi])
+            best.gamma = float(gammas[gi])
+            best.beta = float(bc[bi])
+
+
+def _brute_force_full(agent, step, include=()):
+    """``brute_force_single`` by the full scan; None where no pair is safe."""
+    best = _Best()
+    g = _grid(step)
+    _scan_full(best, agent, g, g)
+    for gamma, beta in include:
+        _scan_full(best, agent, np.array([float(gamma)]), np.array([float(beta)]))
+    if not math.isfinite(best.utility):
+        return None
+    return best.utility, best.gamma, best.beta
 
 
 class TestBruteForceSingle:
@@ -44,6 +91,24 @@ class TestBruteForceSingle:
     def test_bad_step(self, unit1):
         with pytest.raises(ValueError):
             brute_force_single(unit1, 0.0)
+        for step in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                brute_force_single(unit1, step)
+
+    # five grid points on one action: 0, 0.25, 0.5, 0.75, 1, and 0, 0.3,
+    # 0.6, 0.9 plus the appended 1
+    @pytest.mark.parametrize("step", [0.25, 0.3])
+    def test_grid_cell_limit(self, unit1, monkeypatch, step):
+        monkeypatch.setattr(oracle, "MAX_ORACLE_CELLS", 5)
+        brute_force_single(unit1, step)
+        monkeypatch.setattr(oracle, "MAX_ORACLE_CELLS", 4)
+        with pytest.raises(ValidationError, match="above the limit"):
+            brute_force_single(unit1, step)
+
+    @pytest.mark.parametrize("step", [1e-9, 1e-300, 1e-308, 5e-324])
+    def test_tiny_step_rejected_before_building_the_grid(self, unit1, step):
+        with pytest.raises(ValidationError, match="above the limit"):
+            brute_force_single(unit1, step)
 
 
 class TestBruteForceAllocate:
@@ -118,3 +183,46 @@ class TestAgreement:
                 continue
             for agent, ch in zip(agents, alloc.contracts):
                 assert check_ic_ir(agent, Contract(ch.gamma, ch.beta), (ch.action, True))
+
+
+@st.composite
+def oracle_cases(draw):
+    """Agents with 1-8 actions, some with tie-forcing kappa_i, steps 0.5 to 1e-3."""
+    n = draw(st.integers(1, 8))
+    rewards = np.cumsum(draw(st.lists(st.floats(0.3, 2.0), min_size=n, max_size=n)))
+    costs = np.cumsum(draw(st.lists(st.floats(0.05, 0.6), min_size=n, max_size=n)))
+    slack = float(np.max(rewards - costs))
+    # a share above 1 breaks Assumption 2, so no contract is safe
+    share = draw(st.sampled_from([0.0, 0.5, 1.2]) | st.floats(0.0, 1.2))
+    agent = make_agent(
+        rewards,
+        costs,
+        kappa_s=share * max(slack, 0.0),
+        # a vanishing inspection cost makes many betas tie at each gamma
+        kappa_i=draw(st.sampled_from([1e-300, 1e-12]) | st.floats(0.1, 5.0)),
+        alpha=draw(st.sampled_from([0.0, 0.99]) | st.floats(0.0, 0.99)),
+    )
+    step = draw(st.sampled_from([1e-3, 0.01, 0.1, 0.5]) | st.floats(1e-3, 0.5))
+    include = draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=3))
+    if draw(st.booleans()):
+        try:
+            sol = solve_single(agent)
+        except InfeasibleError:
+            pass
+        else:
+            include.append((sol.contract.gamma, sol.contract.beta))
+    return agent, step, include
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases())
+def test_bisection_matches_full_scan(case):
+    agent, step, include = case
+    ref = _brute_force_full(agent, step, include)
+    try:
+        contract, utility = brute_force_single(agent, step, include=include)
+    except NoSafeContract:
+        assert ref is None
+        return
+    assert ref is not None
+    assert (utility, contract.gamma, contract.beta) == ref

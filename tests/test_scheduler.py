@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inspection_contracts import scheduler
 from inspection_contracts import (
     BudgetExceeded,
     InvalidProbability,
@@ -64,6 +65,12 @@ class TestBuild:
             build_schedule([0.9, 0.9], 1)
         with pytest.raises(ValidationError):
             build_schedule([0.5], 0)
+
+    def test_inspector_limit(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "MAX_INSPECTORS", 3)
+        assert len(build_schedule([0.5], 3).rules) == 3
+        with pytest.raises(ValidationError, match="above the limit"):
+            build_schedule([0.5], 4)
 
     def test_zero_targets(self):
         s = build_schedule([0.0, 0.0, 0.0], 1)
