@@ -190,12 +190,14 @@ def _cmd_verify(args, out: IO[str]) -> int:
         sol = single_agent.solve_single(named.spec)
         pair = (sol.contract.gamma, sol.contract.beta)
         _, ref = oracle.brute_force_single(named.spec, step, include=[pair])
-        ok = sol.utility >= ref - TOL * named.spec.actions[-1].reward
+        gap = sol.utility - ref
+        ok = abs(gap) <= TOL * named.spec.actions[-1].reward
         report(
             ok,
             f"solve[{named.name}] vs grid oracle (step {step})",
             f"solver={sol.utility:.9f} oracle={ref:.9f}"
-            + ("" if ok else f" counterexample: contract={pair}"),
+            + ("" if ok else f" solver {'below' if gap < 0 else 'above'} oracle;"
+               f" counterexample: contract={pair}"),
         )
         ic = oracle.check_ic_ir(named.spec, sol.contract, (sol.action, True))
         report(

@@ -1,12 +1,12 @@
 """Brute-force cross-checks for every solver in the package.
 
 These deliberately avoid the envelope/curve machinery: agent behavior is
-recomputed from the raw utility definitions by enumerating actions on a
-dense (gamma, beta) grid, so agreement with the closed-form solvers is
-meaningful.  At each grid gamma the best contract uses the least grid beta
-that deters every unsafe action, found by bisection on that definition.
-Callers may inject extra candidate pairs (typically the solver's own answer)
-into the comparison set; the evaluation path stays independent either way.
+recomputed from the raw utility definitions, so agreement with the
+closed-form solvers is meaningful.  The single-agent oracle takes a step
+grid of payment shares gamma and, at each, the least inspection probability
+that deters every unsafe action, solved from the deterrence inequality
+itself.  Callers may inject extra candidate gammas (typically from the
+solver's own answer); the evaluation path stays independent either way.
 
 Not a production solver; everything here trades speed for transparency.
 """
@@ -14,7 +14,6 @@ Not a production solver; everything here trades speed for transparency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +30,15 @@ from .tolerance import QUOTIENT_TOL, TOL
 
 # Most grid cells, grid points x actions, brute_force_single may take; a
 # finer step is rejected as invalid input before any grid array is built.
-# Each bisection round builds one float64 array of that many cells and about
-# a dozen with one entry per grid point: at the limit a 1-action agent (10^6
-# points) takes about 0.7 s and 100 MB on a 2-CPU Xeon host.  The default
-# step 1e-3 on an 8-action agent needs about 8e3 cells.
+# The pass holds about a dozen arrays of that many cells: at the limit a
+# 1-action agent (10^6 points) takes about 0.1 s and 100 MB on a 2-CPU Xeon
+# host.  The default step 1e-3 on an 8-action agent needs about 8e3 cells.
 MAX_ORACLE_CELLS = 1_000_000
+
+
+def _check_step(step: float) -> None:
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
 
 
 def _grid(step: float) -> np.ndarray:
@@ -60,55 +63,37 @@ def _check_grid_size(agent: AgentSpec, step: float) -> None:
         )
 
 
-@dataclass
-class _Best:
-    utility: float = -math.inf
-    gamma: float = math.nan
-    beta: float = math.nan
+def _scan(agent: AgentSpec, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least deterring beta at each gamma, and the principal's utility.
 
-
-def _scan(best: _Best, agent: AgentSpec, gammas: np.ndarray, betas: np.ndarray) -> None:
-    """Keep the best safe-implementing (gamma, beta) pair of the grid.
-
-    Rewards are nonnegative and alpha < 1, so every unsafe utility falls as
-    beta rises (each rounded step of its float expression is monotone too),
-    and deterrence at a fixed gamma holds from some least grid beta on.  The
-    principal's payoff falls with beta, so that least beta, found by a
-    bisection per gamma, is the best contract at that gamma: the same answer
-    as checking every grid pair.  Ties go to the least beta, then the least
-    gamma.
+    S is the best safe utility.  Unsafe action j is deterred when
+    (1 - beta)(1 - alpha) gamma R_j - c_j <= S, so from
+    beta = 1 - (S + c_j) / ((1 - alpha) gamma R_j) on; with a zero
+    denominator it is deterred at every beta iff -c_j <= S, else at none.
+    The principal's payoff falls with beta, so that least beta is the best
+    contract at that gamma.  Its base (1 - gamma) R uses the highest-reward
+    safe action within TOL * R_n of S.  Where IR fails (S < -TOL * R_n) or
+    no beta <= 1 deters, the utility is -inf.
     """
     tie = TOL * agent.actions[-1].reward
     rewards = np.array(agent.rewards)
     costs = np.array(agent.costs)
     safe = gammas[:, None] * rewards[None, :] - costs[None, :]
-    best_safe = safe.max(axis=1) - agent.kappa_s
-    # ties between equally good safe actions go to the higher reward
-    act = (len(rewards) - 1) - np.argmax(safe[:, ::-1], axis=1)
+    top = safe.max(axis=1)
+    best_safe = top - agent.kappa_s
+    act = (len(rewards) - 1) - np.argmax((safe >= top[:, None] - tie)[:, ::-1], axis=1)
     base = (1.0 - gammas) * rewards[act]
 
-    # the least deterring beta index per gamma lies in [lo, hi]; index
-    # len(betas) stands for "none deters", the answer wherever IR fails
-    g = len(betas)
-    lo = np.where(best_safe >= -tie, 0, g)
-    hi = np.full(len(gammas), g)
-    for _ in range(g.bit_length()):
-        open_ = lo < hi
-        mid = (lo + hi) // 2
-        shade = ((1.0 - betas[np.minimum(mid, g - 1)]) * (1.0 - agent.alpha)) * gammas
-        unsafe = (shade[:, None] * rewards[None, :] - costs[None, :]).max(axis=1)
-        ok = best_safe >= unsafe - tie
-        hi = np.where(open_ & ok, mid, hi)
-        lo = np.where(open_ & ~ok, mid + 1, lo)
-
-    util = np.where(hi < g, base - agent.kappa_i * betas[np.minimum(hi, g - 1)], -np.inf)
-    top = util.max()
-    # among the best gammas, the least beta index, then the least gamma index
-    gi = int(np.argmin(np.where(util == top, hi, g)))
-    if top > best.utility:
-        best.utility = float(top)
-        best.gamma = float(gammas[gi])
-        best.beta = float(betas[hi[gi]])
+    shade = ((1.0 - agent.alpha) * gammas)[:, None] * rewards[None, :]
+    floor = best_safe[:, None] + costs[None, :]
+    pos = shade > 0.0
+    # a subnormal shade overflows the ratio to +-inf, the right limit
+    with np.errstate(over="ignore"):
+        ratio = floor / np.where(pos, shade, 1.0)
+    need = np.where(pos, 1.0 - ratio, np.where(floor >= 0.0, 0.0, np.inf))
+    beta = np.maximum(need.max(axis=1), 0.0)
+    ok = (best_safe >= -tie) & (beta <= 1.0)
+    return beta, np.where(ok, base - agent.kappa_i * beta, -np.inf)
 
 
 def brute_force_single(
@@ -116,25 +101,25 @@ def brute_force_single(
     step: float,
     include: tuple[tuple[float, float], ...] | list[tuple[float, float]] = (),
 ) -> tuple[Contract, float]:
-    """Best safe-implementing contract over a step grid on [0, 1]^2.
+    """Best safe-implementing contract over a step grid of gammas on [0, 1].
 
-    ``include`` adds exact (gamma, beta) pairs to the comparison set so grid
-    resolution is not charged against candidates the caller already knows.
-    A step whose grid exceeds ``MAX_ORACLE_CELLS`` raises ValidationError.
+    Each gamma gets its least deterring beta (see ``_scan``).  ``include``
+    takes (gamma, beta) pairs, typically the solver's answer, and appends
+    each pair's gamma to the grid so grid resolution is not charged against
+    it; the pair's beta is not used.  Ties go to the first best gamma in
+    grid order, then ``include`` order.  A step whose grid exceeds
+    ``MAX_ORACLE_CELLS`` raises ValidationError.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be finite and positive, got {step}")
+    _check_step(step)
     _check_grid_size(agent, step)
-    best = _Best()
-    g = _grid(step)
-    _scan(best, agent, g, g)
-    for gamma, beta in include:
-        _scan(best, agent, np.array([float(gamma)]), np.array([float(beta)]))
-    if not math.isfinite(best.utility):
+    gammas = np.append(_grid(step), [float(gamma) for gamma, _ in include])
+    beta, util = _scan(agent, gammas)
+    i = int(np.argmax(util))
+    if util[i] == -math.inf:
         raise NoSafeContract(
             f"no grid contract at step {step} implements a safe action"
         )
-    return Contract(best.gamma, best.beta), best.utility
+    return Contract(float(gammas[i]), float(beta[i])), float(util[i])
 
 
 def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
@@ -142,8 +127,7 @@ def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
     agents = problem.agents
     if len(agents) > 3:
         raise ValueError("brute_force_allocate handles at most 3 agents")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    _check_step(step)
     curves = [build_utility_curve(a) for a in agents]
     mins = [c.beta_min for c in curves]
     budget = float(problem.budget)

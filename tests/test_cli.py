@@ -1,4 +1,5 @@
 import json
+import pathlib
 import time
 
 import pytest
@@ -184,6 +185,15 @@ def test_verify_passes(tmp_path, capsys):
     assert "PASS" in out
 
 
+def test_readme_example_is_the_checked_in_instance_and_verifies(capsys):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text().split("```json\n", 1)[1].split("```", 1)[0]
+    example = root / "examples" / "instance.json"
+    assert json.loads(block) == json.loads(example.read_text())
+    assert main(["verify", str(example)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_verify_passes_priced_in_thousands(tmp_path, capsys):
     # rewards (1.5, 3.1, 5), costs (0.2, 0.8, 1.3), kappa_s 1.74, kappa_i 2.7,
     # all x 1e3; an absolute utility slack rejects the correct contract here
@@ -231,6 +241,24 @@ def test_verify_failure_prints_counterexample(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "counterexample" in out
+    assert "solver above oracle" in out
+
+
+def test_verify_fails_a_solver_below_the_oracle(tmp_path, capsys, monkeypatch):
+    import inspection_contracts.cli as cli_mod
+    from inspection_contracts.single_agent import SingleAgentSolution, solve_single
+
+    # sabotage the solver: the right contract, but a utility 1e-9 R_n short
+    def short(agent):
+        sol = solve_single(agent)
+        return SingleAgentSolution(sol.contract, sol.action, sol.utility - 1e-8)
+
+    monkeypatch.setattr(cli_mod.single_agent, "solve_single", short)
+    path = write(tmp_path, UNIT1_DOC)
+    assert main(["verify", path, "--grid-step", "0.01"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    fails = [l for l in lines if "FAIL" in l]
+    assert len(fails) == 1 and "solver below oracle" in fails[0]
 
 
 def test_missing_file(capsys):
