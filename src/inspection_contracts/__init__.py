@@ -37,13 +37,11 @@ from .instances import Instance, NamedAgent, load_instance, parse_instance
 from .multi_agent import (
     Allocation,
     AllocationProblem,
-    ContractChoice,
     UtilityCurve,
     allocate,
     best_contract_at,
     build_utility_curve,
     gap_bound,
-    min_beta,
     utility_at,
 )
 from .oracle import brute_force_allocate, brute_force_single, check_ic_ir
@@ -58,6 +56,7 @@ from .single_agent import (
     BetaCurve,
     BetaPiece,
     Contract,
+    ContractChoice,
     SingleAgentSolution,
     SweepPoint,
     agent_best_response,
@@ -116,7 +115,6 @@ __all__ = [
     "gap_bound",
     "invert_envelope",
     "load_instance",
-    "min_beta",
     "needs_inspection",
     "parse_instance",
     "principal_utility",

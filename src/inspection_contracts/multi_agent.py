@@ -10,10 +10,12 @@ gamma(beta), and composing with the principal's payoff yields
 concave on each inverted piece but discontinuous downward at envelope
 breakpoints.  The object the allocator consumes is the running maximum
 U_l(bar_beta) = max_{beta <= bar_beta} U_l(beta): nondecreasing, and stored as
-each piece's peak plus the running best before it.  Splitting the budget is
-then a multiple-choice-knapsack-style problem solved approximately on a delta
-grid by dynamic programming; the discretization loss is bounded by the
-Lipschitz constants of the curves.
+each piece's peak plus the running best before it.  The peaks are the
+single-agent solver's, so the curve's best point is the optimal single-agent
+contract; all piece formulas come from ``single_agent``.  Splitting the
+budget is then a multiple-choice-knapsack-style problem solved approximately
+on a delta grid by dynamic programming; the discretization loss is bounded by
+the Lipschitz constants of the curves.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,24 +37,15 @@ from .errors import (
 from .single_agent import (
     AgentSpec,
     BetaCurve,
-    BetaPiece,
+    ContractChoice,
     _beta_on_piece,
-    _piece_coeffs,
-    _stationary_gamma,
+    _gamma_on_piece,
+    _piece_peak,
+    _utility_on_piece,
     beta_at,
     build_beta_curve,
 )
 from .tolerance import QUOTIENT_TOL, TOL
-
-
-@dataclass(frozen=True)
-class ContractChoice:
-    """A concrete contract together with the action it implements."""
-
-    gamma: float
-    beta: float
-    action: int
-    utility: float
 
 
 @dataclass(frozen=True)
@@ -66,7 +59,6 @@ class UtilityCurve:
     best contract is ``before[j]`` or the piece at min(cap, beta_peak).
     """
 
-    agent: AgentSpec
     beta_curve: BetaCurve
     beta_min: float
     beta_cap: float
@@ -76,36 +68,21 @@ class UtilityCurve:
     before: tuple[ContractChoice, ...]
 
 
-def _gamma_on_piece(agent: AgentSpec, piece: BetaPiece, beta: float) -> float:
-    r_own, c_const, d = _piece_coeffs(agent, piece)
-    # grouped so a tiny beta is not lost to cancellation in 1 - beta
-    return c_const / ((r_own - d) + beta * d)
-
-
-def _utility_on_piece(agent: AgentSpec, piece: BetaPiece, beta: float) -> float:
-    g = _gamma_on_piece(agent, piece, beta)
-    return (1.0 - g) * agent.actions[piece.owner].reward - beta * agent.kappa_i
-
-
 def build_utility_curve(agent: AgentSpec) -> UtilityCurve:
-    """Invert the beta curve piecewise and apply the running maximum.
+    """Walk the beta-curve pieces in increasing beta and keep the running best.
 
-    The sweep walks the unclamped pieces from gamma = 1 downward, i.e. beta
-    increasing.  Within a piece the utility is concave with its peak at the
-    same stationary point the single-agent solver uses; a piece whose peak
-    beats the running best is recorded as a rise, and its peak becomes the
-    running best.
+    ``base`` is the best peak among the clamped pieces (beta = 0), or the
+    contract at gamma = 1 when no piece is clamped.  The unclamped pieces are
+    then visited from gamma = 1 downward; a piece whose peak (the same one
+    ``solve_single`` compares) beats the running best is recorded as a rise,
+    and its peak becomes the running best.
     """
     bc = build_beta_curve(agent)
     beta_min = beta_at(bc, 1.0)
 
-    clamped = [p for p in bc.pieces if p.clamped]
+    clamped = [_piece_peak(agent, p) for p in bc.pieces if p.clamped]
     if clamped:
-        base = None
-        for p in clamped:
-            u = (1.0 - p.gamma_lo) * agent.actions[p.owner].reward
-            if base is None or u > base.utility:
-                base = ContractChoice(p.gamma_lo, 0.0, p.owner, u)
+        base = max(clamped, key=attrgetter("utility"))
     else:
         last = bc.pieces[-1]
         base = ContractChoice(1.0, beta_min, last.owner, -beta_min * agent.kappa_i)
@@ -121,22 +98,13 @@ def build_utility_curve(agent: AgentSpec) -> UtilityCurve:
         if hi <= lo:
             continue
         cursor = hi
-        peak_gamma = _stationary_gamma(agent, piece)
-        if peak_gamma >= piece.gamma_hi:
-            beta_peak = lo
-        elif peak_gamma <= piece.gamma_lo:
-            beta_peak = hi
-        else:
-            beta_peak = min(max(_beta_on_piece(agent, piece, peak_gamma), lo), hi)
-        u_peak = _utility_on_piece(agent, piece, beta_peak)
-        if u_peak > cur.utility:
-            rises.append((idx, lo, beta_peak))
+        peak = _piece_peak(agent, piece)
+        if peak.utility > cur.utility:
+            rises.append((idx, lo, peak.beta))
             before.append(cur)
-            cur = ContractChoice(
-                _gamma_on_piece(agent, piece, beta_peak), beta_peak, piece.owner, u_peak
-            )
+            cur = peak
 
-    return UtilityCurve(agent, bc, beta_min, cursor, base, cur, tuple(rises), tuple(before))
+    return UtilityCurve(bc, beta_min, cursor, base, cur, tuple(rises), tuple(before))
 
 
 def best_contract_at(curve: UtilityCurve, beta_bar: float) -> ContractChoice:
@@ -158,21 +126,17 @@ def best_contract_at(curve: UtilityCurve, beta_bar: float) -> ContractChoice:
     if b >= beta_peak:
         # past its peak the running best is the peak itself
         return curve.before[j + 1] if j + 1 < len(curve.before) else curve.top
+    agent = curve.beta_curve.agent
     piece = curve.beta_curve.pieces[idx]
-    u = _utility_on_piece(curve.agent, piece, b)
+    u = _utility_on_piece(agent, piece, b)
     if u > curve.before[j].utility:
-        return ContractChoice(_gamma_on_piece(curve.agent, piece, b), b, piece.owner, u)
+        return ContractChoice(_gamma_on_piece(agent, piece, b), b, piece.owner, u)
     return curve.before[j]
 
 
 def utility_at(curve: UtilityCurve, beta_bar: float) -> float:
     """The monotone utility envelope evaluated at cap ``beta_bar``."""
     return best_contract_at(curve, beta_bar).utility
-
-
-def min_beta(agent: AgentSpec) -> float:
-    """Cheapest inspection implementing a safe action, beta(1)."""
-    return beta_at(build_beta_curve(agent), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,26 +227,23 @@ def _resolve_delta(problem: AllocationProblem, curves: list[UtilityCurve]) -> fl
             "the first agent's utility at the leftover budget is "
             f"{lower} <= 0; pass delta directly"
         )
+    # r * r, not r ** 2, which raises OverflowError instead of giving inf
     terms = [
-        a.actions[-1].reward ** 2 / a.kappa_s for a in problem.agents if a.kappa_s > 0
+        a.actions[-1].reward * a.actions[-1].reward / a.kappa_s
+        for a in problem.agents
+        if a.kappa_s > 0
     ]
     if not terms:
         return 1.0
     return problem.epsilon * lower / (len(problem.agents) * max(terms))
 
 
-def _dp(
-    gains: list[np.ndarray],
-    sats: list[tuple[int, float] | None],
-    steps: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def _dp(gains: list[np.ndarray], steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Fill the budget-allocation table row by row.
 
     ``gains[l][eta]`` is agent l's utility gain from eta grid steps above its
-    minimum inspection; ``sats[l]``, when present, is the extra saturation
-    option (units charged, gain) that tops the agent out at its flat region.
-    Returns the final value row and the per-cell units chosen, for
-    backtracking.
+    minimum inspection.  Returns the final value row and the per-cell units
+    chosen, for backtracking.
 
     Each agent's row is one (max,+) convolution of the previous row with its
     gains: cell j takes the best of ``values[j-eta] + g[eta]``, read from a
@@ -291,9 +252,8 @@ def _dp(
     O(block * max_l len(g_l)) scratch memory besides the table, where a block
     holds ``_DP_BLOCK // len(g_l)`` cells (at least one).  The sums are the
     same additions the per-cell definition makes, so values and choices do not
-    depend on the blocking.  argmax takes the first maximizer and saturation
-    only wins strictly, so ties resolve toward spending less (no inspection
-    wasted on flat curves).
+    depend on the blocking.  argmax takes the first maximizer, so ties
+    resolve toward spending less (no inspection wasted on flat curves).
     """
     m = len(gains)
     values = np.zeros(steps + 1)
@@ -310,13 +270,6 @@ def _dp(
             eta = cand.argmax(axis=1)
             nxt[lo : lo + block] = np.take_along_axis(cand, eta[:, None], 1)[:, 0]
             choices[l, lo : lo + block] = eta
-        sat = sats[l]
-        if sat is not None and sat[0] <= steps:
-            u, s = sat
-            alt = values[: steps + 1 - u] + s
-            wins = alt > nxt[u:]
-            nxt[u:][wins] = alt[wins]
-            choices[l, u:][wins] = u
         values = nxt
     return values, choices
 
@@ -330,7 +283,8 @@ def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
         )
     delta = _resolve_delta(problem, curves)
     spare = max(problem.budget - total_min, 0.0)
-    ratio = spare / delta + QUOTIENT_TOL
+    # an epsilon below what a double resolves gives delta = 0: an infinite grid
+    ratio = spare / delta + QUOTIENT_TOL if delta > 0.0 else math.inf
     # a tiny delta overflows the ratio to inf, which has no floor
     steps = math.floor(ratio) if math.isfinite(ratio) else math.inf
     if len(curves) * (steps + 1) > MAX_DP_CELLS:
@@ -348,19 +302,14 @@ def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
             f"{MAX_DP_WORK:,}; use a larger delta or epsilon"
         )
     gains = []
-    sats: list[tuple[int, float] | None] = []
     for c, cap, n_l in zip(curves, caps_x, ns):
-        base = c.base.utility
-        gains.append(
-            np.array([utility_at(c, c.beta_min + eta * delta) - base for eta in range(n_l + 1)])
-        )
-        # the grid endpoint itself: reaching the flat region exactly costs a
-        # rounded-up number of units but can beat every interior point
+        betas = [c.beta_min + eta * delta for eta in range(n_l + 1)]
+        # saturation, entry n_l + 1: reaching the flat region exactly costs a
+        # rounded-up number of units but can beat every grid point before it
         if cap > n_l * delta and n_l + 1 <= steps:
-            sats.append((n_l + 1, utility_at(c, c.beta_min + cap) - base))
-        else:
-            sats.append(None)
-    return delta, steps, gains, sats, caps_x
+            betas.append(c.beta_min + cap)
+        gains.append(np.array([utility_at(c, b) - c.base.utility for b in betas]))
+    return delta, steps, gains, ns, caps_x
 
 
 def allocate(problem: AllocationProblem) -> Allocation:
@@ -373,8 +322,8 @@ def allocate(problem: AllocationProblem) -> Allocation:
     backtracking the per-cell choices.
     """
     curves = [build_utility_curve(a) for a in problem.agents]
-    delta, steps, gains, sats, caps_x = _prepare_grid(problem, curves)
-    values, choices = _dp(gains, sats, steps)
+    delta, steps, gains, ns, caps_x = _prepare_grid(problem, curves)
+    values, choices = _dp(gains, steps)
 
     units = [0] * len(curves)
     j = steps
@@ -382,8 +331,8 @@ def allocate(problem: AllocationProblem) -> Allocation:
         units[l] = int(choices[l, j])
         j -= units[l]
     caps = []
-    for c, sat, cap_x, u in zip(curves, sats, caps_x, units):
-        x = cap_x if (sat is not None and u == sat[0]) else u * delta
+    for c, n_l, cap_x, u in zip(curves, ns, caps_x, units):
+        x = cap_x if u > n_l else u * delta
         caps.append(float(c.beta_min + x))
     contracts = tuple(best_contract_at(c, cap) for c, cap in zip(curves, caps))
     total = sum(ch.utility for ch in contracts)

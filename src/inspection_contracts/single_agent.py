@@ -23,9 +23,11 @@ gamma_tilde = u_h^{-1}(u_h(gamma) - kappa_s), it has the closed form
 defined for gamma >= gamma_ir = u_h^{-1}(kappa_s).  The curve is decreasing,
 and convex between envelope breakpoints but not globally.  On each piece where
 both the owning segment (at gamma) and the shadow segment (at gamma_tilde) are
-fixed, the principal's utility is concave in gamma with an interior stationary
-point in closed form, so the optimal contract is found by scanning piece
-endpoints plus interior candidates.
+fixed, the principal's utility is concave in gamma with its stationary point
+in closed form, so each piece has one best contract (its peak).  The optimal
+contract is the best peak, and the multi-agent utility curve is the running
+best of the same peaks in beta order.  Every closed form of a piece (beta at
+gamma, gamma and utility at beta, the peak) lives in this module.
 """
 
 from __future__ import annotations
@@ -102,6 +104,16 @@ class Contract:
 
 
 @dataclass(frozen=True)
+class ContractChoice:
+    """A concrete contract together with the action it implements."""
+
+    gamma: float
+    beta: float
+    action: int
+    utility: float
+
+
+@dataclass(frozen=True)
 class BetaPiece:
     """Maximal gamma interval on which beta(gamma) has a single closed form.
 
@@ -169,6 +181,42 @@ def _beta_on_piece(agent: AgentSpec, piece: BetaPiece, gamma: float) -> float:
         return 0.0
     r_own, c_const, d = _piece_coeffs(agent, piece)
     return min(max(_beta_raw(r_own, c_const, d, gamma), 0.0), 1.0)
+
+
+def _gamma_on_piece(agent: AgentSpec, piece: BetaPiece, beta: float) -> float:
+    r_own, c_const, d = _piece_coeffs(agent, piece)
+    # grouped so a tiny beta is not lost to cancellation in 1 - beta
+    denom = (r_own - d) + beta * d
+    if denom == 0.0:
+        # owner = shadow and alpha = 0, where beta only tends to 0 as gamma
+        # grows: a beta rounded to 0 is reached at the piece's right end
+        return piece.gamma_hi
+    return c_const / denom
+
+
+def _utility_on_piece(agent: AgentSpec, piece: BetaPiece, beta: float) -> float:
+    g = _gamma_on_piece(agent, piece, beta)
+    return (1.0 - g) * agent.actions[piece.owner].reward - beta * agent.kappa_i
+
+
+def _piece_peak(agent: AgentSpec, piece: BetaPiece) -> ContractChoice:
+    """The best contract on one piece, with the principal's utility.
+
+    On an unclamped piece the utility (1 - gamma)*R_own - beta(gamma)*kappa_i
+    is concave, with its stationary point at gamma = sqrt(kappa_i*C /
+    (R_own*D)); the peak is that point clamped into [gamma_lo, gamma_hi].  On
+    a clamped piece beta is 0 and the utility falls in gamma, so the peak is
+    the left end.
+    """
+    if piece.clamped:
+        gamma = piece.gamma_lo
+    else:
+        r_own, c_const, d = _piece_coeffs(agent, piece)
+        stationary = math.sqrt(max(agent.kappa_i * c_const / (r_own * d), 0.0))
+        gamma = min(max(stationary, piece.gamma_lo), piece.gamma_hi)
+    beta = _beta_on_piece(agent, piece, gamma)
+    u = (1.0 - gamma) * agent.actions[piece.owner].reward - beta * agent.kappa_i
+    return ContractChoice(gamma, beta, piece.owner, u)
 
 
 def build_beta_curve(agent: AgentSpec) -> BetaCurve:
@@ -304,47 +352,18 @@ class SingleAgentSolution:
     utility: float
 
 
-def _stationary_gamma(agent: AgentSpec, piece: BetaPiece) -> float:
-    """The stationary point sqrt(kappa_i*C / (R_own*D)) of the utility on a piece."""
-    r_own, c_const, d = _piece_coeffs(agent, piece)
-    return math.sqrt(max(agent.kappa_i * c_const / (r_own * d), 0.0))
-
-
-def _candidates(agent: AgentSpec, curve: BetaCurve):
-    for piece in curve.pieces:
-        if piece.clamped:
-            # utility falls in gamma on a clamped piece, so only its left end matters
-            yield piece.gamma_lo, 0.0, piece.owner
-            continue
-        lo, hi = piece.gamma_lo, piece.gamma_hi
-        yield lo, _beta_on_piece(agent, piece, lo), piece.owner
-        yield hi, _beta_on_piece(agent, piece, hi), piece.owner
-        g = _stationary_gamma(agent, piece)
-        if lo < g < hi:
-            yield g, _beta_on_piece(agent, piece, g), piece.owner
-
-
 def solve_single(agent: AgentSpec) -> SingleAgentSolution:
-    """Optimal linear contract for one agent.
+    """Optimal linear contract for one agent: the best peak over the pieces.
 
-    Scans every beta-curve piece: both endpoints, plus the interior stationary
-    point gamma = sqrt(kappa_i*(c_own - c_shadow + kappa_s) /
-    (R_own*R_shadow*(1 - alpha))) when it falls strictly inside the piece
-    (utility is concave per piece, so these candidates are exhaustive).
-    Ties go to smaller beta, then smaller gamma.
+    Each beta-curve piece's peak is its stationary point gamma =
+    sqrt(kappa_i*(c_own - c_shadow + kappa_s) / (R_own*R_shadow*(1 - alpha)))
+    clamped into the piece, or the left end of a clamped piece; the utility
+    is concave per piece, so the best peak is optimal.  Ties go to smaller
+    beta, then smaller gamma.
     """
-    curve = build_beta_curve(agent)
-    best = None
-    for gamma, beta, owner in _candidates(agent, curve):
-        u = (1.0 - gamma) * agent.actions[owner].reward - beta * agent.kappa_i
-        if (
-            best is None
-            or u > best[0]
-            or (u == best[0] and (beta, gamma) < (best[2].beta, best[2].gamma))
-        ):
-            best = (u, owner, Contract(gamma, beta))
-    assert best is not None
-    return SingleAgentSolution(best[2], best[1], best[0])
+    peaks = (_piece_peak(agent, p) for p in build_beta_curve(agent).pieces)
+    best = max(peaks, key=lambda c: (c.utility, -c.beta, -c.gamma))
+    return SingleAgentSolution(Contract(best.gamma, best.beta), best.action, best.utility)
 
 
 # ---------------------------------------------------------------------------

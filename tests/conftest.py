@@ -36,6 +36,17 @@ def random_agent(rng, n_max=8, alpha_max=0.5):
     )
 
 
+def priced(agent, unit):
+    """The same agent with every amount of money multiplied by ``unit``."""
+    return make_agent(
+        [r * unit for r in agent.rewards],
+        [c * unit for c in agent.costs],
+        kappa_s=agent.kappa_s * unit,
+        kappa_i=agent.kappa_i * unit,
+        alpha=agent.alpha,
+    )
+
+
 @pytest.fixture
 def unit1():
     # single action (R=10, c=2), kappa_s=1, kappa_i=1, alpha=0

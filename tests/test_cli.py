@@ -5,6 +5,7 @@ import time
 import pytest
 
 from inspection_contracts.cli import main
+from inspection_contracts.tolerance import TOL
 
 UNIT1_DOC = {
     "agents": [
@@ -369,3 +370,29 @@ def test_schedule_budget_above_limit_is_invalid_input(tmp_path, capsys):
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "above the limit" in err
+
+
+@pytest.mark.parametrize("reward, kappa_s", [(10.0, 5e-324), (1e155, 1.0)])
+def test_allocate_epsilon_at_extreme_scales_is_invalid_input(tmp_path, capsys, reward, kappa_s):
+    # R_n^2 / kappa_s is infinite, so the epsilon conversion asks for delta = 0
+    doc = json.loads(json.dumps(UNIT1_DOC))
+    doc["agents"][0]["actions"][0]["reward"] = reward
+    doc["agents"][0]["kappa_s"] = kappa_s
+    path = write(tmp_path, doc)
+    assert main(["allocate", path, "--epsilon", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "above the limit" in err
+
+
+def test_tiny_safety_cost_allocates_and_verifies(tmp_path, capsys):
+    # beta(1) rounds to 0 although the exact curve never reaches it
+    doc = json.loads(json.dumps(UNIT1_DOC))
+    doc["agents"][0]["kappa_s"] = 1e-15
+    path = write(tmp_path, doc)
+    assert main(["allocate", path, "--precision", "17"]) == 0
+    total = float(capsys.readouterr().out.split("total=")[1].split()[0])
+    assert main(["solve", path, "--precision", "17"]) == 0
+    utility = float(capsys.readouterr().out.split("utility=")[1].split()[0])
+    assert abs(total - utility) <= TOL * 10.0
+    assert main(["verify", path]) == 0
+    assert "FAIL" not in capsys.readouterr().out

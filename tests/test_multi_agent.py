@@ -14,14 +14,16 @@ from inspection_contracts import (
     brute_force_allocate,
     build_utility_curve,
     gap_bound,
-    min_beta,
     solve_single,
     utility_at,
 )
 from inspection_contracts import multi_agent
 from inspection_contracts.multi_agent import _dp, _prepare_grid
 from inspection_contracts.tolerance import TOL
-from conftest import make_agent, random_agent
+from conftest import NONCONVEX_C, NONCONVEX_R, make_agent, priced, random_agent
+
+# safety costs a few ulps of R or less, where beta(1) may round to 0
+TINY_KAPPA_S = (1e-12, 1e-14, 1e-15, 3e-16)
 
 
 class TestUtilityCurve:
@@ -55,13 +57,18 @@ class TestUtilityCurve:
         assert utility_at(curve, 0.7) == pytest.approx(8.0)
 
     def test_top_matches_solver(self):
+        # the curve's running best and the solver maximize the same peaks
         rng = np.random.default_rng(31)
-        for _ in range(25):
-            agent = random_agent(rng)
-            curve = build_utility_curve(agent)
-            assert curve.top.utility == pytest.approx(
-                solve_single(agent).utility, abs=1e-9
-            )
+        agents = [random_agent(rng) for _ in range(300)]
+        nonconvex = make_agent(NONCONVEX_R, NONCONVEX_C)
+        agents += [priced(nonconvex, 10.0**k) for k in range(-9, 10)]
+        agents += [make_agent([10.0], [2.0], kappa_s=ks) for ks in TINY_KAPPA_S]
+        for agent in agents:
+            top, sol = build_utility_curve(agent).top, solve_single(agent)
+            assert top.action == sol.action
+            assert abs(top.gamma - sol.contract.gamma) <= TOL
+            assert abs(top.beta - sol.contract.beta) <= TOL
+            assert abs(top.utility - sol.utility) <= TOL * agent.actions[-1].reward
 
     def test_nondecreasing_and_continuous(self):
         rng = np.random.default_rng(77)
@@ -76,7 +83,7 @@ class TestUtilityCurve:
                 right = utility_at(curve, lo)
                 assert right == pytest.approx(left, abs=1e-9)
 
-    @pytest.mark.parametrize("kappa_s", [1e-12, 1e-14])
+    @pytest.mark.parametrize("kappa_s", TINY_KAPPA_S)
     def test_tiny_safety_cost_keeps_the_curve(self, kappa_s):
         # the whole cap range is a few times kappa_s / R wide
         agent = make_agent([10.0], [2.0], kappa_s=kappa_s)
@@ -96,14 +103,15 @@ class TestUtilityCurve:
 
 class TestMinBeta:
     def test_unit1(self, unit1):
-        assert min_beta(unit1) == pytest.approx(0.1, abs=1e-12)
+        assert build_utility_curve(unit1).beta_min == pytest.approx(0.1, abs=1e-12)
 
     def test_zero_safety_cost(self):
-        assert min_beta(make_agent([10.0], [2.0], kappa_s=0.0)) == 0.0
+        agent = make_agent([10.0], [2.0], kappa_s=0.0)
+        assert build_utility_curve(agent).beta_min == 0.0
 
     def test_six_action_instance(self, nonconvex6):
         # u_h(1) = 6.4; inverting 5.4 on the last segment gives 12/13
-        assert min_beta(nonconvex6) == pytest.approx(1 / 13, abs=1e-9)
+        assert build_utility_curve(nonconvex6).beta_min == pytest.approx(1 / 13, abs=1e-9)
 
 
 class TestAllocate:
@@ -131,7 +139,7 @@ class TestAllocate:
     def test_infeasible_budget(self):
         # beta_min = 0.5 each, so three of them overrun B=1
         agent = make_agent([10.0], [2.0], kappa_s=5.0)
-        assert min_beta(agent) == pytest.approx(0.5)
+        assert build_utility_curve(agent).beta_min == pytest.approx(0.5)
         with pytest.raises(InfeasibleBudget):
             allocate(AllocationProblem((agent,) * 3, 1, delta=0.01))
 
@@ -192,11 +200,11 @@ class TestAllocate:
                 continue
             assert sum(alloc.caps) <= problem.budget + 1e-12
             for agent, cap, ch in zip(agents, alloc.caps, alloc.contracts):
-                bmin = min_beta(agent)
+                curve = build_utility_curve(agent)
+                bmin = curve.beta_min
                 x = cap - bmin
                 assert x >= -1e-12
                 on_grid = abs(x / 0.01 - round(x / 0.01)) < 1e-6
-                curve = build_utility_curve(agent)
                 at_cap = abs(cap - curve.beta_cap) < 1e-9
                 assert on_grid or at_cap
                 assert bmin - 1e-12 <= ch.beta <= cap + 1e-12
@@ -204,17 +212,17 @@ class TestAllocate:
     def test_dp_rows_nondecreasing(self, unit1):
         problem = AllocationProblem((unit1,) * 3, 2, delta=0.01)
         curves = [build_utility_curve(a) for a in problem.agents]
-        _, steps, gains, sats, _ = _prepare_grid(problem, curves)
+        _, steps, gains, _, _ = _prepare_grid(problem, curves)
         for m in range(1, len(curves) + 1):
-            values, _ = _dp(gains[:m], sats[:m], steps)
+            values, _ = _dp(gains[:m], steps)
             assert values.shape == (steps + 1,)
             assert np.all(np.diff(values) >= -1e-12)
 
     def test_dp_final_row_gives_allocate_total(self, nonconvex6, unit1):
         problem = AllocationProblem((nonconvex6, unit1, nonconvex6), 2, delta=0.01)
         curves = [build_utility_curve(a) for a in problem.agents]
-        _, steps, gains, sats, _ = _prepare_grid(problem, curves)
-        values, _ = _dp(gains, sats, steps)
+        _, steps, gains, _, _ = _prepare_grid(problem, curves)
+        values, _ = _dp(gains, steps)
         base = sum(c.base.utility for c in curves)
         assert allocate(problem).total_utility == pytest.approx(base + values[-1])
 
@@ -243,23 +251,18 @@ class TestAllocate:
                 allocate(AllocationProblem((unit1,), 1, delta=delta))
 
 
-def _dp_per_cell(gains, sats, steps):
+def _dp_per_cell(gains, steps):
     """The per-cell definition of the DP, the reference for the kernel."""
     m = len(gains)
     values = np.zeros(steps + 1)
     choices = np.zeros((m, steps + 1), dtype=np.int32)
     for l, g in enumerate(gains):
-        sat = sats[l]
         nxt = np.empty(steps + 1)
         for j in range(steps + 1):
             k = min(j, len(g) - 1) + 1
             cand = values[j - k + 1 : j + 1][::-1] + g[:k]
             eta = int(np.argmax(cand))
-            best = cand[eta]
-            if sat is not None and sat[0] <= j and values[j - sat[0]] + sat[1] > best:
-                best = values[j - sat[0]] + sat[1]
-                eta = sat[0]
-            nxt[j] = best
+            nxt[j] = cand[eta]
             choices[l, j] = eta
         values = nxt
     return values, choices
@@ -272,7 +275,7 @@ _LEVELS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-1.0, 3.0)
 @st.composite
 def dp_inputs(draw):
     steps = draw(st.integers(0, 40))
-    gains, sats = [], []
+    gains = []
     for _ in range(draw(st.integers(1, 4))):
         k = draw(st.integers(1, steps + 1))
         if draw(st.booleans()):
@@ -282,17 +285,19 @@ def dp_inputs(draw):
             g = np.concatenate(([0.0], np.cumsum(rises)))
         else:
             g = np.array(draw(st.lists(_LEVELS, min_size=k, max_size=k)))
+        # a final saturation entry, which wins only where strictly better
+        if draw(st.booleans()):
+            g = np.append(g, draw(_LEVELS))
         gains.append(g)
-        sats.append(draw(st.none() | st.tuples(st.integers(1, steps + 2), _LEVELS)))
-    return gains, sats, steps
+    return gains, steps
 
 
 @settings(max_examples=300, deadline=None)
 @given(dp_inputs())
 def test_dp_kernel_matches_per_cell_loop(problem):
-    gains, sats, steps = problem
-    values, choices = _dp(gains, sats, steps)
-    ref_values, ref_choices = _dp_per_cell(gains, sats, steps)
+    gains, steps = problem
+    values, choices = _dp(gains, steps)
+    ref_values, ref_choices = _dp_per_cell(gains, steps)
     assert np.array_equal(values, ref_values)
     assert np.array_equal(choices, ref_choices)
 
@@ -301,10 +306,12 @@ def test_dp_kernel_blocks_match_per_cell_loop(monkeypatch):
     # blocks of a few cells, so every row spans many blocks
     rng = np.random.default_rng(12)
     gains = [np.maximum.accumulate(rng.integers(0, 8, k) / 4.0) for k in (1, 7, 30, 61)]
-    sats = [None, (8, 2.0), None, (5, 9.0)]
+    # saturation entries past the running max of the grid points before them
+    gains[1] = np.append(gains[1], 2.0)
+    gains[2] = np.append(gains[2], 9.0)
     monkeypatch.setattr(multi_agent, "_DP_BLOCK", 64)
-    values, choices = _dp(gains, sats, 60)
-    ref_values, ref_choices = _dp_per_cell(gains, sats, 60)
+    values, choices = _dp(gains, 60)
+    ref_values, ref_choices = _dp_per_cell(gains, 60)
     assert np.array_equal(values, ref_values)
     assert np.array_equal(choices, ref_choices)
 

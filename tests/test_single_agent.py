@@ -19,7 +19,7 @@ from inspection_contracts import (
     solve_single,
     sweep_parameter,
 )
-from conftest import make_agent, random_agent
+from conftest import make_agent, priced, random_agent
 
 
 class TestAgentSpec:
@@ -205,17 +205,6 @@ def valid_agents(draw):
         kappa_s=draw(st.floats(0.0, 0.9)) * slack,
         kappa_i=draw(st.floats(0.1, 5.0)),
         alpha=draw(st.floats(0.0, 0.5)),
-    )
-
-
-def priced(agent, unit):
-    """The same agent with every amount of money multiplied by ``unit``."""
-    return make_agent(
-        [r * unit for r in agent.rewards],
-        [c * unit for c in agent.costs],
-        kappa_s=agent.kappa_s * unit,
-        kappa_i=agent.kappa_i * unit,
-        alpha=agent.alpha,
     )
 
 
