@@ -158,7 +158,8 @@ def _cmd_schedule(args, out: IO[str]) -> int:
     if args.samples:
         counts = np.zeros(len(targets))
         for s in range(args.samples):
-            for agent in scheduler.sample_assignment(sched, args.seed + s):
+            # per-rule picks: the idle inspectors past the last rule add nothing
+            for agent in scheduler._draw(sched, args.seed + s):
                 if agent is not None:
                     counts[agent] += 1
         empirical = counts / args.samples
@@ -191,7 +192,8 @@ def _cmd_verify(args, out: IO[str]) -> int:
         pair = (sol.contract.gamma, sol.contract.beta)
         _, ref = oracle.brute_force_single(named.spec, step, include=[pair])
         gap = sol.utility - ref
-        ok = abs(gap) <= TOL * named.spec.actions[-1].reward
+        # (1 - gamma) R - beta kappa_i: money comes in units of R_n and kappa_i
+        ok = abs(gap) <= TOL * (named.spec.actions[-1].reward + named.spec.kappa_i)
         report(
             ok,
             f"solve[{named.name}] vs grid oracle (step {step})",

@@ -41,26 +41,27 @@ def _check_step(step: float) -> None:
         raise ValueError(f"step must be finite and positive, got {step}")
 
 
-def _grid(step: float) -> np.ndarray:
-    k = int(math.floor(1.0 / step + QUOTIENT_TOL))
-    g = np.arange(k + 1) * step
-    if g[-1] < 1.0 - TOL:
-        g = np.append(g, 1.0)
-    return np.minimum(g, 1.0)
+def _grid(step: float, n: int) -> np.ndarray:
+    """The step grid of gammas on [0, 1], with 1 appended when the steps miss it.
 
-
-def _check_grid_size(agent: AgentSpec, step: float) -> None:
+    Raises ValidationError before building it when its points times the ``n``
+    actions exceed ``MAX_ORACLE_CELLS``.
+    """
     ratio = 1.0 / step + QUOTIENT_TOL
     # a tiny step overflows the ratio to inf, which has no floor
     k = math.floor(ratio) if math.isfinite(ratio) else math.inf
-    points = k + 1 if k * step >= 1.0 - TOL else k + 2
-    cells = float(points) * agent.n
+    ends_short = k * step < 1.0 - TOL
+    cells = float(k + 1 + ends_short) * n
     if cells > MAX_ORACLE_CELLS:
         raise ValidationError(
             f"grid step {step!r} needs {cells:.3g} oracle grid cells "
-            f"({agent.n} actions x grid points), above the limit of "
+            f"({n} actions x grid points), above the limit of "
             f"{MAX_ORACLE_CELLS:,}; use a larger step"
         )
+    g = np.arange(k + 1) * step
+    if ends_short:
+        g = np.append(g, 1.0)
+    return np.minimum(g, 1.0)
 
 
 def _scan(agent: AgentSpec, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +112,7 @@ def brute_force_single(
     ``MAX_ORACLE_CELLS`` raises ValidationError.
     """
     _check_step(step)
-    _check_grid_size(agent, step)
-    gammas = np.append(_grid(step), [float(gamma) for gamma, _ in include])
+    gammas = np.append(_grid(step, agent.n), [float(gamma) for gamma, _ in include])
     beta, util = _scan(agent, gammas)
     i = int(np.argmax(util))
     if util[i] == -math.inf:

@@ -10,10 +10,12 @@ of the boundary agent's target the first b inspectors have already covered,
 and inductively P(inspector b picks its boundary agent) = zeta_b, which makes
 every marginal land exactly on its target.
 
-Targets may sum to less than B.  The spare mass is materialized as phantom
-agents padding the vector up to an exact sum of B; drawing a phantom is an
-explicit idle outcome.  This keeps the exactness argument untouched while
-letting the budget go partially unused.
+Targets may sum to less than B.  The spare mass is the idle fall-through of
+the last rule: once the cumulative targets stop short of b, inspector b's
+window holds every remaining agent, its branches sum below 1, and a draw
+past them leaves the inspector idle.  Targets are probabilities, so at most
+min(B, m + 1) inspectors hold real mass; the schedule stops there, and every
+later inspector is idle by construction.
 """
 
 from __future__ import annotations
@@ -25,25 +27,21 @@ from dataclasses import dataclass, field
 from .errors import BudgetExceeded, InvalidProbability, ValidationError
 from .tolerance import QUOTIENT_TOL, TOL
 
-# Most inspectors build_schedule accepts; a larger budget is rejected as
-# invalid input before any rule is built.  Each inspector gets one rule, so
-# 10^5 inspectors take about 1.5 s and 70 MB on a 2-CPU Xeon host.  Targets
-# are probabilities, so inspectors beyond the number of agents idle anyway.
-MAX_INSPECTORS = 100_000
-
 
 @dataclass(frozen=True)
 class InspectorRule:
-    """Inspector b's two conditional distributions over padded agent indices.
+    """Inspector b's two conditional distributions over agent indices.
 
     ``when_prev_hit`` applies when inspector b-1 picked its own boundary agent
     (which equals this rule's ``prev_boundary``); ``when_prev_missed``
     otherwise.  Inspector 1 always uses ``when_prev_missed``.  An empty branch
-    is one that occurs with probability zero.
+    is one that occurs with probability zero, and a draw past a branch's mass
+    leaves the inspector idle.  ``boundary`` is None only on the last rule,
+    whose inspector the cumulative targets never reach.
     """
 
     prev_boundary: int
-    boundary: int
+    boundary: int | None
     when_prev_hit: tuple[tuple[int, float], ...]
     when_prev_missed: tuple[tuple[int, float], ...]
 
@@ -52,17 +50,18 @@ class InspectorRule:
 class InspectionSchedule:
     """Chain-structured joint distribution of inspector assignments.
 
-    ``boundaries[b-1]`` is the first agent index at which the cumulative
-    targets reach b (None when they never do), and ``residuals[b-1]`` the
-    corresponding zeta_b.  Both describe the real targets; the rules operate
-    on the padded vector and phantom indices (>= len(targets)) mean idle.
+    ``rules[b-1]`` is inspector b's rule, for the inspectors that can reach an
+    agent at all; there are at most min(budget, m + 1) of them, and the
+    inspectors past ``len(rules)`` are idle.  ``boundaries[b-1]`` is the
+    first agent index at which the cumulative targets reach b (None when they
+    never do), and ``residuals[b-1]`` the corresponding zeta_b, one entry per
+    rule.
     """
 
     targets: tuple[float, ...]
     budget: int
     boundaries: tuple[int | None, ...]
     residuals: tuple[float | None, ...]
-    padded: tuple[float, ...] = field(repr=False)
     rules: tuple[InspectorRule, ...] = field(repr=False)
 
 
@@ -89,16 +88,12 @@ def _prefix_sums(xs: list[float]) -> list[float]:
 def build_schedule(targets: list[float] | tuple[float, ...], budget: int) -> InspectionSchedule:
     """Construct the sequential assignment rules for the given marginals.
 
-    Runs in O(m + B): every agent enters exactly one inspector's window plus
-    possibly the next one's boundary slot.
+    Runs in O(m): every agent enters exactly one inspector's window plus
+    possibly the next one's boundary slot, and the rules stop after the last
+    inspector that can reach an agent.
     """
     if not isinstance(budget, int) or budget < 1:
         raise ValidationError(f"budget must be a positive integer, got {budget!r}")
-    if budget > MAX_INSPECTORS:
-        raise ValidationError(
-            f"budget is above the limit of {MAX_INSPECTORS:,} inspectors "
-            f"(the schedule has one rule per inspector)"
-        )
     cleaned = []
     for i, t in enumerate(targets):
         if not math.isfinite(t) or t < -TOL or t > 1.0 + TOL:
@@ -109,45 +104,40 @@ def build_schedule(targets: list[float] | tuple[float, ...], budget: int) -> Ins
     if total > budget + TOL * max(len(cleaned), 1):
         raise BudgetExceeded(f"targets sum to {total} > budget {budget}")
 
-    padded = list(cleaned)
-    leftover = budget - total
-    while leftover > TOL:
-        chunk = min(1.0, leftover)
-        padded.append(chunk)
-        leftover -= chunk
-
-    cums = _prefix_sums(padded)
+    m = len(cleaned)
+    last = max((i for i, t in enumerate(cleaned) if t > 0.0), default=-1)
+    cums = _prefix_sums(cleaned)
     rules: list[InspectorRule] = []
-    real_bounds: list[int | None] = []
-    real_resid: list[float | None] = []
+    resids: list[float | None] = []
     prev_l, prev_zeta = 0, 0.0
     pos = 0
     for b in range(1, budget + 1):
+        # inspector b can reach only the rest of the previous boundary agent
+        # and the agents after it; with neither left it and all later idle
+        if not (prev_l < m and cleaned[prev_l] > prev_zeta) and last <= prev_l:
+            break
         # cumulative sums and b both grow, so one pointer serves all b
-        while pos < len(cums) and cums[pos] < b - QUOTIENT_TOL:
+        while pos < m and cums[pos] < b - QUOTIENT_TOL:
             pos += 1
-        l_b = min(pos, len(padded) - 1)
-        resid = b - (cums[l_b - 1] if l_b > 0 else 0.0)
-        # padded extends cleaned, so its prefix sums start with the real ones
-        real = pos < len(cleaned)
-        real_bounds.append(l_b if real else None)
-        real_resid.append(resid if real else None)
-        zeta = min(max(resid, 0.0), padded[l_b])
-
-        window: list[tuple[int, float]] = []
-        for i in range(prev_l + 1, l_b):
-            if padded[i] > 0.0:
-                window.append((i, padded[i]))
-        if l_b > prev_l and zeta > 0.0:
-            window.append((l_b, zeta))
-        norm = 1.0 - padded[prev_l] + prev_zeta
+        l_b = pos if pos < m else None
+        end = m if l_b is None else l_b
+        window = [(i, cleaned[i]) for i in range(prev_l + 1, end) if cleaned[i] > 0.0]
+        if l_b is None:
+            resids.append(None)
+        else:
+            resid = b - (cums[l_b - 1] if l_b > 0 else 0.0)
+            resids.append(resid)
+            zeta = min(max(resid, 0.0), cleaned[l_b])
+            if l_b > prev_l and zeta > 0.0:
+                window.append((l_b, zeta))
+        norm = 1.0 - cleaned[prev_l] + prev_zeta
 
         if norm > TOL:
             hit = tuple((i, w / norm) for i, w in window)
         else:
             hit = ()
         if 1.0 - prev_zeta > TOL:
-            p0 = (padded[prev_l] - prev_zeta) / (1.0 - prev_zeta)
+            p0 = (cleaned[prev_l] - prev_zeta) / (1.0 - prev_zeta)
             missed: list[tuple[int, float]] = []
             if p0 > 0.0:
                 missed.append((prev_l, p0))
@@ -162,26 +152,22 @@ def build_schedule(targets: list[float] | tuple[float, ...], budget: int) -> Ins
             if s > 1.0 + QUOTIENT_TOL or any(p < 0.0 for _, p in branch):
                 raise RuntimeError(f"inspector {b}: malformed rule {branch}")
         rules.append(InspectorRule(prev_l, l_b, hit, missed_t))
+        if l_b is None:
+            break
         prev_l, prev_zeta = l_b, zeta
 
-    return InspectionSchedule(
-        tuple(cleaned),
-        budget,
-        tuple(real_bounds),
-        tuple(real_resid),
-        tuple(padded),
-        tuple(rules),
-    )
+    bounds = tuple(rule.boundary for rule in rules)
+    return InspectionSchedule(tuple(cleaned), budget, bounds, tuple(resids), tuple(rules))
 
 
 def exact_marginals(schedule: InspectionSchedule) -> tuple[float, ...]:
-    """Each real agent's total inspection probability, computed exactly.
+    """Each agent's total inspection probability, computed exactly.
 
     A single forward pass suffices: the only dependence between inspectors is
     whether the previous one picked its boundary agent, so tracking that one
     probability propagates the whole chain.
     """
-    marg = [0.0] * len(schedule.padded)
+    marg = [0.0] * len(schedule.targets)
     p_hit = 0.0
     for rule in schedule.rules:
         p_next = 0.0
@@ -196,20 +182,12 @@ def exact_marginals(schedule: InspectionSchedule) -> tuple[float, ...]:
                 if agent == rule.boundary:
                     p_next += weight * p
         p_hit = p_next
-    return tuple(marg[: len(schedule.targets)])
+    return tuple(marg)
 
 
-def sample_assignment(
-    schedule: InspectionSchedule, seed: int
-) -> tuple[int | None, ...]:
-    """Draw one joint assignment; entry b is inspector b's agent or None (idle).
-
-    Deterministic in the seed.  No agent can appear twice: an inspector's
-    support is its own window, and the conditional rules exclude the shared
-    boundary agent whenever the previous inspector took it.
-    """
+def _draw(schedule: InspectionSchedule, seed: int) -> list[int | None]:
+    """One pick per rule: the rule's agent, or None for an idle inspector."""
     rng = random.Random(seed)
-    m = len(schedule.targets)
     out: list[int | None] = []
     prev_hit = False
     for rule in schedule.rules:
@@ -222,6 +200,21 @@ def sample_assignment(
             if u < acc:
                 agent = a
                 break
-        prev_hit = agent == rule.boundary
-        out.append(agent if agent is not None and agent < m else None)
-    return tuple(out)
+        prev_hit = agent is not None and agent == rule.boundary
+        out.append(agent)
+    return out
+
+
+def sample_assignment(
+    schedule: InspectionSchedule, seed: int
+) -> tuple[int | None, ...]:
+    """Draw one joint assignment; entry b is inspector b's agent or None (idle).
+
+    Always ``schedule.budget`` entries: the per-rule picks, then None for
+    every inspector past the last rule.  Deterministic in the seed.  No agent
+    can appear twice: an inspector's support is its own window, and the
+    conditional rules exclude the shared boundary agent whenever the previous
+    inspector took it.
+    """
+    picks = _draw(schedule, seed)
+    return tuple(picks) + (None,) * (schedule.budget - len(picks))

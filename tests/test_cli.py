@@ -1,6 +1,7 @@
 import json
 import pathlib
 import time
+import tracemalloc
 
 import pytest
 
@@ -262,6 +263,25 @@ def test_verify_fails_a_solver_below_the_oracle(tmp_path, capsys, monkeypatch):
     assert len(fails) == 1 and "solver below oracle" in fails[0]
 
 
+def test_verify_passes_with_kappa_i_far_above_rewards(tmp_path, capsys):
+    # beta's last-bit rounding times kappa_i is 1.5e-11, far above TOL * R_n
+    doc = {
+        "agents": [
+            {
+                "name": "a1",
+                "actions": [{"reward": 0.0012, "cost": 0.00012}],
+                "kappa_s": 6.1e-4,
+                "kappa_i": 1.3e5,
+                "alpha": 0.4,
+            }
+        ],
+        "budget": 1,
+    }
+    path = write(tmp_path, doc)
+    assert main(["verify", path, "--grid-step", "0.01"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_missing_file(capsys):
     assert main(["solve", "/nonexistent/inst.json"]) == 2
 
@@ -361,15 +381,22 @@ def test_verify_fine_grid_runs_and_finer_is_invalid_input(tmp_path, capsys):
     assert err.startswith("error: ") and "oracle grid cells" in err and "above the limit" in err
 
 
-def test_schedule_budget_above_limit_is_invalid_input(tmp_path, capsys):
+@pytest.mark.parametrize("samples", [[], ["--samples", "3"]], ids=["no-samples", "samples"])
+def test_schedule_huge_budget_runs(tmp_path, capsys, samples):
+    # only the inspectors that can reach an agent get a rule or a draw
     doc = json.loads(json.dumps(UNIT1_DOC))
     doc["budget"] = 100_000_000
     path = write(tmp_path, doc)
-    start = time.perf_counter()
-    assert main(["schedule", path, "--targets", "0.5"]) == 2
-    assert time.perf_counter() - start < 5.0
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "above the limit" in err
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert main(["schedule", path, "--targets", "0.5", *samples]) == 0
+        assert time.perf_counter() - start < 5.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert capsys.readouterr().out.startswith("agent=1 target=0.500000 exact=0.500000")
 
 
 @pytest.mark.parametrize("reward, kappa_s", [(10.0, 5e-324), (1e155, 1.0)])

@@ -59,7 +59,7 @@ def _scan_full(agent, gammas, betas):
 
 def _brute_force_full(agent, step, include=()):
     """Best of the full (gamma, beta) grid scan and the exact ``include`` pairs."""
-    g = _grid(step)
+    g = _grid(step, agent.n)
     cands = [_scan_full(agent, g, g)]
     cands += [_scan_full(agent, np.array([gamma]), np.array([beta])) for gamma, beta in include]
     cands = [c for c in cands if c is not None]

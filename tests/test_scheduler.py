@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inspection_contracts import scheduler
 from inspection_contracts import (
     BudgetExceeded,
     InvalidProbability,
@@ -21,8 +22,8 @@ class TestBuild:
         probs = dict(rule)
         assert probs[0] == pytest.approx(0.3)
         assert probs[1] == pytest.approx(0.5)
-        # remaining 0.2 goes to the phantom idle agent
-        assert sum(p for _, p in rule) == pytest.approx(1.0)
+        # the remaining 0.2 is the idle fall-through
+        assert sum(p for _, p in rule) == pytest.approx(0.8)
         assert exact_marginals(s) == pytest.approx([0.3, 0.5])
 
     def test_three_agents_two_inspectors(self):
@@ -46,8 +47,8 @@ class TestBuild:
 
     def test_boundary_never_reached_is_none(self):
         s = build_schedule([0.2, 0.1], 3)
-        assert s.boundaries == (None, None, None)
-        assert s.residuals == (None, None, None)
+        assert s.boundaries == (None,)
+        assert s.residuals == (None,)
 
     def test_exact_cumulative_boundary(self):
         # cumulative hits 1 exactly at agent 2; residual equals its target
@@ -65,12 +66,6 @@ class TestBuild:
             build_schedule([0.9, 0.9], 1)
         with pytest.raises(ValidationError):
             build_schedule([0.5], 0)
-
-    def test_inspector_limit(self, monkeypatch):
-        monkeypatch.setattr(scheduler, "MAX_INSPECTORS", 3)
-        assert len(build_schedule([0.5], 3).rules) == 3
-        with pytest.raises(ValidationError, match="above the limit"):
-            build_schedule([0.5], 4)
 
     def test_zero_targets(self):
         s = build_schedule([0.0, 0.0, 0.0], 1)
@@ -126,6 +121,34 @@ def test_uniform_full_budget_marginals(m, share):
     assert all(abs(got - target) <= 1e-12 for got in exact_marginals(s))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0])),
+        max_size=30,
+    ),
+    st.integers(0, 3),
+    st.integers(1, 50),
+    st.integers(0, 2**32),
+)
+def test_spare_inspectors_are_idle(targets, extra, k, seed):
+    # rules hold real mass only, so past the targets' sum a larger budget adds
+    # only idle inspectors; at a budget equal to the sum, the last boundary
+    # agent may keep a rounding residue that one more inspector would take
+    budget = math.floor(math.fsum(targets)) + 1 + extra
+    small = build_schedule(targets, budget)
+    large = build_schedule(targets, budget + k)
+    assert large.rules == small.rules
+    assert exact_marginals(large) == exact_marginals(small)
+    assert sample_assignment(large, seed) == sample_assignment(small, seed) + (None,) * k
+
+
+def test_huge_budget_builds_real_rules_only():
+    s = build_schedule([0.5] * 10, 10**8)
+    assert len(s.rules) == 5
+    assert exact_marginals(s) == pytest.approx([0.5] * 10, abs=1e-15)
+
+
 class TestSampling:
     def test_deterministic_given_seed(self):
         s = build_schedule([0.6, 0.8, 0.6], 2)
@@ -145,16 +168,19 @@ class TestSampling:
                 picks = sample_assignment(s, seed)
                 agents = [a for a in picks if a is not None]
                 assert len(agents) == len(set(agents))
+                # one entry per inspector; those past the last rule are idle
+                assert len(picks) == budget
+                assert all(a is None for a in picks[len(s.rules) :])
                 # inspector b's agent lies within its window (consecutive
                 # windows overlap in at most the shared boundary)
-                for b, a in enumerate(picks):
+                for b, a in enumerate(picks[: len(s.rules)]):
                     if a is None:
                         continue
                     lo = s.rules[b].prev_boundary
                     hi = s.rules[b].boundary
-                    assert lo <= a <= max(hi, lo)
+                    assert lo <= a <= (len(targets) - 1 if hi is None else max(hi, lo))
                 # inspectors b-1 and b never both pick the shared boundary
-                for b in range(1, len(picks)):
+                for b in range(1, len(s.rules)):
                     shared = s.rules[b].prev_boundary
                     assert not (picks[b - 1] == shared and picks[b] == shared)
 
