@@ -193,7 +193,7 @@ def _cmd_verify(args, out: IO[str]) -> int:
         _, ref = oracle.brute_force_single(named.spec, step, include=[pair])
         gap = sol.utility - ref
         # (1 - gamma) R - beta kappa_i: money comes in units of R_n and kappa_i
-        ok = abs(gap) <= TOL * (named.spec.actions[-1].reward + named.spec.kappa_i)
+        ok = abs(gap) <= TOL * (named.spec.money_scale + named.spec.kappa_i)
         report(
             ok,
             f"solve[{named.name}] vs grid oracle (step {step})",
@@ -223,7 +223,7 @@ def _cmd_verify(args, out: IO[str]) -> int:
         )
         alloc = multi_agent.allocate(problem)
         ref_alloc = oracle.brute_force_allocate(problem, 0.01)
-        slack = TOL * sum(a.actions[-1].reward for a in instance.specs)
+        slack = TOL * sum(a.money_scale for a in instance.specs)
         ok = alloc.total_utility >= ref_alloc.total_utility - slack
         report(
             ok,

@@ -25,17 +25,10 @@ from .tolerance import TOL
 
 @dataclass(frozen=True)
 class Action:
-    """One effort level: expected reward and effort cost, in currency units."""
+    """One effort level's reward and cost; ``AgentSpec`` checks the values."""
 
     reward: float
     cost: float
-
-    def __post_init__(self) -> None:
-        for label, v in (("reward", self.reward), ("cost", self.cost)):
-            if not math.isfinite(v):
-                raise ValidationError(f"action {label} must be finite, got {v!r}")
-            if v < 0:
-                raise ValidationError(f"action {label} must be nonnegative, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -53,33 +46,45 @@ class UpperEnvelope:
     breakpoint_values: tuple[float, ...]
 
 
-def _check_assumption1(actions: list[Action] | tuple[Action, ...]) -> None:
+def _check_actions(actions: list[Action] | tuple[Action, ...]) -> None:
+    """The one check on action values and order (Assumption 1).
+
+    A bad value raises ValidationError ahead of any order breach (DegenerateInput).
+    """
     if not actions:
         raise ValidationError("at least one action is required")
-    for k in range(1, len(actions)):
-        prev, cur = actions[k - 1], actions[k]
-        if cur.cost == prev.cost or cur.reward == prev.reward:
-            raise DegenerateInput(
-                f"actions {k - 1} and {k} share a cost or a reward "
-                f"(costs {prev.cost}, {cur.cost}; rewards {prev.reward}, {cur.reward})"
-            )
-        if cur.cost < prev.cost or cur.reward < prev.reward:
-            raise DegenerateInput(
-                f"actions must be strictly increasing in both cost and reward; "
-                f"violated at index {k}"
-            )
+    # a fast path, exact for floats; NaN fails every comparison
+    top = math.nextafter(math.inf, 0.0)  # the largest float
+    r = c = -math.ulp(0.0)  # the float just below 0
+    for act in actions:
+        if not (r < act.reward <= top and c < act.cost <= top):
+            break
+        r, c = act.reward, act.cost
+    else:
+        return
+    for act in actions:
+        if not all(math.isfinite(v) and v >= 0 for v in (act.reward, act.cost)):
+            raise ValidationError(f"{act}: values must be finite and nonnegative")
+    for prev, act in zip(actions, actions[1:]):
+        if not (prev.reward < act.reward and prev.cost < act.cost):
+            raise DegenerateInput(f"{prev} and {act}: costs and rewards must strictly increase")
 
 
 def build_envelope(actions: list[Action] | tuple[Action, ...]) -> UpperEnvelope:
     """Build the upper envelope of the lines gamma*R_i - c_i.
 
-    Expects actions sorted with strictly increasing costs and rewards
-    (Assumption 1); raises DegenerateInput otherwise.  The slope into a lower
-    hull point (R_i, c_i) is the breakpoint where line i takes over; a point
-    whose slope exceeds the previous one by no more than ``TOL`` is weakly
-    dominated and dropped, so every segment has a unique owner.
+    Checks the actions as ``AgentSpec`` does: strictly increasing costs and
+    rewards (Assumption 1) with finite nonnegative values.  The slope into a
+    lower hull point (R_i, c_i) is the breakpoint where line i takes over; a
+    point whose slope exceeds the previous one by no more than ``TOL`` is
+    weakly dominated and dropped, so every segment has a unique owner.
     """
-    _check_assumption1(actions)
+    _check_actions(actions)
+    return _scan_hull(actions)
+
+
+def _scan_hull(actions: list[Action] | tuple[Action, ...]) -> UpperEnvelope:
+    """``build_envelope`` for actions that already passed ``_check_actions``."""
     hull = [0]
     breakpoints: list[float] = []
     for i in range(1, len(actions)):
@@ -93,10 +98,7 @@ def build_envelope(actions: list[Action] | tuple[Action, ...]) -> UpperEnvelope:
             breakpoints.pop()
         hull.append(i)
         breakpoints.append(g)
-    values = []
-    for g, i in zip(breakpoints, hull[1:]):
-        act = actions[i]
-        values.append(g * act.reward - act.cost)
+    values = [g * actions[i].reward - actions[i].cost for g, i in zip(breakpoints, hull[1:])]
     if any(b >= a for a, b in zip(breakpoints[1:], breakpoints)):
         raise RuntimeError("envelope breakpoints are not strictly increasing")
     return UpperEnvelope(tuple(hull), tuple(breakpoints), tuple(values))

@@ -14,9 +14,9 @@ An instance file is a single JSON document:
 
 ``budget`` is optional (default 1).  Unknown fields anywhere are rejected so
 typos in the kappa names cannot silently change the model.  Error messages
-carry the JSON path of the offending field; Assumption 1 violations surface
-as ValidationError and Assumption 2 violations as InfeasibleSafety, both
-prefixed with the agent's name.
+carry the JSON path of the offending field; bad action values surface as
+ValidationError, Assumption 1 violations as DegenerateInput and Assumption 2
+violations as InfeasibleSafety, all prefixed with the agent's path and name.
 """
 
 from __future__ import annotations

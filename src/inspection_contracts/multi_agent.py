@@ -204,8 +204,7 @@ def _lipschitz_term(agent: AgentSpec) -> float:
     # a kappa_s of 0 collapses the curve to a point, so it contributes nothing
     if agent.kappa_s == 0.0:
         return 0.0
-    r_top = agent.actions[-1].reward
-    return max(r_top * r_top / agent.kappa_s - agent.kappa_i, 0.0)
+    return max(agent.money_scale * agent.money_scale / agent.kappa_s - agent.kappa_i, 0.0)
 
 
 def gap_bound(problem: AllocationProblem, delta: float) -> float:
@@ -228,11 +227,7 @@ def _resolve_delta(problem: AllocationProblem, curves: list[UtilityCurve]) -> fl
             f"{lower} <= 0; pass delta directly"
         )
     # r * r, not r ** 2, which raises OverflowError instead of giving inf
-    terms = [
-        a.actions[-1].reward * a.actions[-1].reward / a.kappa_s
-        for a in problem.agents
-        if a.kappa_s > 0
-    ]
+    terms = [a.money_scale * a.money_scale / a.kappa_s for a in problem.agents if a.kappa_s > 0]
     if not terms:
         return 1.0
     return problem.epsilon * lower / (len(problem.agents) * max(terms))

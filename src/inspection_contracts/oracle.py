@@ -76,7 +76,7 @@ def _scan(agent: AgentSpec, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     safe action within TOL * R_n of S.  Where IR fails (S < -TOL * R_n) or
     no beta <= 1 deters, the utility is -inf.
     """
-    tie = TOL * agent.actions[-1].reward
+    tie = TOL * agent.money_scale
     rewards = np.array(agent.rewards)
     costs = np.array(agent.costs)
     safe = gammas[:, None] * rewards[None, :] - costs[None, :]
@@ -169,7 +169,7 @@ def check_ic_ir(
     agent: AgentSpec, contract: Contract, intended: tuple[int, bool]
 ) -> bool:
     """Whether the intended (action, safety) pair is IC and IR, to TOL * R_n slack."""
-    tie = TOL * agent.actions[-1].reward
+    tie = TOL * agent.money_scale
     gamma, beta = contract.gamma, contract.beta
     shade = (1.0 - beta) * (1.0 - agent.alpha) * gamma
 

@@ -39,8 +39,8 @@ from dataclasses import dataclass, field, replace
 from .envelope import (
     Action,
     UpperEnvelope,
-    _check_assumption1,
-    build_envelope,
+    _check_actions,
+    _scan_hull,
     eval_envelope,
     invert_envelope,
     segment_at,
@@ -53,11 +53,10 @@ from .tolerance import TOL
 class AgentSpec:
     """One agent: actions plus the three cost/probability parameters.
 
-    Actions are canonicalized to ascending cost on construction.  The
-    constructor enforces strictly increasing costs and rewards (Assumption 1)
-    and the field ranges; feasibility of safety itself (Assumption 2,
-    max(R_i - c_i) > kappa_s) is checked by the curve builders, which raise
-    InfeasibleSafety.
+    Actions are sorted by cost and checked once, on construction, as are the
+    field ranges; the solvers trust a built spec.  Feasibility of safety
+    (Assumption 2, max(R_i - c_i) > kappa_s) is checked by the curve builders,
+    which raise InfeasibleSafety.
     """
 
     actions: tuple[Action, ...]
@@ -68,7 +67,7 @@ class AgentSpec:
     def __post_init__(self) -> None:
         acts = tuple(sorted(self.actions, key=lambda a: a.cost))
         object.__setattr__(self, "actions", acts)
-        _check_assumption1(acts)
+        _check_actions(acts)
         if not (math.isfinite(self.kappa_s) and self.kappa_s >= 0):
             raise ValidationError(f"kappa_s must be >= 0, got {self.kappa_s!r}")
         if not (math.isfinite(self.kappa_i) and self.kappa_i > 0):
@@ -79,6 +78,11 @@ class AgentSpec:
     @property
     def n(self) -> int:
         return len(self.actions)
+
+    @property
+    def money_scale(self) -> float:
+        """R_n, the largest reward: money slacks are ``TOL * money_scale``."""
+        return self.actions[-1].reward
 
     @property
     def rewards(self) -> tuple[float, ...]:
@@ -154,8 +158,7 @@ def needs_inspection(agent: AgentSpec) -> bool:
     scare the agent into the safety step, whatever the payment.  The converse
     does not hold; False only means this particular obstruction is absent.
     """
-    r_top = agent.actions[-1].reward
-    return agent.alpha * r_top < agent.kappa_s
+    return agent.alpha * agent.money_scale < agent.kappa_s
 
 
 def _piece_coeffs(agent: AgentSpec, piece: BetaPiece) -> tuple[float, float, float]:
@@ -227,8 +230,8 @@ def build_beta_curve(agent: AgentSpec) -> BetaCurve:
     point where beta reaches 0 (everything beyond is clamped).  Both walks are
     monotone, so there are O(n) pieces.
     """
-    env = build_envelope(agent.actions)
     acts = agent.actions
+    env = _scan_hull(acts)
     top = eval_envelope(env, acts, 1.0)
     if top <= agent.kappa_s:
         raise InfeasibleSafety(
@@ -306,7 +309,7 @@ def agent_best_response(
     within ``TOL * R_n`` are tied; ties prefer the safe variant, then the
     higher reward action.
     """
-    tie = TOL * agent.actions[-1].reward
+    tie = TOL * agent.money_scale
     gamma, beta = contract.gamma, contract.beta
     shade = (1.0 - beta) * (1.0 - agent.alpha) * gamma
     best: tuple[int, bool] | None = None

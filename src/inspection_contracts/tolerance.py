@@ -1,10 +1,10 @@
 """The package's one tolerance policy; both slacks are dimensionless.
 
 ``TOL`` is for comparing gamma, beta, probabilities and inspector counts, and
-money divided by the agent's money scale R_n, its largest reward, so results
-do not depend on the currency unit.  ``QUOTIENT_TOL`` is only for quotients
-with a larger relative error: a span divided by a grid step before flooring,
-and the scheduler's probabilities conditioned on a normalizer near zero.
+money divided by R_n = ``AgentSpec.money_scale``, the agent's largest reward,
+so results do not depend on the currency unit.  ``QUOTIENT_TOL`` is only for
+quotients with a larger relative error: a span divided by a grid step before
+flooring, and scheduler probabilities conditioned on a normalizer near zero.
 """
 
 TOL = 1e-12

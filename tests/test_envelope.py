@@ -79,12 +79,6 @@ class TestBuild:
         with pytest.raises(ValidationError):
             build_envelope(())
 
-    def test_negative_action_rejected(self):
-        with pytest.raises(ValidationError):
-            Action(-1.0, 0.0)
-        with pytest.raises(ValidationError):
-            Action(1.0, float("nan"))
-
 
 class TestEval:
     def test_six_action_at_03(self):

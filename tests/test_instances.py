@@ -81,6 +81,27 @@ def test_assumption1_violation_names_agent():
         parse_instance(doc)
 
 
+def test_bad_action_value_names_agent():
+    doc = agent_doc(actions=[{"reward": -1.0, "cost": 2.0}])
+    with pytest.raises(ValidationError, match=r"^agents\[0\] \('a1'\): .*-1\.0"):
+        parse_instance(doc)
+
+
+def test_assumption1_violation_names_the_offending_actions():
+    # sorted by cost, entry 1 (5, 2) comes before entry 0 (3, 3), whose
+    # reward is lower; entry 2 is in order
+    doc = agent_doc(
+        actions=[
+            {"reward": 3.0, "cost": 3.0},
+            {"reward": 5.0, "cost": 2.0},
+            {"reward": 2.0, "cost": 1.0},
+        ]
+    )
+    pattern = r"^agents\[0\] \('a1'\): Action\(reward=5\.0, cost=2\.0\) and Action\(reward=3\.0, cost=3\.0\)"
+    with pytest.raises(DegenerateInput, match=pattern):
+        parse_instance(doc)
+
+
 def test_assumption2_violation_is_infeasible():
     doc = agent_doc(actions=[{"reward": 2.0, "cost": 1.0}], kappa_s=1.5)
     with pytest.raises(InfeasibleSafety, match="Assumption 2"):

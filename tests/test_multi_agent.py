@@ -68,7 +68,7 @@ class TestUtilityCurve:
             assert top.action == sol.action
             assert abs(top.gamma - sol.contract.gamma) <= TOL
             assert abs(top.beta - sol.contract.beta) <= TOL
-            assert abs(top.utility - sol.utility) <= TOL * agent.actions[-1].reward
+            assert abs(top.utility - sol.utility) <= TOL * agent.money_scale
 
     def test_nondecreasing_and_continuous(self):
         rng = np.random.default_rng(77)
@@ -185,8 +185,26 @@ class TestAllocate:
         perm = data.draw(st.permutations(range(m)))
         moved = allocate(AllocationProblem(tuple(agents[i] for i in perm), budget, delta=delta))
         assert moved.caps == tuple(alloc.caps[i] for i in perm)
-        slack = TOL * m * sum(a.actions[-1].reward for a in agents)
+        slack = TOL * m * sum(a.money_scale for a in agents)
         assert abs(moved.total_utility - alloc.total_utility) <= slack
+
+    def test_duplicating_agents_at_least_doubles_the_total(self):
+        # each copy may keep its original's cap, so the total cannot fall
+        # below twice the original's; copies need not keep it, though: the
+        # best total is not concave in the budget, and a doubled budget can
+        # sometimes be split better
+        rng = np.random.default_rng(77)
+        for _ in range(40):
+            m = int(rng.integers(1, 4))
+            agents = tuple(random_agent(rng, n_max=5) for _ in range(m))
+            budget = int(rng.integers(1, 3))
+            try:
+                alloc = allocate(AllocationProblem(agents, budget, delta=0.02))
+            except InfeasibleBudget:
+                continue
+            doubled = allocate(AllocationProblem(agents * 2, 2 * budget, delta=0.02))
+            slack = TOL * m * sum(a.money_scale for a in agents)
+            assert doubled.total_utility >= 2 * alloc.total_utility - slack
 
     def test_feasibility_and_grid_membership(self):
         rng = np.random.default_rng(99)

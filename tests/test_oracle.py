@@ -32,7 +32,7 @@ def _scan_full(agent, gammas, betas):
     highest-reward safe action within TOL * R_n of the best, as the oracle
     does.
     """
-    tie = TOL * agent.actions[-1].reward
+    tie = TOL * agent.money_scale
     rewards = np.array(agent.rewards)
     costs = np.array(agent.costs)
     safe = gammas[:, None] * rewards[None, :] - costs[None, :]
@@ -70,7 +70,7 @@ class TestBruteForceSingle:
     def test_unit1_close_to_solver(self, unit1):
         # the grid holds gamma = 0.3 to within rounding, where beta = 1/3
         contract, utility = brute_force_single(unit1, 1e-3)
-        assert utility == pytest.approx(20 / 3, abs=TOL * unit1.actions[-1].reward)
+        assert utility == pytest.approx(20 / 3, abs=TOL * unit1.money_scale)
         assert check_ic_ir(unit1, contract, (0, True))
 
     def test_no_safety_cost(self):
@@ -181,7 +181,7 @@ class TestAgreement:
             sol = solve_single(agent)
             pair = (sol.contract.gamma, sol.contract.beta)
             _, ref = brute_force_single(agent, 1e-3, include=[pair])
-            assert abs(sol.utility - ref) <= TOL * agent.actions[-1].reward
+            assert abs(sol.utility - ref) <= TOL * agent.money_scale
 
     def test_allocate_contracts_pass_ic_ir(self):
         rng = np.random.default_rng(314)
@@ -230,7 +230,7 @@ def test_oracle_agrees_with_full_scan(case):
     """The closed-form least beta is never worse than any grid beta; without
     ``include`` it beats the grid by at most one beta step of inspection."""
     agent, step, include = case
-    tie = TOL * agent.actions[-1].reward
+    tie = TOL * agent.money_scale
     ref = _brute_force_full(agent, step, include)
     try:
         _, utility = brute_force_single(agent, step, include=include)
@@ -252,7 +252,7 @@ def test_oracle_contract_meets_the_raw_definition(case):
         contract, utility = brute_force_single(agent, step, include=include)
     except NoSafeContract:
         return
-    tie = TOL * agent.actions[-1].reward
+    tie = TOL * agent.money_scale
     gamma, beta = contract.gamma, contract.beta
     safe = [gamma * a.reward - a.cost for a in agent.actions]
     best_safe = max(safe) - agent.kappa_s

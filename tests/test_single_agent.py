@@ -1,3 +1,7 @@
+import math
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,13 +17,16 @@ from inspection_contracts import (
     agent_best_response,
     beta_at,
     build_beta_curve,
+    build_envelope,
+    build_utility_curve,
     check_ic_ir,
     needs_inspection,
     principal_utility,
     solve_single,
     sweep_parameter,
 )
-from conftest import make_agent, priced, random_agent
+from inspection_contracts import envelope
+from conftest import NONCONVEX_C, NONCONVEX_R, make_agent, priced, random_agent
 
 
 class TestAgentSpec:
@@ -36,6 +43,40 @@ class TestAgentSpec:
             AgentSpec(acts, 1.0, 0.0, 0.0)
         with pytest.raises(ValidationError):
             AgentSpec(acts, 1.0, 1.0, 1.0)  # alpha = 1 rejected
+
+    def test_bad_action_values_rejected(self):
+        # the spec and build_envelope check values, not Action; a bad value
+        # is reported ahead of the order breach it also causes
+        for bad in (-1.0, math.nan, math.inf):
+            for acts in ((Action(bad, 1.0), Action(3.0, 2.0)), (Action(1.0, bad), Action(3.0, 2.0))):
+                for build in (lambda a: AgentSpec(a, 0.5, 1.0, 0.0), build_envelope):
+                    with pytest.raises(ValidationError, match="finite and nonnegative") as err:
+                        build(acts)
+                    assert err.type is ValidationError
+
+    def test_actions_checked_once_per_spec(self, monkeypatch):
+        original = envelope._check_actions
+        calls = []
+
+        def counted(actions):
+            calls.append(len(actions))
+            original(actions)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("inspection_contracts") and (
+                getattr(module, "_check_actions", None) is original
+            ):
+                monkeypatch.setattr(module, "_check_actions", counted)
+        agent = make_agent(NONCONVEX_R, NONCONVEX_C)
+        assert len(calls) == 1
+        solve_single(agent)
+        build_beta_curve(agent)
+        build_utility_curve(agent)
+        assert len(calls) == 1
+        replace(agent, kappa_i=2.0)
+        assert len(calls) == 2
+        build_envelope(agent.actions)
+        assert len(calls) == 3
 
     def test_contract_ranges(self):
         with pytest.raises(ValidationError):
