@@ -9,7 +9,13 @@ Library layout:
 * ``oracle``       - brute-force cross-checks for all of the above
 * ``instances``    - strict JSON instance ingestion
 * ``cli``          - batch front end
+
+``multi_agent`` and ``oracle`` are the only modules that import numpy.  Their
+names are loaded on first access, so ``import inspection_contracts`` and the
+single-agent stack run without numpy.
 """
+
+from importlib import import_module
 
 from .envelope import (
     Action,
@@ -34,17 +40,6 @@ from .errors import (
     ValidationError,
 )
 from .instances import Instance, NamedAgent, load_instance, parse_instance
-from .multi_agent import (
-    Allocation,
-    AllocationProblem,
-    UtilityCurve,
-    allocate,
-    best_contract_at,
-    build_utility_curve,
-    gap_bound,
-    utility_at,
-)
-from .oracle import brute_force_allocate, brute_force_single, check_ic_ir
 from .scheduler import (
     InspectionSchedule,
     build_schedule,
@@ -123,3 +118,35 @@ __all__ = [
     "sweep_parameter",
     "utility_at",
 ]
+
+# name -> the numpy-backed submodule that defines it (PEP 562)
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "Allocation",
+            "AllocationProblem",
+            "UtilityCurve",
+            "allocate",
+            "best_contract_at",
+            "build_utility_curve",
+            "gap_bound",
+            "utility_at",
+        ),
+        "multi_agent",
+    ),
+    **dict.fromkeys(
+        ("brute_force_allocate", "brute_force_single", "check_ic_ir"), "oracle"
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

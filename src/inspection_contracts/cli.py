@@ -3,7 +3,9 @@
 Subcommands: solve, beta-curve, sweep, allocate, schedule, verify.  One
 command per process; CSV and key=value output is deterministic given the
 inputs and seed.  Exit codes: 0 ok, 1 infeasible instance, 2 invalid input,
-3 internal invariant breach (including failed verification).
+3 internal invariant breach (including failed verification).  Only the
+handlers that allocate or verify import ``multi_agent`` and ``oracle``, and
+with them numpy.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ import os
 import sys
 from typing import IO
 
-import numpy as np
-
-from . import multi_agent, oracle, scheduler, single_agent
+from . import scheduler, single_agent
 from .errors import ContractError, InfeasibleError, ValidationError
 from .instances import Instance, load_instance
 from .tolerance import TOL
@@ -71,7 +71,9 @@ def _linspace(a: float, b: float, k: int) -> list[float]:
     return [a + (b - a) * i / (k - 1) for i in range(k)]
 
 
-def _allocation_from_args(instance: Instance, args) -> multi_agent.Allocation:
+def _allocation_from_args(instance: Instance, args):
+    from . import multi_agent
+
     problem = multi_agent.AllocationProblem(
         instance.specs, instance.budget, delta=args.delta, epsilon=args.epsilon
     )
@@ -156,13 +158,13 @@ def _cmd_schedule(args, out: IO[str]) -> int:
 
     empirical = None
     if args.samples:
-        counts = np.zeros(len(targets))
+        counts = [0] * len(targets)
         for s in range(args.samples):
             # per-rule picks: the idle inspectors past the last rule add nothing
             for agent in scheduler._draw(sched, args.seed + s):
                 if agent is not None:
                     counts[agent] += 1
-        empirical = counts / args.samples
+        empirical = [c / args.samples for c in counts]
 
     p = args.precision
     for i, label in enumerate(labels):
@@ -176,6 +178,8 @@ def _cmd_schedule(args, out: IO[str]) -> int:
 
 
 def _cmd_verify(args, out: IO[str]) -> int:
+    from . import multi_agent, oracle
+
     instance = load_instance(args.file)
     step = args.grid_step
     failures = 0

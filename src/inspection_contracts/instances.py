@@ -119,13 +119,12 @@ def parse_instance(doc: object) -> Instance:
                     _number(entry["cost"], f"{aw}.cost"),
                 )
             )
+        # parsed outside the try below, whose prefix their paths already carry
+        scalars = [
+            _number(raw[key], f"{where}.{key}") for key in ("kappa_s", "kappa_i", "alpha")
+        ]
         try:
-            spec = AgentSpec(
-                tuple(actions),
-                _number(raw["kappa_s"], f"{where}.kappa_s"),
-                _number(raw["kappa_i"], f"{where}.kappa_i"),
-                _number(raw["alpha"], f"{where}.alpha"),
-            )
+            spec = AgentSpec(tuple(actions), *scalars)
         except ContractError as exc:
             raise type(exc)(f"{where} ({name!r}): {exc}") from None
         slack = max(a.reward - a.cost for a in spec.actions)

@@ -135,3 +135,10 @@ def test_agent_lookup():
     assert inst.agent("a1").name == "a1"
     with pytest.raises(ValidationError):
         inst.agent("missing")
+
+
+@pytest.mark.parametrize("key", ["kappa_s", "kappa_i", "alpha"])
+def test_bad_scalar_names_its_path_once(key):
+    with pytest.raises(ValidationError) as exc:
+        parse_instance(agent_doc(**{key: "one"}))
+    assert str(exc.value) == f"agents[0].{key}: expected a number, got 'one'"
