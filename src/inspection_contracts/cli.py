@@ -142,6 +142,8 @@ def _cmd_allocate(args, out: IO[str]) -> int:
 
 
 def _cmd_schedule(args, out: IO[str]) -> int:
+    if args.targets is not None and (args.delta is not None or args.epsilon is not None):
+        raise ValidationError("--delta and --epsilon apply only with --from-allocation")
     instance = load_instance(args.file)
     if args.targets is not None:
         try:
@@ -286,11 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.set_defaults(func=_cmd_sweep)
 
+    def allocation_flags(p: argparse.ArgumentParser) -> None:
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--delta", type=float, default=None, help="DP grid step")
+        group.add_argument("--epsilon", type=float, default=None, help="relative target")
+
     p = sub.add_parser("allocate", help="split the inspection budget across agents")
     common(p)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--delta", type=float, default=None, help="DP grid step")
-    group.add_argument("--epsilon", type=float, default=None, help="relative target")
+    allocation_flags(p)
     p.set_defaults(func=_cmd_allocate)
 
     p = sub.add_parser("schedule", help="inspector assignment with exact marginals")
@@ -300,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--targets", default=None, help="comma-separated marginals")
     p.add_argument("--samples", type=_nonnegative_int, default=0, help="Monte Carlo draws")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delta", type=float, default=None, help="DP step for --from-allocation")
-    p.add_argument("--epsilon", type=float, default=None)
+    allocation_flags(p)
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("verify", help="run oracle cross-checks; exit 0 iff all pass")

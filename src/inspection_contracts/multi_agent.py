@@ -10,12 +10,13 @@ gamma(beta), and composing with the principal's payoff yields
 concave on each inverted piece but discontinuous downward at envelope
 breakpoints.  The object the allocator consumes is the running maximum
 U_l(bar_beta) = max_{beta <= bar_beta} U_l(beta): nondecreasing, and stored as
-each piece's peak plus the running best before it.  The peaks are the
-single-agent solver's, so the curve's best point is the optimal single-agent
-contract; all piece formulas come from ``single_agent``.  Splitting the
-budget is then a multiple-choice-knapsack-style problem solved approximately
-on a delta grid by dynamic programming; the discretization loss is bounded by
-the Lipschitz constants of the curves.
+the pieces whose peak raises the running best, each with that peak.  The
+peaks are the single-agent solver's, so the curve's best point is the optimal
+single-agent contract; every piece formula is a ``BetaPiece`` method.
+Splitting the budget is then a multiple-choice-knapsack-style problem solved
+approximately on a delta grid by dynamic programming, over each agent's list
+of candidate caps; the discretization loss is bounded by the Lipschitz
+constants of the curves.
 """
 
 from __future__ import annotations
@@ -37,11 +38,8 @@ from .errors import (
 from .single_agent import (
     AgentSpec,
     BetaCurve,
+    BetaPiece,
     ContractChoice,
-    _beta_on_piece,
-    _gamma_on_piece,
-    _piece_peak,
-    _utility_on_piece,
     beta_at,
     build_beta_curve,
 )
@@ -52,20 +50,23 @@ from .tolerance import QUOTIENT_TOL, TOL
 class UtilityCurve:
     """Monotone envelope of the principal's utility as a function of the cap.
 
-    ``rises[j] = (piece index, beta_lo, beta_peak)`` is the j-th beta-curve
-    piece, in increasing beta, whose peak beats everything before it, and
-    ``before[j]`` the best contract left of ``beta_lo``, ``base`` included.
-    Up to its peak the piece is concave and increasing, so below a cap the
-    best contract is ``before[j]`` or the piece at min(cap, beta_peak).
+    ``rises[j] = (piece, beta_lo, peak)`` is the j-th beta-curve piece, in
+    increasing beta, whose peak contract beats everything before it; the best
+    contract left of ``beta_lo`` is the previous rise's peak, or ``base``.  Up
+    to its peak the piece is concave and increasing, so below a cap the best
+    contract is that previous best or the piece at min(cap, peak.beta).
     """
 
     beta_curve: BetaCurve
     beta_min: float
     beta_cap: float
     base: ContractChoice
-    top: ContractChoice
-    rises: tuple[tuple[int, float, float], ...]
-    before: tuple[ContractChoice, ...]
+    rises: tuple[tuple[BetaPiece, float, ContractChoice], ...]
+
+    @property
+    def top(self) -> ContractChoice:
+        """The best contract at any cap: the last rise's peak, or ``base``."""
+        return self.rises[-1][2] if self.rises else self.base
 
 
 def build_utility_curve(agent: AgentSpec) -> UtilityCurve:
@@ -80,31 +81,30 @@ def build_utility_curve(agent: AgentSpec) -> UtilityCurve:
     bc = build_beta_curve(agent)
     beta_min = beta_at(bc, 1.0)
 
-    clamped = [_piece_peak(agent, p) for p in bc.pieces if p.clamped]
+    clamped = [p.peak(agent.kappa_i) for p in bc.pieces if p.clamped]
     if clamped:
         base = max(clamped, key=attrgetter("utility"))
     else:
         last = bc.pieces[-1]
         base = ContractChoice(1.0, beta_min, last.owner, -beta_min * agent.kappa_i)
 
-    rises: list[tuple[int, float, float]] = []
-    before: list[ContractChoice] = []
+    rises: list[tuple[BetaPiece, float, ContractChoice]] = []
     cur = base
     cursor = beta_min
-    unclamped = [(i, p) for i, p in enumerate(bc.pieces) if not p.clamped]
-    for idx, piece in reversed(unclamped):
+    for piece in reversed(bc.pieces):
+        if piece.clamped:
+            continue
         lo = cursor
-        hi = _beta_on_piece(agent, piece, piece.gamma_lo)
+        hi = piece.beta(piece.gamma_lo)
         if hi <= lo:
             continue
         cursor = hi
-        peak = _piece_peak(agent, piece)
+        peak = piece.peak(agent.kappa_i)
         if peak.utility > cur.utility:
-            rises.append((idx, lo, peak.beta))
-            before.append(cur)
+            rises.append((piece, lo, peak))
             cur = peak
 
-    return UtilityCurve(bc, beta_min, cursor, base, cur, tuple(rises), tuple(before))
+    return UtilityCurve(bc, beta_min, cursor, base, tuple(rises))
 
 
 def best_contract_at(curve: UtilityCurve, beta_bar: float) -> ContractChoice:
@@ -122,16 +122,15 @@ def best_contract_at(curve: UtilityCurve, beta_bar: float) -> ContractChoice:
     j = bisect_right(curve.rises, b, key=itemgetter(1)) - 1
     if j < 0:
         return curve.base
-    idx, _, beta_peak = curve.rises[j]
-    if b >= beta_peak:
+    piece, _, peak = curve.rises[j]
+    if b >= peak.beta:
         # past its peak the running best is the peak itself
-        return curve.before[j + 1] if j + 1 < len(curve.before) else curve.top
-    agent = curve.beta_curve.agent
-    piece = curve.beta_curve.pieces[idx]
-    u = _utility_on_piece(agent, piece, b)
-    if u > curve.before[j].utility:
-        return ContractChoice(_gamma_on_piece(agent, piece, b), b, piece.owner, u)
-    return curve.before[j]
+        return peak
+    before = curve.rises[j - 1][2] if j else curve.base
+    u = piece.utility(b, curve.beta_curve.agent.kappa_i)
+    if u > before.utility:
+        return ContractChoice(piece.gamma(b), b, piece.owner, u)
+    return before
 
 
 def utility_at(curve: UtilityCurve, beta_bar: float) -> float:
@@ -296,15 +295,16 @@ def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
             f"delta = {delta!r} needs {work:.3g} DP candidate sums, above the limit of "
             f"{MAX_DP_WORK:,}; use a larger delta or epsilon"
         )
-    gains = []
+    grid, gains = [], []
     for c, cap, n_l in zip(curves, caps_x, ns):
         betas = [c.beta_min + eta * delta for eta in range(n_l + 1)]
         # saturation, entry n_l + 1: reaching the flat region exactly costs a
         # rounded-up number of units but can beat every grid point before it
         if cap > n_l * delta and n_l + 1 <= steps:
             betas.append(c.beta_min + cap)
+        grid.append(betas)
         gains.append(np.array([utility_at(c, b) - c.base.utility for b in betas]))
-    return delta, steps, gains, ns, caps_x
+    return delta, steps, gains, grid
 
 
 def allocate(problem: AllocationProblem) -> Allocation:
@@ -317,18 +317,15 @@ def allocate(problem: AllocationProblem) -> Allocation:
     backtracking the per-cell choices.
     """
     curves = [build_utility_curve(a) for a in problem.agents]
-    delta, steps, gains, ns, caps_x = _prepare_grid(problem, curves)
+    delta, steps, gains, grid = _prepare_grid(problem, curves)
     values, choices = _dp(gains, steps)
 
-    units = [0] * len(curves)
+    caps = [0.0] * len(curves)
     j = steps
     for l in range(len(curves) - 1, -1, -1):
-        units[l] = int(choices[l, j])
-        j -= units[l]
-    caps = []
-    for c, n_l, cap_x, u in zip(curves, ns, caps_x, units):
-        x = cap_x if u > n_l else u * delta
-        caps.append(float(c.beta_min + x))
+        units = int(choices[l, j])
+        caps[l] = float(grid[l][units])
+        j -= units
     contracts = tuple(best_contract_at(c, cap) for c, cap in zip(curves, caps))
     total = sum(ch.utility for ch in contracts)
     check = sum(c.base.utility for c in curves) + values[steps]

@@ -94,7 +94,10 @@ def _scan(agent: AgentSpec, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     need = np.where(pos, 1.0 - ratio, np.where(floor >= 0.0, 0.0, np.inf))
     beta = np.maximum(need.max(axis=1), 0.0)
     ok = (best_safe >= -tie) & (beta <= 1.0)
-    return beta, np.where(ok, base - agent.kappa_i * beta, -np.inf)
+    # the cost overflows only where beta > 1, cells that are -inf anyway
+    with np.errstate(over="ignore"):
+        util = base - agent.kappa_i * beta
+    return beta, np.where(ok, util, -np.inf)
 
 
 def brute_force_single(

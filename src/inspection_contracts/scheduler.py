@@ -52,16 +52,13 @@ class InspectionSchedule:
 
     ``rules[b-1]`` is inspector b's rule, for the inspectors that can reach an
     agent at all; there are at most min(budget, m + 1) of them, and the
-    inspectors past ``len(rules)`` are idle.  ``boundaries[b-1]`` is the
-    first agent index at which the cumulative targets reach b (None when they
-    never do), and ``residuals[b-1]`` the corresponding zeta_b, one entry per
-    rule.
+    inspectors past ``len(rules)`` are idle.  Each rule's ``boundary`` is the
+    first agent index at which the cumulative targets reach b, or None when
+    they never do.
     """
 
     targets: tuple[float, ...]
     budget: int
-    boundaries: tuple[int | None, ...]
-    residuals: tuple[float | None, ...]
     rules: tuple[InspectorRule, ...] = field(repr=False)
 
 
@@ -108,7 +105,6 @@ def build_schedule(targets: list[float] | tuple[float, ...], budget: int) -> Ins
     last = max((i for i, t in enumerate(cleaned) if t > 0.0), default=-1)
     cums = _prefix_sums(cleaned)
     rules: list[InspectorRule] = []
-    resids: list[float | None] = []
     prev_l, prev_zeta = 0, 0.0
     pos = 0
     for b in range(1, budget + 1):
@@ -122,12 +118,8 @@ def build_schedule(targets: list[float] | tuple[float, ...], budget: int) -> Ins
         l_b = pos if pos < m else None
         end = m if l_b is None else l_b
         window = [(i, cleaned[i]) for i in range(prev_l + 1, end) if cleaned[i] > 0.0]
-        if l_b is None:
-            resids.append(None)
-        else:
-            resid = b - (cums[l_b - 1] if l_b > 0 else 0.0)
-            resids.append(resid)
-            zeta = min(max(resid, 0.0), cleaned[l_b])
+        if l_b is not None:
+            zeta = min(max(b - (cums[l_b - 1] if l_b > 0 else 0.0), 0.0), cleaned[l_b])
             if l_b > prev_l and zeta > 0.0:
                 window.append((l_b, zeta))
         norm = 1.0 - cleaned[prev_l] + prev_zeta
@@ -156,8 +148,7 @@ def build_schedule(targets: list[float] | tuple[float, ...], budget: int) -> Ins
             break
         prev_l, prev_zeta = l_b, zeta
 
-    bounds = tuple(rule.boundary for rule in rules)
-    return InspectionSchedule(tuple(cleaned), budget, bounds, tuple(resids), tuple(rules))
+    return InspectionSchedule(tuple(cleaned), budget, tuple(rules))
 
 
 def exact_marginals(schedule: InspectionSchedule) -> tuple[float, ...]:

@@ -26,15 +26,17 @@ both the owning segment (at gamma) and the shadow segment (at gamma_tilde) are
 fixed, the principal's utility is concave in gamma with its stationary point
 in closed form, so each piece has one best contract (its peak).  The optimal
 contract is the best peak, and the multi-agent utility curve is the running
-best of the same peaks in beta order.  Every closed form of a piece (beta at
-gamma, gamma and utility at beta, the peak) lives in this module.
+best of the same peaks in beta order.  Each ``BetaPiece`` stores its
+coefficients and owns every closed form on it: beta at gamma, gamma and
+utility at beta, and the peak.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from .envelope import (
     Action,
@@ -117,58 +119,6 @@ class ContractChoice:
     utility: float
 
 
-@dataclass(frozen=True)
-class BetaPiece:
-    """Maximal gamma interval on which beta(gamma) has a single closed form.
-
-    ``owner`` is the action dominant at gamma, ``shadow`` the action whose
-    envelope segment contains gamma_tilde.  On a clamped piece the deterrence
-    constraint is slack and beta(gamma) = 0.
-    """
-
-    gamma_lo: float
-    gamma_hi: float
-    owner: int
-    shadow: int
-    clamped: bool
-
-
-@dataclass(frozen=True)
-class BetaCurve:
-    """Piecewise closed-form representation of beta(gamma) on [gamma_ir, 1]."""
-
-    agent: AgentSpec
-    envelope: UpperEnvelope
-    gamma_ir: float
-    pieces: tuple[BetaPiece, ...]
-    _highs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_highs", tuple(p.gamma_hi for p in self.pieces))
-
-    def piece_at(self, gamma: float) -> BetaPiece:
-        j = min(bisect_left(self._highs, gamma), len(self.pieces) - 1)
-        return self.pieces[j]
-
-
-def needs_inspection(agent: AgentSpec) -> bool:
-    """Whether deterrence is impossible without inspection.
-
-    True iff alpha < kappa_s / R_n: side effects alone are then too rare to
-    scare the agent into the safety step, whatever the payment.  The converse
-    does not hold; False only means this particular obstruction is absent.
-    """
-    return agent.alpha * agent.money_scale < agent.kappa_s
-
-
-def _piece_coeffs(agent: AgentSpec, piece: BetaPiece) -> tuple[float, float, float]:
-    """(R_owner, C, D) with beta(gamma) = 1 - (R_owner*gamma - C) / (D*gamma)."""
-    own = agent.actions[piece.owner]
-    sh = agent.actions[piece.shadow]
-    c_const = own.cost + agent.kappa_s - sh.cost
-    return own.reward, c_const, sh.reward * (1.0 - agent.alpha)
-
-
 def _beta_raw(r_own: float, c_const: float, d: float, gamma: float) -> float:
     # right-limit at gamma = 0 (reachable only when kappa_s = 0 and c_1 = 0,
     # where c_const is 0 and the piece is constant)
@@ -179,47 +129,88 @@ def _beta_raw(r_own: float, c_const: float, d: float, gamma: float) -> float:
     return 1.0 - (r_own * gamma - c_const) / (d * gamma)
 
 
-def _beta_on_piece(agent: AgentSpec, piece: BetaPiece, gamma: float) -> float:
-    if piece.clamped:
-        return 0.0
-    r_own, c_const, d = _piece_coeffs(agent, piece)
-    return min(max(_beta_raw(r_own, c_const, d, gamma), 0.0), 1.0)
+@dataclass(frozen=True)
+class BetaPiece:
+    """Maximal gamma interval on which beta(gamma) has a single closed form.
 
-
-def _gamma_on_piece(agent: AgentSpec, piece: BetaPiece, beta: float) -> float:
-    r_own, c_const, d = _piece_coeffs(agent, piece)
-    # grouped so a tiny beta is not lost to cancellation in 1 - beta
-    denom = (r_own - d) + beta * d
-    if denom == 0.0:
-        # owner = shadow and alpha = 0, where beta only tends to 0 as gamma
-        # grows: a beta rounded to 0 is reached at the piece's right end
-        return piece.gamma_hi
-    return c_const / denom
-
-
-def _utility_on_piece(agent: AgentSpec, piece: BetaPiece, beta: float) -> float:
-    g = _gamma_on_piece(agent, piece, beta)
-    return (1.0 - g) * agent.actions[piece.owner].reward - beta * agent.kappa_i
-
-
-def _piece_peak(agent: AgentSpec, piece: BetaPiece) -> ContractChoice:
-    """The best contract on one piece, with the principal's utility.
-
-    On an unclamped piece the utility (1 - gamma)*R_own - beta(gamma)*kappa_i
-    is concave, with its stationary point at gamma = sqrt(kappa_i*C /
-    (R_own*D)); the peak is that point clamped into [gamma_lo, gamma_hi].  On
-    a clamped piece beta is 0 and the utility falls in gamma, so the peak is
-    the left end.
+    ``owner`` is the action dominant at gamma, ``shadow`` the action whose
+    envelope segment contains gamma_tilde.  The piece keeps its coefficients:
+    ``r_own`` = R_owner, ``c_const`` = c_owner + kappa_s - c_shadow and ``d`` =
+    R_shadow*(1 - alpha), with beta(gamma) = 1 - (r_own*gamma - c_const) /
+    (d*gamma).  On a clamped piece the deterrence constraint is slack and
+    beta(gamma) = 0.
     """
-    if piece.clamped:
-        gamma = piece.gamma_lo
-    else:
-        r_own, c_const, d = _piece_coeffs(agent, piece)
-        stationary = math.sqrt(max(agent.kappa_i * c_const / (r_own * d), 0.0))
-        gamma = min(max(stationary, piece.gamma_lo), piece.gamma_hi)
-    beta = _beta_on_piece(agent, piece, gamma)
-    u = (1.0 - gamma) * agent.actions[piece.owner].reward - beta * agent.kappa_i
-    return ContractChoice(gamma, beta, piece.owner, u)
+
+    gamma_lo: float
+    gamma_hi: float
+    owner: int
+    shadow: int
+    clamped: bool
+    r_own: float
+    c_const: float
+    d: float
+
+    def beta(self, gamma: float) -> float:
+        """beta(gamma), clamped into [0, 1]."""
+        if self.clamped:
+            return 0.0
+        return min(max(_beta_raw(self.r_own, self.c_const, self.d, gamma), 0.0), 1.0)
+
+    def gamma(self, beta: float) -> float:
+        """The inverse of ``beta`` on an unclamped piece."""
+        # grouped so a tiny beta is not lost to cancellation in 1 - beta
+        denom = (self.r_own - self.d) + beta * self.d
+        if denom == 0.0:
+            # owner = shadow and alpha = 0, where beta only tends to 0 as gamma
+            # grows: a beta rounded to 0 is reached at the piece's right end
+            return self.gamma_hi
+        return self.c_const / denom
+
+    def utility(self, beta: float, kappa_i: float) -> float:
+        """The principal's utility at inspection ``beta`` on this piece."""
+        return (1.0 - self.gamma(beta)) * self.r_own - beta * kappa_i
+
+    def peak(self, kappa_i: float) -> ContractChoice:
+        """The best contract on this piece, with the principal's utility.
+
+        On an unclamped piece the utility (1 - gamma)*r_own - beta(gamma)*kappa_i
+        is concave, with its stationary point at gamma = sqrt(kappa_i*c_const /
+        (r_own*d)); the peak is that point clamped into [gamma_lo, gamma_hi].
+        On a clamped piece beta is 0 and the utility falls in gamma, so the
+        peak is the left end.
+        """
+        if self.clamped:
+            gamma = self.gamma_lo
+        else:
+            stationary = math.sqrt(max(kappa_i * self.c_const / (self.r_own * self.d), 0.0))
+            gamma = min(max(stationary, self.gamma_lo), self.gamma_hi)
+        beta = self.beta(gamma)
+        u = (1.0 - gamma) * self.r_own - beta * kappa_i
+        return ContractChoice(gamma, beta, self.owner, u)
+
+
+@dataclass(frozen=True)
+class BetaCurve:
+    """Piecewise closed-form representation of beta(gamma) on [gamma_ir, 1]."""
+
+    agent: AgentSpec
+    envelope: UpperEnvelope
+    gamma_ir: float
+    pieces: tuple[BetaPiece, ...]
+
+    def piece_at(self, gamma: float) -> BetaPiece:
+        j = bisect_left(self.pieces, gamma, key=attrgetter("gamma_hi"))
+        return self.pieces[min(j, len(self.pieces) - 1)]
+
+
+def needs_inspection(agent: AgentSpec) -> bool:
+    """Whether deterrence is impossible without inspection.
+
+    True iff alpha < kappa_s / R_n: side effects alone are then too rare to
+    scare the agent into the safety step, whatever the payment.  The converse
+    does not hold; False only means this particular obstruction is absent.
+    """
+    return agent.alpha * agent.money_scale < agent.kappa_s
 
 
 def build_beta_curve(agent: AgentSpec) -> BetaCurve:
@@ -264,21 +255,20 @@ def build_beta_curve(agent: AgentSpec) -> BetaCurve:
         owner = env.hull_actions[segment_at(env, mid)]
         tilde = invert_envelope(env, acts, eval_envelope(env, acts, mid) - agent.kappa_s)
         shadow = env.hull_actions[segment_at(env, tilde)]
-        probe = BetaPiece(lo, hi, owner, shadow, False)
-        r_own, c_const, d = _piece_coeffs(agent, probe)
-        beta_lo = _beta_raw(r_own, c_const, d, lo)
-        beta_hi = _beta_raw(r_own, c_const, d, hi)
-        if clamped_seen or beta_lo <= 0.0:
-            pieces.append(BetaPiece(lo, hi, owner, shadow, True))
+        own, sh = acts[owner], acts[shadow]
+        coeffs = (own.reward, own.cost + agent.kappa_s - sh.cost, sh.reward * (1.0 - agent.alpha))
+        if clamped_seen or _beta_raw(*coeffs, lo) <= 0.0:
+            pieces.append(BetaPiece(lo, hi, owner, shadow, True, *coeffs))
             clamped_seen = True
-        elif beta_hi < 0.0:
+        elif _beta_raw(*coeffs, hi) < 0.0:
             # beta hits zero inside the piece; split there, clamp the rest
+            r_own, c_const, d = coeffs
             root = min(max(c_const / (r_own - d), lo), hi)
-            pieces.append(BetaPiece(lo, root, owner, shadow, False))
-            pieces.append(BetaPiece(root, hi, owner, shadow, True))
+            pieces.append(BetaPiece(lo, root, owner, shadow, False, *coeffs))
+            pieces.append(BetaPiece(root, hi, owner, shadow, True, *coeffs))
             clamped_seen = True
         else:
-            pieces.append(probe)
+            pieces.append(BetaPiece(lo, hi, owner, shadow, False, *coeffs))
     return BetaCurve(agent, env, gamma_ir, tuple(pieces))
 
 
@@ -292,7 +282,7 @@ def beta_at(curve: BetaCurve, gamma: float) -> float:
     if gamma > 1.0 + TOL:
         raise ValueError(f"gamma must not exceed 1, got {gamma}")
     g = min(max(gamma, curve.gamma_ir), 1.0)
-    return _beta_on_piece(curve.agent, curve.piece_at(g), g)
+    return curve.piece_at(g).beta(g)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +354,7 @@ def solve_single(agent: AgentSpec) -> SingleAgentSolution:
     is concave per piece, so the best peak is optimal.  Ties go to smaller
     beta, then smaller gamma.
     """
-    peaks = (_piece_peak(agent, p) for p in build_beta_curve(agent).pieces)
+    peaks = (p.peak(agent.kappa_i) for p in build_beta_curve(agent).pieces)
     best = max(peaks, key=lambda c: (c.utility, -c.beta, -c.gamma))
     return SingleAgentSolution(Contract(best.gamma, best.beta), best.action, best.utility)
 

@@ -166,6 +166,22 @@ def test_schedule_from_allocation(tmp_path, capsys):
         assert "target=0.250000 exact=0.250000" in line
 
 
+@pytest.mark.parametrize("flag", [["--delta", "0.01"], ["--epsilon", "0.1"]])
+def test_schedule_targets_rejects_allocation_flags(tmp_path, capsys, flag):
+    path = write(tmp_path, UNIT1_DOC)
+    assert main(["schedule", path, "--targets", "0.5", *flag]) == 2
+    assert "only with --from-allocation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", [["--targets", "0.5"], ["--from-allocation"]])
+def test_schedule_delta_and_epsilon_are_exclusive(tmp_path, capsys, source):
+    path = write(tmp_path, UNIT1_DOC)
+    with pytest.raises(SystemExit) as exc:
+        main(["schedule", path, *source, "--delta", "-1", "--epsilon", "nan"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_schedule_overbudget_exit(tmp_path, capsys):
     path = write(tmp_path, UNIT1_DOC)  # budget 1
     assert main(["schedule", path, "--targets", "0.9,0.9"]) == 1

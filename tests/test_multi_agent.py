@@ -17,7 +17,7 @@ from inspection_contracts import (
     solve_single,
     utility_at,
 )
-from inspection_contracts import multi_agent
+from inspection_contracts import multi_agent, oracle
 from inspection_contracts.multi_agent import _dp, _prepare_grid
 from inspection_contracts.tolerance import TOL
 from conftest import NONCONVEX_C, NONCONVEX_R, make_agent, priced, random_agent
@@ -92,6 +92,30 @@ class TestUtilityCurve:
         assert curve.top.utility == pytest.approx(best, rel=1e-12)
         alloc = allocate(AllocationProblem((agent,), 1, delta=0.01))
         assert alloc.total_utility == pytest.approx(best, rel=1e-12)
+
+    # alpha = 0 makes the downward jumps between rises common
+    @pytest.mark.parametrize("seed, alpha_max", [(41, 0.5), (42, 0.5), (43, 0.0), (44, 0.0)])
+    def test_matches_the_raw_definition_oracle(self, seed, alpha_max):
+        # oracle._scan gives each gamma its least deterring beta and the
+        # principal's utility there, straight from the model's inequalities;
+        # besides a step grid it scans every piece's peak gamma, so a curve
+        # that misses a better contract falls short by more than rounding
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            agent = random_agent(rng, alpha_max=alpha_max)
+            curve = build_utility_curve(agent)
+            slack = TOL * (agent.money_scale + agent.kappa_i)
+            peaks = [p.peak(agent.kappa_i).gamma for p in curve.beta_curve.pieces]
+            beta, util = oracle._scan(agent, np.append(oracle._grid(1e-3, agent.n), peaks))
+            for cap in np.linspace(curve.beta_min, curve.beta_cap, 25):
+                value = utility_at(curve, cap)
+                # no grid contract within the cap beats the curve
+                assert util[beta <= cap].max(initial=-np.inf) <= value + slack
+                # and the curve's own contract is one the oracle accepts
+                ch = best_contract_at(curve, cap)
+                b, u = oracle._scan(agent, np.array([ch.gamma]))
+                assert b[0] <= cap + TOL
+                assert u[0] >= value - slack
 
     def test_best_contract_at_attains_value(self, unit1):
         curve = build_utility_curve(unit1)
@@ -230,7 +254,7 @@ class TestAllocate:
     def test_dp_rows_nondecreasing(self, unit1):
         problem = AllocationProblem((unit1,) * 3, 2, delta=0.01)
         curves = [build_utility_curve(a) for a in problem.agents]
-        _, steps, gains, _, _ = _prepare_grid(problem, curves)
+        _, steps, gains, _ = _prepare_grid(problem, curves)
         for m in range(1, len(curves) + 1):
             values, _ = _dp(gains[:m], steps)
             assert values.shape == (steps + 1,)
@@ -239,7 +263,7 @@ class TestAllocate:
     def test_dp_final_row_gives_allocate_total(self, nonconvex6, unit1):
         problem = AllocationProblem((nonconvex6, unit1, nonconvex6), 2, delta=0.01)
         curves = [build_utility_curve(a) for a in problem.agents]
-        _, steps, gains, _, _ = _prepare_grid(problem, curves)
+        _, steps, gains, _ = _prepare_grid(problem, curves)
         values, _ = _dp(gains, steps)
         base = sum(c.base.utility for c in curves)
         assert allocate(problem).total_utility == pytest.approx(base + values[-1])

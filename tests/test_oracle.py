@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,14 @@ class TestBruteForceSingle:
         _, seeded = brute_force_single(unit1, 0.05, include=[pair])
         assert seeded >= coarse - 1e-12
         assert seeded == pytest.approx(sol.utility, abs=1e-12)
+
+    def test_overflowing_inspection_cost_emits_no_warning(self):
+        # at gamma = 1e-300 the least deterring beta is about 5e299, and
+        # kappa_i * beta overflows in a cell that is -inf anyway
+        agent = make_agent([1.0], [0.0], kappa_s=0.5, kappa_i=1e10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            brute_force_single(agent, 0.1, include=[(1e-300, 0.0)])
 
     def test_bad_step(self, unit1):
         with pytest.raises(ValueError):

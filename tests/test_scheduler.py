@@ -28,17 +28,20 @@ class TestBuild:
 
     def test_three_agents_two_inspectors(self):
         s = build_schedule([0.6, 0.8, 0.6], 2)
-        assert s.boundaries == (1, 2)
-        assert s.residuals == pytest.approx([0.4, 0.6])
+        assert tuple(rule.boundary for rule in s.rules) == (1, 2)
         first = dict(s.rules[0].when_prev_missed)
         assert first[0] == pytest.approx(0.6)
+        # inspector 1 picks its boundary agent with probability zeta_1 = 0.4
         assert first[1] == pytest.approx(0.4)
         # inspector 2, given inspector 1 took agent 2 (the boundary)
-        assert dict(s.rules[1].when_prev_hit)[2] == pytest.approx(1.0)
+        hit = dict(s.rules[1].when_prev_hit)
+        assert hit[2] == pytest.approx(1.0)
         # and given it did not
         miss = dict(s.rules[1].when_prev_missed)
         assert miss[1] == pytest.approx(2 / 3)
         assert miss[2] == pytest.approx(1 / 3)
+        # inspector 2 picks its boundary agent with probability zeta_2 = 0.6
+        assert first[1] * hit[2] + (1 - first[1]) * miss[2] == pytest.approx(0.6)
 
     def test_deterministic_full_target(self):
         s = build_schedule([1.0], 1)
@@ -47,14 +50,14 @@ class TestBuild:
 
     def test_boundary_never_reached_is_none(self):
         s = build_schedule([0.2, 0.1], 3)
-        assert s.boundaries == (None,)
-        assert s.residuals == (None,)
+        assert tuple(rule.boundary for rule in s.rules) == (None,)
 
     def test_exact_cumulative_boundary(self):
         # cumulative hits 1 exactly at agent 2; residual equals its target
         s = build_schedule([0.4, 0.6, 0.5], 2)
-        assert s.boundaries[0] == 1
-        assert s.residuals[0] == pytest.approx(0.6)
+        assert s.rules[0].boundary == 1
+        # so inspector 1 picks its boundary agent with probability zeta_1 = 0.6
+        assert dict(s.rules[0].when_prev_missed)[1] == pytest.approx(0.6)
         assert exact_marginals(s) == pytest.approx([0.4, 0.6, 0.5])
 
     def test_rejects_bad_targets(self):
