@@ -29,13 +29,20 @@ contract is the best peak, and the multi-agent utility curve is the running
 best of the same peaks in beta order.  Each ``BetaPiece`` stores its
 coefficients and owns every closed form on it: beta at gamma, gamma and
 utility at beta, and the peak.
+
+No scalar parameter enters the upper envelope, so an ``AgentSpec`` builds it
+once and every curve of the agent reuses it.  A parameter sweep reuses it for
+every row, and a kappa_i sweep reuses the whole curve: kappa_i enters only
+the peaks.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from contextlib import suppress
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .envelope import (
@@ -51,31 +58,46 @@ from .errors import BelowIRThreshold, InfeasibleSafety, ValidationError
 from .tolerance import TOL
 
 
+_PARAMS = ("kappa_s", "kappa_i", "alpha")
+
+
+def _check_param(name: str, value: float) -> None:
+    """The range check on one of ``AgentSpec``'s scalar fields."""
+    if name == "kappa_s":
+        if not (math.isfinite(value) and value >= 0):
+            raise ValidationError(f"kappa_s must be >= 0, got {value!r}")
+    elif name == "kappa_i":
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"kappa_i must be > 0, got {value!r}")
+    elif not (0.0 <= value < 1.0):
+        raise ValidationError(f"alpha must lie in [0, 1), got {value!r}")
+
+
 @dataclass(frozen=True)
 class AgentSpec:
     """One agent: actions plus the three cost/probability parameters.
 
     Actions are sorted by cost and checked once, on construction, as are the
-    field ranges; the solvers trust a built spec.  Feasibility of safety
-    (Assumption 2, max(R_i - c_i) > kappa_s) is checked by the curve builders,
-    which raise InfeasibleSafety.
+    field ranges; the solvers trust a built spec.  The upper envelope
+    (``envelope``) is built once here too: none of kappa_s, kappa_i or alpha
+    enters it, so every curve and every sweep row reuses it.  Feasibility of
+    safety (Assumption 2, max(R_i - c_i) > kappa_s) is checked by the curve
+    builders, which raise InfeasibleSafety.
     """
 
     actions: tuple[Action, ...]
     kappa_s: float
     kappa_i: float
     alpha: float
+    envelope: UpperEnvelope = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         acts = tuple(sorted(self.actions, key=lambda a: a.cost))
         object.__setattr__(self, "actions", acts)
         _check_actions(acts)
-        if not (math.isfinite(self.kappa_s) and self.kappa_s >= 0):
-            raise ValidationError(f"kappa_s must be >= 0, got {self.kappa_s!r}")
-        if not (math.isfinite(self.kappa_i) and self.kappa_i > 0):
-            raise ValidationError(f"kappa_i must be > 0, got {self.kappa_i!r}")
-        if not (0.0 <= self.alpha < 1.0):
-            raise ValidationError(f"alpha must lie in [0, 1), got {self.alpha!r}")
+        for name in _PARAMS:
+            _check_param(name, getattr(self, name))
+        object.__setattr__(self, "envelope", _scan_hull(acts))
 
     @property
     def n(self) -> int:
@@ -194,7 +216,6 @@ class BetaCurve:
     """Piecewise closed-form representation of beta(gamma) on [gamma_ir, 1]."""
 
     agent: AgentSpec
-    envelope: UpperEnvelope
     gamma_ir: float
     pieces: tuple[BetaPiece, ...]
 
@@ -222,7 +243,7 @@ def build_beta_curve(agent: AgentSpec) -> BetaCurve:
     monotone, so there are O(n) pieces.
     """
     acts = agent.actions
-    env = _scan_hull(acts)
+    env = agent.envelope
     top = eval_envelope(env, acts, 1.0)
     if top <= agent.kappa_s:
         raise InfeasibleSafety(
@@ -242,11 +263,14 @@ def build_beta_curve(agent: AgentSpec) -> BetaCurve:
                 cuts.add(g)
     bounds = sorted(cuts)
     merged = [bounds[0]]
-    for g in bounds[1:]:
+    for g in bounds[1:-1]:
         if g - merged[-1] > TOL:
             merged.append(g)
-    if merged[-1] < 1.0:
+    # 1.0 takes the place of an interior cut within TOL of it, never gamma_ir's
+    if len(merged) > 1 and 1.0 - merged[-1] <= TOL:
         merged[-1] = 1.0
+    else:
+        merged.append(1.0)
 
     pieces: list[BetaPiece] = []
     clamped_seen = False
@@ -269,7 +293,7 @@ def build_beta_curve(agent: AgentSpec) -> BetaCurve:
             clamped_seen = True
         else:
             pieces.append(BetaPiece(lo, hi, owner, shadow, False, *coeffs))
-    return BetaCurve(agent, env, gamma_ir, tuple(pieces))
+    return BetaCurve(agent, gamma_ir, tuple(pieces))
 
 
 def beta_at(curve: BetaCurve, gamma: float) -> float:
@@ -354,7 +378,12 @@ def solve_single(agent: AgentSpec) -> SingleAgentSolution:
     is concave per piece, so the best peak is optimal.  Ties go to smaller
     beta, then smaller gamma.
     """
-    peaks = (p.peak(agent.kappa_i) for p in build_beta_curve(agent).pieces)
+    return _best_peak(build_beta_curve(agent), agent.kappa_i)
+
+
+def _best_peak(curve: BetaCurve, kappa_i: float) -> SingleAgentSolution:
+    """``solve_single`` on a built curve; kappa_i enters only the peaks."""
+    peaks = (p.peak(kappa_i) for p in curve.pieces)
     best = max(peaks, key=lambda c: (c.utility, -c.beta, -c.gamma))
     return SingleAgentSolution(Contract(best.gamma, best.beta), best.action, best.utility)
 
@@ -378,7 +407,16 @@ class SweepPoint:
         return self.gamma is not None
 
 
-_SWEEPABLE = ("kappa_i", "kappa_s", "alpha")
+def _with_param(agent: AgentSpec, name: str, value: float) -> AgentSpec:
+    """``replace(agent, **{name: value})`` that checks only ``value``.
+
+    The copy shares the agent's checked actions and its envelope, which no
+    scalar field enters.
+    """
+    _check_param(name, value)
+    spec = copy.copy(agent)
+    object.__setattr__(spec, name, value)
+    return spec
 
 
 def sweep_parameter(
@@ -387,14 +425,28 @@ def sweep_parameter(
     """Re-solve the agent along a parameter grid, in grid order.
 
     Rows where the perturbed agent is invalid or infeasible are emitted as
-    infeasible markers instead of aborting the sweep.
+    infeasible markers instead of aborting the sweep.  Each row equals
+    ``solve_single(replace(agent, **{which: v}))`` but reuses what ``v`` does
+    not touch: every row shares the agent's actions and envelope, and a
+    kappa_i sweep, where beta(gamma) does not depend on kappa_i, builds the
+    curve once and takes each row's best peak.
     """
-    if which not in _SWEEPABLE:
-        raise ValueError(f"which must be one of {_SWEEPABLE}, got {which!r}")
+    if which not in _PARAMS:
+        raise ValueError(f"which must be one of {_PARAMS}, got {which!r}")
+    # one curve serves a whole kappa_i sweep; without one (kappa_s and alpha
+    # sweeps, or an infeasible agent) each row is solved on its own spec
+    curve = None
+    if which == "kappa_i":
+        with suppress(InfeasibleSafety):
+            curve = build_beta_curve(agent)
     rows: list[SweepPoint] = []
     for v in grid:
         try:
-            sol = solve_single(replace(agent, **{which: v}))
+            if curve is None:
+                sol = solve_single(_with_param(agent, which, v))
+            else:
+                _check_param(which, v)
+                sol = _best_peak(curve, v)
         except (ValidationError, InfeasibleSafety):
             rows.append(SweepPoint(v, None, None, None))
         else:

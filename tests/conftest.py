@@ -12,10 +12,25 @@ NONCONVEX_C = (1.0, 1.2, 2.1, 3.1, 4.8, 6.6)
 STATICS_R = (1.5, 3.0, 4.0, 6.0, 7.0, 9.0)
 STATICS_C = (1.0, 1.3, 1.5, 2.5, 3.4, 5.2)
 
+# one action whose R - c exceeds kappa_s by one ulp (Assumption 2 just holds),
+# so gamma_ir = 0.9999999999999998 lies within TOL below 1
+NEAR_ONE_IR = {
+    "actions": [{"reward": 1.0129832257491447, "cost": 0.13922980921268469}],
+    "kappa_s": 0.8737534165364599,
+    "kappa_i": 3.10,
+    "alpha": 0.47,
+}
+
 
 def make_agent(rewards, costs, kappa_s=1.0, kappa_i=1.0, alpha=0.0):
     actions = tuple(Action(float(r), float(c)) for r, c in zip(rewards, costs))
     return AgentSpec(actions, kappa_s, kappa_i, alpha)
+
+
+def near_one_ir_agent():
+    act = NEAR_ONE_IR["actions"][0]
+    return make_agent([act["reward"]], [act["cost"]], NEAR_ONE_IR["kappa_s"],
+                      NEAR_ONE_IR["kappa_i"], NEAR_ONE_IR["alpha"])
 
 
 def random_agent(rng, n_max=8, alpha_max=0.5):

@@ -7,6 +7,7 @@ import pytest
 
 from inspection_contracts.cli import main
 from inspection_contracts.tolerance import TOL
+from conftest import NEAR_ONE_IR
 
 UNIT1_DOC = {
     "agents": [
@@ -113,6 +114,22 @@ def test_sweep_csv_and_infeasible_rows(tmp_path, capsys):
     assert lines[0] == "value,gamma_star,beta_star,utility"
     assert lines[1].startswith("1.000000,0.300000,0.333333,")
     assert lines[2] == "100.000000,infeasible,infeasible,infeasible"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["beta-curve", "--agent", "a1", "--samples", "3"],
+        ["allocate"],
+        ["sweep", "--agent", "a1", "--param", "kappa_s", "--from", "0.5",
+         "--to", repr(NEAR_ONE_IR["kappa_s"]), "--steps", "3"],
+    ],
+)
+def test_gamma_ir_within_tol_below_one_is_solved(tmp_path, capsys, argv):
+    path = write(tmp_path, {"agents": [{"name": "a1", **NEAR_ONE_IR}], "budget": 1})
+    assert main([argv[0], path, *argv[1:]]) == 0
+    assert "infeasible" not in capsys.readouterr().out
 
 
 def test_sweep_kappa_i_matches_solver(tmp_path, capsys):

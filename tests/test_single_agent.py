@@ -13,6 +13,7 @@ from inspection_contracts import (
     BelowIRThreshold,
     Contract,
     InfeasibleSafety,
+    SweepPoint,
     ValidationError,
     agent_best_response,
     beta_at,
@@ -26,7 +27,16 @@ from inspection_contracts import (
     sweep_parameter,
 )
 from inspection_contracts import envelope
-from conftest import NONCONVEX_C, NONCONVEX_R, make_agent, priced, random_agent
+from inspection_contracts.single_agent import _with_param
+from inspection_contracts.tolerance import TOL
+from conftest import (
+    NONCONVEX_C,
+    NONCONVEX_R,
+    make_agent,
+    near_one_ir_agent,
+    priced,
+    random_agent,
+)
 
 
 class TestAgentSpec:
@@ -55,28 +65,33 @@ class TestAgentSpec:
                     assert err.type is ValidationError
 
     def test_actions_checked_once_per_spec(self, monkeypatch):
-        original = envelope._check_actions
-        calls = []
+        # the hull is scanned once per spec too, and sweep rows reuse both
+        calls = {"_check_actions": [], "_scan_hull": []}
+        for fn, seen in calls.items():
+            original = getattr(envelope, fn)
 
-        def counted(actions):
-            calls.append(len(actions))
-            original(actions)
+            def counted(actions, original=original, seen=seen):
+                seen.append(len(actions))
+                return original(actions)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("inspection_contracts") and (
-                getattr(module, "_check_actions", None) is original
-            ):
-                monkeypatch.setattr(module, "_check_actions", counted)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("inspection_contracts") and (
+                    getattr(module, fn, None) is original
+                ):
+                    monkeypatch.setattr(module, fn, counted)
+        checks, scans = calls.values()
         agent = make_agent(NONCONVEX_R, NONCONVEX_C)
-        assert len(calls) == 1
+        assert (len(checks), len(scans)) == (1, 1)
         solve_single(agent)
         build_beta_curve(agent)
         build_utility_curve(agent)
-        assert len(calls) == 1
+        for which in ("kappa_i", "kappa_s", "alpha"):
+            sweep_parameter(agent, which, [0.1, 0.5])
+        assert (len(checks), len(scans)) == (1, 1)
         replace(agent, kappa_i=2.0)
-        assert len(calls) == 2
+        assert (len(checks), len(scans)) == (2, 2)
         build_envelope(agent.actions)
-        assert len(calls) == 3
+        assert (len(checks), len(scans)) == (3, 3)
 
     def test_contract_ranges(self):
         with pytest.raises(ValidationError):
@@ -150,6 +165,15 @@ class TestBetaCurve:
         sol = solve_single(agent)
         assert (sol.contract.gamma, sol.contract.beta) == (0.0, 0.0)
         assert sol.utility == pytest.approx(5.0)
+
+    def test_gamma_ir_within_tol_below_one_keeps_its_piece(self):
+        agent = near_one_ir_agent()
+        curve = build_beta_curve(agent)
+        assert 1.0 - TOL < curve.gamma_ir < 1.0
+        assert [(p.gamma_lo, p.gamma_hi) for p in curve.pieces] == [(curve.gamma_ir, 1.0)]
+        sol = solve_single(agent)
+        assert check_ic_ir(agent, sol.contract, (sol.action, True))
+        assert sweep_parameter(agent, "kappa_s", [agent.kappa_s])[0].feasible
 
     def test_pieces_partition_domain(self, nonconvex6):
         curve = build_beta_curve(nonconvex6)
@@ -297,6 +321,70 @@ class TestSweep:
             sweep_parameter(unit1, "kappa_x", [1.0])
 
 
+def _solved_row(agent, which, v):
+    """One sweep row the long way: a fresh spec and a full solve."""
+    try:
+        sol = solve_single(replace(agent, **{which: v}))
+    except (ValidationError, InfeasibleSafety):
+        return SweepPoint(v, None, None, None)
+    return SweepPoint(v, sol.contract.gamma, sol.contract.beta, sol.utility)
+
+
+@st.composite
+def sweep_cases(draw):
+    """An agent, a swept field and a grid mixing valid and invalid values."""
+    agent = draw(valid_agents())
+    which = draw(st.sampled_from(["kappa_i", "kappa_s", "alpha"]))
+    slack = max(a.reward - a.cost for a in agent.actions)
+    edges = [math.nan, math.inf, -1.0, 0.0, 1.0, 1.5]
+    if which == "kappa_s":
+        # at and past max(R - c) safety is infeasible; one ulp below, gamma_ir ~ 1
+        edges += [slack, 2.0 * slack, math.nextafter(slack, 0.0)]
+        inside = st.floats(0.0, 1.0).map(lambda f: f * slack)
+    elif which == "kappa_i":
+        inside = st.floats(1e-6, 50.0)
+    else:
+        inside = st.floats(0.0, 1.0, exclude_max=True)
+    grid = draw(st.lists(st.sampled_from(edges) | inside, max_size=8))
+    return agent, which, grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_cases())
+def test_sweep_equals_solving_each_row(case):
+    agent, which, grid = case
+    assert agent.envelope == build_envelope(agent.actions)
+    assert sweep_parameter(agent, which, grid) == [_solved_row(agent, which, v) for v in grid]
+    for v in grid:
+        try:
+            row = _with_param(agent, which, v)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                replace(agent, **{which: v})
+            continue
+        assert row == replace(agent, **{which: v})
+        assert row.envelope is agent.envelope
+        assert row.actions is agent.actions
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_agents(), st.floats(0.01, 20.0), st.floats(0.01, 20.0))
+def test_pay_rises_and_inspection_falls_with_kappa_i(agent, k1, k2):
+    assume(k1 != k2)
+    lo, hi = (solve_single(replace(agent, kappa_i=k)) for k in sorted((k1, k2)))
+    assert hi.contract.gamma >= lo.contract.gamma - TOL
+    assert hi.contract.beta <= lo.contract.beta + TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_agents(), st.floats(0.0, 0.99), st.floats(0.0, 0.99))
+def test_pay_rises_with_kappa_s(agent, f1, f2):
+    assume(f1 != f2)
+    slack = max(a.reward - a.cost for a in agent.actions)
+    lo, hi = (solve_single(replace(agent, kappa_s=f * slack)) for f in sorted((f1, f2)))
+    assert hi.contract.gamma >= lo.contract.gamma - TOL
+
+
 class TestCurveShape:
     def setup_method(self):
         self.rng = np.random.default_rng(2024)
@@ -317,7 +405,7 @@ class TestCurveShape:
             agent = random_agent(self.rng)
             curve = build_beta_curve(agent)
             cuts = [curve.gamma_ir]
-            cuts += [b for b in curve.envelope.breakpoints if curve.gamma_ir < b < 1]
+            cuts += [b for b in curve.agent.envelope.breakpoints if curve.gamma_ir < b < 1]
             cuts.append(1.0)
             for lo, hi in zip(cuts, cuts[1:]):
                 a, b = np.sort(self.rng.uniform(lo, hi, 2))
