@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .envelope import Action
-from .errors import ContractError, InfeasibleSafety, ValidationError
-from .single_agent import AgentSpec
+from .errors import ContractError, ValidationError
+from .single_agent import AgentSpec, check_safety
 
 _AGENT_FIELDS = {"name", "actions", "kappa_s", "kappa_i", "alpha"}
 _ACTION_FIELDS = {"reward", "cost"}
@@ -125,14 +125,9 @@ def parse_instance(doc: object) -> Instance:
         ]
         try:
             spec = AgentSpec(tuple(actions), *scalars)
+            check_safety(spec)
         except ContractError as exc:
             raise type(exc)(f"{where} ({name!r}): {exc}") from None
-        slack = max(a.reward - a.cost for a in spec.actions)
-        if slack <= spec.kappa_s:
-            raise InfeasibleSafety(
-                f"{where} ({name!r}): max(R_i - c_i) = {slack} does not exceed "
-                f"kappa_s = {spec.kappa_s} (Assumption 2)"
-            )
         agents.append(NamedAgent(name, spec))
 
     names = [a.name for a in agents]

@@ -14,6 +14,7 @@ Not a production solver; everything here trades speed for transparency.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -126,7 +127,14 @@ def brute_force_single(
 
 
 def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
-    """Exhaustive search over per-agent caps on a step grid (m <= 3 only)."""
+    """Exhaustive search over per-agent caps on a step grid (m <= 3 only).
+
+    ``utility_at`` is a running max, so nondecreasing in the cap: given the
+    other agents' caps, the last agent's best is its largest affordable one
+    (caps summing to <= budget + TOL).  Ties go to the first of the other
+    agents' cap vectors in row-major order, and the last agent keeps its
+    largest affordable cap even where a smaller one is worth as much.
+    """
     agents = problem.agents
     if len(agents) > 3:
         raise ValueError("brute_force_allocate handles at most 3 agents")
@@ -139,29 +147,18 @@ def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
             f"minimum inspections sum to {sum(mins)} > budget {problem.budget}"
         )
 
-    grids = []
-    values = []
-    for c in curves:
-        k = int(math.floor((c.beta_cap - c.beta_min) / step + QUOTIENT_TOL))
-        pts = c.beta_min + np.arange(k + 1) * step
-        grids.append(pts)
-        values.append(np.array([utility_at(c, b) for b in pts]))
+    spans = [math.floor((c.beta_cap - c.beta_min) / step + QUOTIENT_TOL) for c in curves]
+    grids = [c.beta_min + np.arange(k + 1) * step for c, k in zip(curves, spans)]
+    values = [np.array([utility_at(c, b) for b in g]) for c, g in zip(curves, grids)]
 
-    # zero agents (one cap of 0, worth 0) on the left make every m the m=3 case
-    pad = 3 - len(agents)
-    grids = [np.zeros(1)] * pad + grids
-    values = [np.zeros(1)] * pad + values
-    pair = values[1][:, None] + values[2][None, :]
-    load = grids[1][:, None] + grids[2][None, :]
-    best = (-math.inf, 0, 0, 0)
-    for i, b1 in enumerate(grids[0]):
-        masked = np.where(load <= budget - b1 + TOL, pair, -np.inf)
-        flat = int(np.argmax(masked))
-        j, k = divmod(flat, len(grids[2]))
-        tot = values[0][i] + masked[j, k]
-        if tot > best[0]:
-            best = (tot, i, j, k)
-    caps = tuple(float(g[i]) for g, i in zip(grids, best[1:]))[pad:]
+    def table(arrays):  # every combination's sum in agent order, 0-d for none
+        return reduce(np.add.outer, arrays, np.zeros(()))
+
+    # tables over the other agents' caps, built as temporaries to bound the peak
+    last = np.searchsorted(grids[-1], budget - table(grids[:-1]) + TOL, side="right") - 1
+    tot = np.where(last >= 0, table(values[:-1]) + values[-1][last], -np.inf)
+    best = np.unravel_index(int(np.argmax(tot)), tot.shape)
+    caps = tuple(float(g[i]) for g, i in zip(grids, (*best, last[best])))
 
     contracts = tuple(best_contract_at(c, cap) for c, cap in zip(curves, caps))
     total = sum(ch.utility for ch in contracts)

@@ -81,8 +81,8 @@ class AgentSpec:
     field ranges; the solvers trust a built spec.  The upper envelope
     (``envelope``) is built once here too: none of kappa_s, kappa_i or alpha
     enters it, so every curve and every sweep row reuses it.  Feasibility of
-    safety (Assumption 2, max(R_i - c_i) > kappa_s) is checked by the curve
-    builders, which raise InfeasibleSafety.
+    safety (Assumption 2, max(R_i - c_i) > kappa_s) is checked by
+    ``check_safety``, which the curve builders and the loader call.
     """
 
     actions: tuple[Action, ...]
@@ -234,6 +234,17 @@ def needs_inspection(agent: AgentSpec) -> bool:
     return agent.alpha * agent.money_scale < agent.kappa_s
 
 
+def check_safety(agent: AgentSpec) -> float:
+    """The hull's u_h(1) = max(R_i - c_i); InfeasibleSafety unless > kappa_s (Assumption 2)."""
+    top = eval_envelope(agent.envelope, agent.actions, 1.0)
+    if top <= agent.kappa_s:
+        raise InfeasibleSafety(
+            f"max(R_i - c_i) = {top} does not exceed kappa_s = {agent.kappa_s} "
+            "(Assumption 2)"
+        )
+    return top
+
+
 def build_beta_curve(agent: AgentSpec) -> BetaCurve:
     """Enumerate the pieces of beta(gamma) by walking the envelope twice.
 
@@ -244,12 +255,7 @@ def build_beta_curve(agent: AgentSpec) -> BetaCurve:
     """
     acts = agent.actions
     env = agent.envelope
-    top = eval_envelope(env, acts, 1.0)
-    if top <= agent.kappa_s:
-        raise InfeasibleSafety(
-            f"max(R_i - c_i) = {top} does not exceed kappa_s = {agent.kappa_s} "
-            "(Assumption 2)"
-        )
+    top = check_safety(agent)
     gamma_ir = invert_envelope(env, acts, agent.kappa_s)
 
     cuts = {gamma_ir, 1.0}

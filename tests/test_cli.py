@@ -132,6 +132,39 @@ def test_gamma_ir_within_tol_below_one_is_solved(tmp_path, capsys, argv):
     assert "infeasible" not in capsys.readouterr().out
 
 
+# max(R_i - c_i) over all four actions exceeds kappa_s by about 2e-13, but
+# the hull drops the near-collinear ones and its value at gamma = 1 does not
+HULL_BELOW_KAPPA_S = {
+    "actions": [
+        {"reward": 1.222944570782574, "cost": 0.05219948719098566},
+        {"reward": 2.2370196967703464, "cost": 1.0662746131783887},
+        {"reward": 3.1296196372133274, "cost": 1.9588745536215815},
+        {"reward": 4.486947011897273, "cost": 3.316201928305751},
+    ],
+    "kappa_s": 1.170745083591773,
+    "kappa_i": 1.0,
+    "alpha": 0.0,
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["allocate"],
+        ["schedule", "--targets", "0.5"],
+        ["sweep", "--agent", "a1", "--param", "kappa_i", "--from", "0.5",
+         "--to", "2", "--steps", "3"],
+    ],
+)
+def test_assumption_2_is_checked_once_on_the_hull(tmp_path, capsys, argv):
+    path = write(tmp_path, {"agents": [{"name": "a1", **HULL_BELOW_KAPPA_S}], "budget": 1})
+    assert main([argv[0], path, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: agents[0] ('a1'): max(R_i - c_i) = ")
+    assert "(Assumption 2)" in err
+
+
 def test_sweep_kappa_i_matches_solver(tmp_path, capsys):
     path = write(tmp_path, UNIT1_DOC)
     main(

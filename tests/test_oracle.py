@@ -1,27 +1,31 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from inspection_contracts import (
     AllocationProblem,
     Contract,
+    InfeasibleBudget,
     InfeasibleError,
     NoSafeContract,
     ValidationError,
     allocate,
     brute_force_allocate,
     brute_force_single,
+    build_utility_curve,
     check_ic_ir,
     gap_bound,
     solve_single,
+    utility_at,
 )
 from inspection_contracts import oracle
 from inspection_contracts.oracle import _grid
-from inspection_contracts.tolerance import TOL
+from inspection_contracts.tolerance import QUOTIENT_TOL, TOL
 from conftest import make_agent, random_agent
 
 
@@ -283,3 +287,66 @@ def test_oracle_contract_meets_the_raw_definition(case):
     act = max(i for i, u in enumerate(safe) if u >= max(safe) - tie)
     expected = (1.0 - gamma) * agent.actions[act].reward - agent.kappa_i * beta
     assert abs(utility - expected) <= tie
+
+
+def _enumerate_allocations(problem, step):
+    """Every cap vector on the oracle's step grids, summed in agent order.
+
+    Returns the best total over the vectors whose caps sum to <= budget + TOL,
+    or None when no vector is affordable, and each agent's grid.
+    """
+    curves = [build_utility_curve(a) for a in problem.agents]
+    grids = []
+    for c in curves:
+        k = math.floor((c.beta_cap - c.beta_min) / step + QUOTIENT_TOL)
+        grids.append([(c.beta_min + i * step, utility_at(c, c.beta_min + i * step))
+                      for i in range(k + 1)])
+    best = None
+    for combo in itertools.product(*grids):
+        if sum(cap for cap, _ in combo) <= problem.budget + TOL:
+            total = sum(u for _, u in combo)
+            if best is None or total > best:
+                best = total
+    return best, [[cap for cap, _ in g] for g in grids]
+
+
+@st.composite
+def allocation_cases(draw):
+    """1-3 agents, about half with alpha = 0 (flat stretches in the utility
+    curve), budgets from 1 (binding) to m (slack), steps 0.01 to 0.05."""
+    m = draw(st.sampled_from((1, 2, 3)))
+    agents = []
+    for _ in range(m):
+        n = draw(st.integers(1, 4))
+        rewards = np.cumsum(draw(st.lists(st.floats(0.3, 2.0), min_size=n, max_size=n)))
+        costs = np.cumsum(draw(st.lists(st.floats(0.05, 0.6), min_size=n, max_size=n)))
+        slack = float(np.max(rewards - costs))
+        assume(slack > 0.05)
+        agents.append(make_agent(
+            rewards,
+            costs,
+            kappa_s=draw(st.floats(0.3, 0.95)) * slack,
+            # cheap inspection puts the peaks at large caps, so budgets bind
+            kappa_i=draw(st.floats(0.01, 1.0)),
+            alpha=draw(st.just(0.0) | st.floats(0.0, 0.3)),
+        ))
+    budget = draw(st.integers(1, m))
+    step = draw(st.sampled_from([0.01, 0.05]) | st.floats(0.01, 0.05))
+    return AllocationProblem(tuple(agents), budget), step
+
+
+@settings(max_examples=100, deadline=None)
+@given(allocation_cases())
+def test_allocate_oracle_matches_plain_enumeration(case):
+    """The last agent's largest affordable cap loses no allocation: the
+    totals are equal, and the caps are affordable grid points."""
+    problem, step = case
+    best, grids = _enumerate_allocations(problem, step)
+    if best is None:
+        with pytest.raises(InfeasibleBudget):
+            brute_force_allocate(problem, step)
+        return
+    alloc = brute_force_allocate(problem, step)
+    assert alloc.total_utility == best
+    assert all(cap in grid for cap, grid in zip(alloc.caps, grids))
+    assert sum(alloc.caps) <= problem.budget + TOL
