@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import random
 import sys
 from typing import IO
 
@@ -161,9 +162,12 @@ def _cmd_schedule(args, out: IO[str]) -> int:
     empirical = None
     if args.samples:
         counts = [0] * len(targets)
-        for s in range(args.samples):
+        # one stream for the whole run; seeding a generator per draw cost more
+        # than the draws
+        rng = random.Random(args.seed)
+        for _ in range(args.samples):
             # per-rule picks: the idle inspectors past the last rule add nothing
-            for agent in scheduler._draw(sched, args.seed + s):
+            for agent in scheduler._draw(sched, rng):
                 if agent is not None:
                     counts[agent] += 1
         empirical = [c / args.samples for c in counts]

@@ -23,7 +23,7 @@ from .errors import BelowRange, DegenerateInput, ValidationError
 from .tolerance import TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     """One effort level's reward and cost; ``AgentSpec`` checks the values."""
 
@@ -85,20 +85,22 @@ def build_envelope(actions: list[Action] | tuple[Action, ...]) -> UpperEnvelope:
 
 def _scan_hull(actions: list[Action] | tuple[Action, ...]) -> UpperEnvelope:
     """``build_envelope`` for actions that already passed ``_check_actions``."""
+    rewards = [a.reward for a in actions]
+    costs = [a.cost for a in actions]
     hull = [0]
     breakpoints: list[float] = []
     for i in range(1, len(actions)):
-        act = actions[i]
+        r, c = rewards[i], costs[i]
         while True:
-            h = actions[hull[-1]]
-            g = (act.cost - h.cost) / (act.reward - h.reward)
+            h = hull[-1]
+            g = (c - costs[h]) / (r - rewards[h])
             if not breakpoints or g > breakpoints[-1] + TOL:
                 break
             hull.pop()
             breakpoints.pop()
         hull.append(i)
         breakpoints.append(g)
-    values = [g * actions[i].reward - actions[i].cost for g, i in zip(breakpoints, hull[1:])]
+    values = [g * rewards[i] - costs[i] for g, i in zip(breakpoints, hull[1:])]
     if any(b >= a for a, b in zip(breakpoints[1:], breakpoints)):
         raise RuntimeError("envelope breakpoints are not strictly increasing")
     return UpperEnvelope(tuple(hull), tuple(breakpoints), tuple(values))

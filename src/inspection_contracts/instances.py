@@ -76,6 +76,19 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
         raise ValidationError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
+def _action(entry: object, where: str) -> Action:
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{where}: expected an object")
+    _reject_unknown(entry, _ACTION_FIELDS, where)
+    if set(entry) != _ACTION_FIELDS:
+        raise ValidationError(
+            f"{where}: missing field(s) {sorted(_ACTION_FIELDS - set(entry))}"
+        )
+    return Action(
+        _number(entry["reward"], f"{where}.reward"), _number(entry["cost"], f"{where}.cost")
+    )
+
+
 def parse_instance(doc: object) -> Instance:
     if not isinstance(doc, dict):
         raise ValidationError("instance document must be a JSON object")
@@ -105,20 +118,15 @@ def parse_instance(doc: object) -> Instance:
             raise ValidationError(f"{where}.actions: expected a nonempty list")
         actions = []
         for k, entry in enumerate(raw["actions"]):
-            aw = f"{where}.actions[{k}]"
-            if not isinstance(entry, dict):
-                raise ValidationError(f"{aw}: expected an object")
-            _reject_unknown(entry, _ACTION_FIELDS, aw)
-            if set(entry) != _ACTION_FIELDS:
-                raise ValidationError(
-                    f"{aw}: missing field(s) {sorted(_ACTION_FIELDS - set(entry))}"
-                )
-            actions.append(
-                Action(
-                    _number(entry["reward"], f"{aw}.reward"),
-                    _number(entry["cost"], f"{aw}.cost"),
-                )
-            )
+            # the common entry, exactly {"reward": float, "cost": float} with
+            # finite values (x - x is NaN for inf and NaN), passes every check
+            # in _action unchanged, so it needs neither them nor its path
+            if type(entry) is dict and entry.keys() == _ACTION_FIELDS:
+                r, c = entry["reward"], entry["cost"]
+                if type(r) is float and type(c) is float and r - r == 0.0 and c - c == 0.0:
+                    actions.append(Action(r, c))
+                    continue
+            actions.append(_action(entry, f"{where}.actions[{k}]"))
         # parsed outside the try below, whose prefix their paths already carry
         scalars = [
             _number(raw[key], f"{where}.{key}") for key in ("kappa_s", "kappa_i", "alpha")
@@ -139,12 +147,16 @@ def parse_instance(doc: object) -> Instance:
 def load_instance(path: str | Path) -> Instance:
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     try:
-        doc = json.loads(text)
+        # bytes, so json detects UTF-8/16/32 as RFC 8259 says, whatever the locale
+        doc = json.loads(data)
     except ValueError as exc:
-        # JSONDecodeError, or an integer literal past Python's digit limit
+        # JSONDecodeError, UnicodeDecodeError, or an integer literal past
+        # Python's digit limit
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nested too deeply") from None
     return parse_instance(doc)

@@ -176,9 +176,8 @@ def exact_marginals(schedule: InspectionSchedule) -> tuple[float, ...]:
     return tuple(marg)
 
 
-def _draw(schedule: InspectionSchedule, seed: int) -> list[int | None]:
-    """One pick per rule: the rule's agent, or None for an idle inspector."""
-    rng = random.Random(seed)
+def _draw(schedule: InspectionSchedule, rng: random.Random) -> list[int | None]:
+    """One pick per rule, one ``rng.random()`` each: the rule's agent, or None if idle."""
     out: list[int | None] = []
     prev_hit = False
     for rule in schedule.rules:
@@ -207,5 +206,5 @@ def sample_assignment(
     conditional rules exclude the shared boundary agent whenever the previous
     inspector took it.
     """
-    picks = _draw(schedule, seed)
+    picks = _draw(schedule, random.Random(seed))
     return tuple(picks) + (None,) * (schedule.budget - len(picks))

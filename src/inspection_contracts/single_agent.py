@@ -92,7 +92,7 @@ class AgentSpec:
     envelope: UpperEnvelope = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        acts = tuple(sorted(self.actions, key=lambda a: a.cost))
+        acts = tuple(sorted(self.actions, key=attrgetter("cost")))
         object.__setattr__(self, "actions", acts)
         _check_actions(acts)
         for name in _PARAMS:

@@ -1,10 +1,12 @@
 import json
 import pathlib
+import random
 import time
 import tracemalloc
 
 import pytest
 
+from inspection_contracts import scheduler
 from inspection_contracts.cli import main
 from inspection_contracts.tolerance import TOL
 from conftest import NEAR_ONE_IR
@@ -207,6 +209,28 @@ def test_schedule_targets(tmp_path, capsys):
     assert lines[3] == "samples=2000 seed=1"
 
 
+def test_schedule_samples_come_from_one_stream(tmp_path, capsys):
+    doc = json.loads(json.dumps(UNIT1_DOC))
+    doc["budget"] = 2
+    path = write(tmp_path, doc)
+    argv = ["schedule", path, "--targets", "0.6,0.8,0.6", "--samples", "500", "--seed", "7"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    # replay: every draw continues the one generator seeded with --seed
+    sched = scheduler.build_schedule([0.6, 0.8, 0.6], 2)
+    rng = random.Random(7)
+    counts = [0, 0, 0]
+    for _ in range(500):
+        for agent in scheduler._draw(sched, rng):
+            if agent is not None:
+                counts[agent] += 1
+    lines = first.splitlines()
+    for i, count in enumerate(counts):
+        assert lines[i].endswith(f" empirical={count / 500:.6f}")
+
+
 def test_schedule_from_allocation(tmp_path, capsys):
     path = write(tmp_path, four_unit1_doc())
     assert main(["schedule", path, "--from-allocation", "--delta", "0.01"]) == 0
@@ -350,6 +374,29 @@ def test_verify_passes_with_kappa_i_far_above_rewards(tmp_path, capsys):
 
 def test_missing_file(capsys):
     assert main(["solve", "/nonexistent/inst.json"]) == 2
+
+
+def test_invalid_utf8_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(json.dumps(UNIT1_DOC).encode().replace(b'"a1"', b'"a1\xff"'))
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON: ")
+
+
+def test_deeply_nested_json_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32-be"])
+def test_instance_encoding_is_detected(tmp_path, capsys, encoding):
+    # RFC 8259's encodings, told apart by the first bytes whatever the locale
+    path = tmp_path / "inst.json"
+    path.write_bytes(json.dumps(UNIT1_DOC).encode(encoding))
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("agent=a1 gamma=0.300000 ")
 
 
 def test_huge_integer_is_invalid_input(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,15 @@ class TestBuild:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             build_envelope(())
+
+
+def test_action_is_a_frozen_slotted_value():
+    act = Action(10.0, 2.0)
+    assert not hasattr(act, "__dict__")
+    assert act == Action(10.0, 2.0) and hash(act) == hash(Action(10.0, 2.0))
+    assert repr(act) == "Action(reward=10.0, cost=2.0)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        act.reward = 11.0
 
 
 class TestEval:

@@ -1,14 +1,21 @@
 import json
+import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from inspection_contracts import (
+    Action,
+    AgentSpec,
     DegenerateInput,
     InfeasibleSafety,
+    UpperEnvelope,
     ValidationError,
     load_instance,
     parse_instance,
 )
+from inspection_contracts.tolerance import TOL
 
 GOOD = {
     "agents": [
@@ -142,3 +149,156 @@ def test_bad_scalar_names_its_path_once(key):
     with pytest.raises(ValidationError) as exc:
         parse_instance(agent_doc(**{key: "one"}))
     assert str(exc.value) == f"agents[0].{key}: expected a number, got 'one'"
+
+
+def entry_doc(entry: str) -> dict:
+    """GOOD with ``entry`` (JSON text) as the agent's second action."""
+    text = json.dumps(GOOD).replace(
+        '{"reward": 10.0, "cost": 2.0}', '{"reward": 10.0, "cost": 2.0}, ' + entry
+    )
+    return json.loads(text)
+
+
+@pytest.mark.parametrize(
+    "entry, error, message",
+    [
+        ("[10.0, 2.0]", ValidationError, "agents[0].actions[1]: expected an object"),
+        ("12.0", ValidationError, "agents[0].actions[1]: expected an object"),
+        (
+            '{"reward": 12.0, "cost": 3.0, "weight": 1}',
+            ValidationError,
+            "agents[0].actions[1]: unknown field(s) ['weight']",
+        ),
+        ('{"reward": 12.0}', ValidationError, "agents[0].actions[1]: missing field(s) ['cost']"),
+        ("{}", ValidationError, "agents[0].actions[1]: missing field(s) ['cost', 'reward']"),
+        (
+            '{"reward": true, "cost": 3.0}',
+            ValidationError,
+            "agents[0].actions[1].reward: expected a number, got True",
+        ),
+        (
+            '{"reward": 12.0, "cost": "1"}',
+            ValidationError,
+            "agents[0].actions[1].cost: expected a number, got '1'",
+        ),
+        (
+            '{"reward": null, "cost": 3.0}',
+            ValidationError,
+            "agents[0].actions[1].reward: expected a number, got None",
+        ),
+        (
+            '{"reward": NaN, "cost": 3.0}',
+            ValidationError,
+            "agents[0].actions[1].reward: expected a finite number, got nan",
+        ),
+        (
+            '{"reward": 12.0, "cost": Infinity}',
+            ValidationError,
+            "agents[0].actions[1].cost: expected a finite number, got inf",
+        ),
+        (
+            '{"reward": 1e400, "cost": 3.0}',
+            ValidationError,
+            "agents[0].actions[1].reward: expected a finite number, got inf",
+        ),
+        (
+            '{"reward": 12.0, "cost": 1' + "0" * 400 + "}",
+            ValidationError,
+            "agents[0].actions[1].cost: number too large for a float",
+        ),
+        (
+            '{"reward": -1.0, "cost": 3.0}',
+            ValidationError,
+            "agents[0] ('a1'): Action(reward=-1.0, cost=3.0): values must be finite and nonnegative",
+        ),
+        (
+            '{"reward": 12.0, "cost": 1.0}',
+            DegenerateInput,
+            "agents[0] ('a1'): Action(reward=12.0, cost=1.0) and Action(reward=10.0, cost=2.0):"
+            " costs and rewards must strictly increase",
+        ),
+    ],
+)
+def test_bad_action_entry_message(entry, error, message):
+    with pytest.raises(ValidationError) as exc:
+        parse_instance(entry_doc(entry))
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+class Money(float):
+    """A float subclass: not what JSON gives, but a number all the same."""
+
+
+@pytest.mark.parametrize("value", [12, 12.0, Money(12.0)], ids=["int", "float", "subclass"])
+def test_action_values_are_stored_as_floats(value):
+    doc = entry_doc('{"reward": 0.0, "cost": 3.0}')
+    doc["agents"][0]["actions"][1]["reward"] = value
+    _, act = parse_instance(doc).agents[0].spec.actions
+    assert type(act.reward) is float and act == Action(12.0, 3.0)
+
+
+def reference_scan(actions):
+    """The monotone chain read straight off ``Action`` attributes; ``_scan_hull``'s reference."""
+    hull = [0]
+    breakpoints = []
+    for i in range(1, len(actions)):
+        act = actions[i]
+        while True:
+            h = actions[hull[-1]]
+            g = (act.cost - h.cost) / (act.reward - h.reward)
+            if not breakpoints or g > breakpoints[-1] + TOL:
+                break
+            hull.pop()
+            breakpoints.pop()
+        hull.append(i)
+        breakpoints.append(g)
+    values = [g * actions[i].reward - actions[i].cost for g, i in zip(breakpoints, hull[1:])]
+    return UpperEnvelope(tuple(hull), tuple(breakpoints), tuple(values))
+
+
+@st.composite
+def json_action_lists(draw):
+    """Increasing (reward, cost) pairs, each value a JSON int or float.
+
+    Some points sit a few ulps off the line through the previous two, where
+    the hull's ``TOL`` test decides whether the middle one survives.
+    """
+    reward_steps = st.one_of(st.integers(1, 1000), st.floats(0.01, 1000.0))
+    cost_steps = st.one_of(st.integers(1, 100), st.floats(0.001, 100.0))
+    pairs = [(draw(st.integers(1, 50)), draw(st.integers(0, 5)))]
+    for _ in range(draw(st.integers(0, 11))):
+        r1, c1 = pairs[-1]
+        if len(pairs) >= 2 and draw(st.booleans()):
+            r0, c0 = pairs[-2]
+            r2 = r1 + (r1 - r0) * draw(st.floats(0.5, 2.0))
+            c2 = c1 + (c1 - c0) * ((r2 - r1) / (r1 - r0))
+            for _ in range(draw(st.integers(0, 3))):
+                c2 = math.nextafter(c2, draw(st.sampled_from([-math.inf, math.inf])))
+            if r2 > r1 and c2 > c1:
+                pairs.append((r2, c2))
+        else:
+            r2 = r1 + draw(reward_steps)
+            c2 = c1 + draw(cost_steps)
+            if r2 > r1 and c2 > c1:
+                pairs.append((r2, c2))
+    return pairs
+
+
+@given(json_action_lists())
+@settings(max_examples=300, deadline=None)
+def test_parsed_spec_and_envelope_match_references(pairs):
+    entries = ", ".join(f'{{"reward": {json.dumps(r)}, "cost": {json.dumps(c)}}}' for r, c in pairs)
+    text = (
+        f'{{"agents": [{{"name": "a", "actions": [{entries}],'
+        ' "kappa_s": 0.0, "kappa_i": 1.0, "alpha": 0.0}]}'
+    )
+    try:
+        spec = parse_instance(json.loads(text)).agents[0].spec
+    except InfeasibleSafety:
+        assume(False)
+    actions = tuple(Action(float(r), float(c)) for r, c in pairs)
+    assert spec == AgentSpec(actions, 0.0, 1.0, 0.0)
+    assert all(type(a.reward) is float and type(a.cost) is float for a in spec.actions)
+    ref = reference_scan(actions)
+    assert spec.envelope == ref and repr(spec.envelope) == repr(ref)
