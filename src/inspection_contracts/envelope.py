@@ -9,15 +9,21 @@ sorted).  Segment j is owned by hull action i_j between two consecutive
 breakpoints, and neighbouring hull lines intersect exactly at the breakpoint
 they share.
 
-The envelope is built over gamma in [0, inf); truncation to [0, 1] is a
-caller concern.
+The helpers take an agent's actions as two columns, ``rewards`` and
+``costs`` (action i is (rewards[i], costs[i])), the form ``AgentSpec`` stores;
+only ``build_envelope`` takes ``Action`` records, which it converts.  The
+envelope is built over gamma in [0, inf); truncation to [0, 1] is a caller
+concern.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 
 from .errors import BelowRange, DegenerateInput, ValidationError
 from .tolerance import TOL
@@ -46,31 +52,43 @@ class UpperEnvelope:
     breakpoint_values: tuple[float, ...]
 
 
-def _check_actions(actions: list[Action] | tuple[Action, ...]) -> None:
+def _increasing(xs: Sequence[float]) -> bool:
+    """Whether ``xs`` strictly increases; a NaN fails every comparison."""
+    return all(map(lt, xs, islice(xs, 1, None)))
+
+
+def _check_actions(rewards: Sequence[float], costs: Sequence[float]) -> None:
     """The one check on action values and order (Assumption 1).
 
-    A bad value raises ValidationError ahead of any order breach (DegenerateInput).
+    Action i is (rewards[i], costs[i]).  A bad value raises ValidationError
+    ahead of any order breach (DegenerateInput); both name the actions by value.
     """
-    if not actions:
+    if not rewards:
         raise ValidationError("at least one action is required")
-    # a fast path, exact for floats; NaN fails every comparison
+    # a fast path, exact for floats: strictly increasing columns whose first
+    # values are >= 0 (above the float just below 0) and whose last values
+    # are finite hold only finite nonnegative values
+    low = -math.ulp(0.0)
     top = math.nextafter(math.inf, 0.0)  # the largest float
-    r = c = -math.ulp(0.0)  # the float just below 0
-    for act in actions:
-        if not (r < act.reward <= top and c < act.cost <= top):
-            break
-        r, c = act.reward, act.cost
-    else:
+    if (
+        low < rewards[0]
+        and low < costs[0]
+        and rewards[-1] <= top
+        and costs[-1] <= top
+        and _increasing(rewards)
+        and _increasing(costs)
+    ):
         return
-    for act in actions:
-        if not all(math.isfinite(v) and v >= 0 for v in (act.reward, act.cost)):
-            raise ValidationError(f"{act}: values must be finite and nonnegative")
-    for prev, act in zip(actions, actions[1:]):
-        if not (prev.reward < act.reward and prev.cost < act.cost):
+    for r, c in zip(rewards, costs):
+        if not all(math.isfinite(v) and v >= 0 for v in (r, c)):
+            raise ValidationError(f"{Action(r, c)}: values must be finite and nonnegative")
+    for i in range(1, len(rewards)):
+        if not (rewards[i - 1] < rewards[i] and costs[i - 1] < costs[i]):
+            prev, act = Action(rewards[i - 1], costs[i - 1]), Action(rewards[i], costs[i])
             raise DegenerateInput(f"{prev} and {act}: costs and rewards must strictly increase")
 
 
-def build_envelope(actions: list[Action] | tuple[Action, ...]) -> UpperEnvelope:
+def build_envelope(actions: Sequence[Action]) -> UpperEnvelope:
     """Build the upper envelope of the lines gamma*R_i - c_i.
 
     Checks the actions as ``AgentSpec`` does: strictly increasing costs and
@@ -79,17 +97,17 @@ def build_envelope(actions: list[Action] | tuple[Action, ...]) -> UpperEnvelope:
     point whose slope exceeds the previous one by no more than ``TOL`` is
     weakly dominated and dropped, so every segment has a unique owner.
     """
-    _check_actions(actions)
-    return _scan_hull(actions)
-
-
-def _scan_hull(actions: list[Action] | tuple[Action, ...]) -> UpperEnvelope:
-    """``build_envelope`` for actions that already passed ``_check_actions``."""
     rewards = [a.reward for a in actions]
     costs = [a.cost for a in actions]
+    _check_actions(rewards, costs)
+    return _scan_hull(rewards, costs)
+
+
+def _scan_hull(rewards: Sequence[float], costs: Sequence[float]) -> UpperEnvelope:
+    """``build_envelope`` for columns that already passed ``_check_actions``."""
     hull = [0]
     breakpoints: list[float] = []
-    for i in range(1, len(actions)):
+    for i in range(1, len(rewards)):
         r, c = rewards[i], costs[i]
         while True:
             h = hull[-1]
@@ -116,29 +134,28 @@ def segment_at(env: UpperEnvelope, gamma: float) -> int:
 
 
 def eval_envelope(
-    env: UpperEnvelope, actions: list[Action] | tuple[Action, ...], gamma: float
+    env: UpperEnvelope, rewards: Sequence[float], costs: Sequence[float], gamma: float
 ) -> float:
     """u_h(gamma) = max_i (gamma*R_i - c_i), exact on the owning segment."""
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    act = actions[env.hull_actions[segment_at(env, gamma)]]
-    return gamma * act.reward - act.cost
+    i = env.hull_actions[segment_at(env, gamma)]
+    return gamma * rewards[i] - costs[i]
 
 
 def invert_envelope(
-    env: UpperEnvelope, actions: list[Action] | tuple[Action, ...], y: float
+    env: UpperEnvelope, rewards: Sequence[float], costs: Sequence[float], y: float
 ) -> float:
     """The unique gamma >= 0 with u_h(gamma) = y.
 
     Uniqueness comes from strict monotonicity of the envelope on [0, inf).
     Raises BelowRange when y < u_h(0) - TOL*R_n, where u_h(0) = -min_i c_i.
     """
-    floor = -actions[env.hull_actions[0]].cost
-    if y < floor - TOL * actions[-1].reward:
+    floor = -costs[env.hull_actions[0]]
+    if y < floor - TOL * rewards[-1]:
         raise BelowRange(f"target {y} is below the envelope minimum {floor}")
-    j = bisect_left(env.breakpoint_values, y)
-    act = actions[env.hull_actions[j]]
-    if act.reward <= 0.0:
+    i = env.hull_actions[bisect_left(env.breakpoint_values, y)]
+    if rewards[i] <= 0.0:
         # flat first segment (zero-reward action): y can only be the floor
         return 0.0
-    return max((y + act.cost) / act.reward, 0.0)
+    return max((y + costs[i]) / rewards[i], 0.0)

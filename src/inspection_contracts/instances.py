@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .envelope import Action
 from .errors import ContractError, ValidationError
 from .single_agent import AgentSpec, check_safety
 
@@ -76,7 +75,8 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
         raise ValidationError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
-def _action(entry: object, where: str) -> Action:
+def _action(entry: object, where: str) -> tuple[float, float]:
+    """The checked (reward, cost) of one action entry."""
     if not isinstance(entry, dict):
         raise ValidationError(f"{where}: expected an object")
     _reject_unknown(entry, _ACTION_FIELDS, where)
@@ -84,9 +84,7 @@ def _action(entry: object, where: str) -> Action:
         raise ValidationError(
             f"{where}: missing field(s) {sorted(_ACTION_FIELDS - set(entry))}"
         )
-    return Action(
-        _number(entry["reward"], f"{where}.reward"), _number(entry["cost"], f"{where}.cost")
-    )
+    return _number(entry["reward"], f"{where}.reward"), _number(entry["cost"], f"{where}.cost")
 
 
 def parse_instance(doc: object) -> Instance:
@@ -114,9 +112,15 @@ def parse_instance(doc: object) -> Instance:
         name = raw["name"]
         if not isinstance(name, str) or not name:
             raise ValidationError(f"{where}.name: expected a nonempty string")
+        try:
+            # a lone surrogate escape ("\ud800") parses but cannot be written out
+            name.encode()
+        except UnicodeEncodeError:
+            raise ValidationError(f"{where}.name: expected a string UTF-8 can encode") from None
         if not isinstance(raw["actions"], list) or not raw["actions"]:
             raise ValidationError(f"{where}.actions: expected a nonempty list")
-        actions = []
+        rewards: list[float] = []
+        costs: list[float] = []
         for k, entry in enumerate(raw["actions"]):
             # the common entry, exactly {"reward": float, "cost": float} with
             # finite values (x - x is NaN for inf and NaN), passes every check
@@ -124,15 +128,18 @@ def parse_instance(doc: object) -> Instance:
             if type(entry) is dict and entry.keys() == _ACTION_FIELDS:
                 r, c = entry["reward"], entry["cost"]
                 if type(r) is float and type(c) is float and r - r == 0.0 and c - c == 0.0:
-                    actions.append(Action(r, c))
+                    rewards.append(r)
+                    costs.append(c)
                     continue
-            actions.append(_action(entry, f"{where}.actions[{k}]"))
+            r, c = _action(entry, f"{where}.actions[{k}]")
+            rewards.append(r)
+            costs.append(c)
         # parsed outside the try below, whose prefix their paths already carry
         scalars = [
             _number(raw[key], f"{where}.{key}") for key in ("kappa_s", "kappa_i", "alpha")
         ]
         try:
-            spec = AgentSpec(tuple(actions), *scalars)
+            spec = AgentSpec.from_columns(rewards, costs, *scalars)
             check_safety(spec)
         except ContractError as exc:
             raise type(exc)(f"{where} ({name!r}): {exc}") from None

@@ -174,10 +174,10 @@ def check_ic_ir(
     shade = (1.0 - beta) * (1.0 - agent.alpha) * gamma
 
     def util(i: int, safe: bool) -> float:
-        act = agent.actions[i]
+        r, c = agent.rewards[i], agent.costs[i]
         if safe:
-            return gamma * act.reward - act.cost - agent.kappa_s
-        return shade * act.reward - act.cost
+            return gamma * r - c - agent.kappa_s
+        return shade * r - c
 
     u = util(*intended)
     if u < -tie:

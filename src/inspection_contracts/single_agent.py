@@ -42,13 +42,15 @@ import copy
 import math
 from bisect import bisect_left
 from contextlib import suppress
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import InitVar, dataclass, field
 from operator import attrgetter
 
 from .envelope import (
     Action,
     UpperEnvelope,
     _check_actions,
+    _increasing,
     _scan_hull,
     eval_envelope,
     invert_envelope,
@@ -73,48 +75,88 @@ def _check_param(name: str, value: float) -> None:
         raise ValidationError(f"alpha must lie in [0, 1), got {value!r}")
 
 
-@dataclass(frozen=True)
+def _action_view(spec: AgentSpec) -> tuple[Action, ...]:
+    return tuple(map(Action, spec.rewards, spec.costs))
+
+
+@dataclass(frozen=True, init=False)
 class AgentSpec:
     """One agent: actions plus the three cost/probability parameters.
 
-    Actions are sorted by cost and checked once, on construction, as are the
-    field ranges; the solvers trust a built spec.  The upper envelope
-    (``envelope``) is built once here too: none of kappa_s, kappa_i or alpha
-    enters it, so every curve and every sweep row reuses it.  Feasibility of
-    safety (Assumption 2, max(R_i - c_i) > kappa_s) is checked by
-    ``check_safety``, which the curve builders and the loader call.
+    The actions are stored as two columns, ``rewards`` and ``costs`` (action
+    i is (rewards[i], costs[i])), sorted by cost and checked once, on
+    construction, as are the field ranges; the solvers trust a built spec.
+    ``AgentSpec(actions, kappa_s, kappa_i, alpha)`` takes ``Action`` records
+    and ``AgentSpec.from_columns`` the two columns; ``actions`` is a view of
+    the columns as ``Action`` records, built on each access.  The upper
+    envelope (``envelope``) is built once here too: none of kappa_s, kappa_i
+    or alpha enters it, so every curve and every sweep row reuses it.
+    Feasibility of safety (Assumption 2, max(R_i - c_i) > kappa_s) is checked
+    by ``check_safety``, which the curve builders and the loader call.
     """
 
-    actions: tuple[Action, ...]
+    # init-only and not stored; as an InitVar with a default (the view),
+    # dataclasses.replace reads it and passes it back to __init__
+    actions: InitVar[tuple[Action, ...]] = property(_action_view)
+    rewards: tuple[float, ...] = field(init=False)
+    costs: tuple[float, ...] = field(init=False)
     kappa_s: float
     kappa_i: float
     alpha: float
     envelope: UpperEnvelope = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        acts = tuple(sorted(self.actions, key=attrgetter("cost")))
-        object.__setattr__(self, "actions", acts)
-        _check_actions(acts)
-        for name in _PARAMS:
-            _check_param(name, getattr(self, name))
-        object.__setattr__(self, "envelope", _scan_hull(acts))
+    def __init__(
+        self, actions: Iterable[Action], kappa_s: float, kappa_i: float, alpha: float
+    ) -> None:
+        acts = tuple(actions)
+        self._build([a.reward for a in acts], [a.cost for a in acts], kappa_s, kappa_i, alpha)
+
+    @classmethod
+    def from_columns(
+        cls,
+        rewards: Sequence[float],
+        costs: Sequence[float],
+        kappa_s: float,
+        kappa_i: float,
+        alpha: float,
+    ) -> AgentSpec:
+        """The spec of the actions (rewards[i], costs[i]), in any order."""
+        if len(rewards) != len(costs):
+            raise ValidationError(f"{len(rewards)} rewards but {len(costs)} costs")
+        spec = cls.__new__(cls)
+        spec._build(rewards, costs, kappa_s, kappa_i, alpha)
+        return spec
+
+    def _build(
+        self,
+        rewards: Sequence[float],
+        costs: Sequence[float],
+        kappa_s: float,
+        kappa_i: float,
+        alpha: float,
+    ) -> None:
+        if not _increasing(costs):
+            # the one stable sort by cost, the order sorted(key=cost) gives
+            order = sorted(range(len(costs)), key=costs.__getitem__)
+            rewards = [rewards[i] for i in order]
+            costs = [costs[i] for i in order]
+        rewards, costs = tuple(rewards), tuple(costs)
+        _check_actions(rewards, costs)
+        for name, value in zip(_PARAMS, (kappa_s, kappa_i, alpha)):
+            _check_param(name, value)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "rewards", rewards)
+        object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "envelope", _scan_hull(rewards, costs))
 
     @property
     def n(self) -> int:
-        return len(self.actions)
+        return len(self.rewards)
 
     @property
     def money_scale(self) -> float:
         """R_n, the largest reward: money slacks are ``TOL * money_scale``."""
-        return self.actions[-1].reward
-
-    @property
-    def rewards(self) -> tuple[float, ...]:
-        return tuple(a.reward for a in self.actions)
-
-    @property
-    def costs(self) -> tuple[float, ...]:
-        return tuple(a.cost for a in self.actions)
+        return self.rewards[-1]
 
 
 @dataclass(frozen=True)
@@ -236,7 +278,7 @@ def needs_inspection(agent: AgentSpec) -> bool:
 
 def check_safety(agent: AgentSpec) -> float:
     """The hull's u_h(1) = max(R_i - c_i); InfeasibleSafety unless > kappa_s (Assumption 2)."""
-    top = eval_envelope(agent.envelope, agent.actions, 1.0)
+    top = eval_envelope(agent.envelope, agent.rewards, agent.costs, 1.0)
     if top <= agent.kappa_s:
         raise InfeasibleSafety(
             f"max(R_i - c_i) = {top} does not exceed kappa_s = {agent.kappa_s} "
@@ -253,10 +295,10 @@ def build_beta_curve(agent: AgentSpec) -> BetaCurve:
     point where beta reaches 0 (everything beyond is clamped).  Both walks are
     monotone, so there are O(n) pieces.
     """
-    acts = agent.actions
+    rewards, costs = agent.rewards, agent.costs
     env = agent.envelope
     top = check_safety(agent)
-    gamma_ir = invert_envelope(env, acts, agent.kappa_s)
+    gamma_ir = invert_envelope(env, rewards, costs, agent.kappa_s)
 
     cuts = {gamma_ir, 1.0}
     for b, val in zip(env.breakpoints, env.breakpoint_values):
@@ -264,7 +306,7 @@ def build_beta_curve(agent: AgentSpec) -> BetaCurve:
             cuts.add(b)
         lifted = val + agent.kappa_s
         if lifted <= top:
-            g = invert_envelope(env, acts, lifted)
+            g = invert_envelope(env, rewards, costs, lifted)
             if gamma_ir < g < 1.0:
                 cuts.add(g)
     bounds = sorted(cuts)
@@ -283,10 +325,13 @@ def build_beta_curve(agent: AgentSpec) -> BetaCurve:
     for lo, hi in zip(merged, merged[1:]):
         mid = 0.5 * (lo + hi)
         owner = env.hull_actions[segment_at(env, mid)]
-        tilde = invert_envelope(env, acts, eval_envelope(env, acts, mid) - agent.kappa_s)
-        shadow = env.hull_actions[segment_at(env, tilde)]
-        own, sh = acts[owner], acts[shadow]
-        coeffs = (own.reward, own.cost + agent.kappa_s - sh.cost, sh.reward * (1.0 - agent.alpha))
+        lowered = eval_envelope(env, rewards, costs, mid) - agent.kappa_s
+        shadow = env.hull_actions[segment_at(env, invert_envelope(env, rewards, costs, lowered))]
+        coeffs = (
+            rewards[owner],
+            costs[owner] + agent.kappa_s - costs[shadow],
+            rewards[shadow] * (1.0 - agent.alpha),
+        )
         if clamped_seen or _beta_raw(*coeffs, lo) <= 0.0:
             pieces.append(BetaPiece(lo, hi, owner, shadow, True, *coeffs))
             clamped_seen = True
@@ -334,12 +379,12 @@ def agent_best_response(
     shade = (1.0 - beta) * (1.0 - agent.alpha) * gamma
     best: tuple[int, bool] | None = None
     best_u = -math.inf
-    for i, act in enumerate(agent.actions):
+    for i, (r, c) in enumerate(zip(agent.rewards, agent.costs)):
         for safe in (True, False):
             if safe:
-                u = gamma * act.reward - act.cost - agent.kappa_s
+                u = gamma * r - c - agent.kappa_s
             else:
-                u = shade * act.reward - act.cost
+                u = shade * r - c
             if u > best_u + tie:
                 best, best_u = (i, safe), u
             elif u > best_u - tie and best is not None:
@@ -365,7 +410,7 @@ def principal_utility(
     i, safe = response
     if not safe:
         return -math.inf
-    return (1.0 - contract.gamma) * agent.actions[i].reward - contract.beta * agent.kappa_i
+    return (1.0 - contract.gamma) * agent.rewards[i] - contract.beta * agent.kappa_i
 
 
 @dataclass(frozen=True)
@@ -416,7 +461,7 @@ class SweepPoint:
 def _with_param(agent: AgentSpec, name: str, value: float) -> AgentSpec:
     """``replace(agent, **{name: value})`` that checks only ``value``.
 
-    The copy shares the agent's checked actions and its envelope, which no
+    The copy shares the agent's checked columns and its envelope, which no
     scalar field enters.
     """
     _check_param(name, value)
@@ -433,7 +478,7 @@ def sweep_parameter(
     Rows where the perturbed agent is invalid or infeasible are emitted as
     infeasible markers instead of aborting the sweep.  Each row equals
     ``solve_single(replace(agent, **{which: v}))`` but reuses what ``v`` does
-    not touch: every row shares the agent's actions and envelope, and a
+    not touch: every row shares the agent's columns and envelope, and a
     kappa_i sweep, where beta(gamma) does not depend on kappa_i, builds the
     curve once and takes each row's best peak.
     """

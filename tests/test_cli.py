@@ -383,6 +383,16 @@ def test_invalid_utf8_is_invalid_input(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON: ")
 
 
+def test_unencodable_agent_name_is_invalid_input(tmp_path, capsys):
+    # "\ud800" in the file is valid JSON, but no UTF-8 stdout can carry the name
+    doc = json.loads(json.dumps(UNIT1_DOC))
+    doc["agents"][0]["name"] = "a\ud800"
+    path = write(tmp_path, doc)
+    assert '"a\\ud800"' in pathlib.Path(path).read_text()
+    assert main(["solve", path]) == 2
+    assert capsys.readouterr().err == "error: agents[0].name: expected a string UTF-8 can encode\n"
+
+
 def test_deeply_nested_json_is_invalid_input(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

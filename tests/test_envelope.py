@@ -21,6 +21,11 @@ def lines(rewards, costs):
     return tuple(Action(r, c) for r, c in zip(rewards, costs))
 
 
+def columns(actions):
+    """The (rewards, costs) columns that evaluation and inversion take."""
+    return [a.reward for a in actions], [a.cost for a in actions]
+
+
 def pointwise_max(actions, gamma):
     return max(gamma * a.reward - a.cost for a in actions)
 
@@ -40,7 +45,7 @@ class TestBuild:
         # frozen breakpoints double-checked against the pointwise-max oracle:
         # owners must match on a fine grid
         for g in np.arange(0.0, 1.0001, 1e-4):
-            assert eval_envelope(env, acts, g) == pytest.approx(
+            assert eval_envelope(env, *columns(acts), g) == pytest.approx(
                 pointwise_max(acts, g), abs=1e-12
             )
 
@@ -95,46 +100,46 @@ class TestEval:
     def test_six_action_at_03(self):
         acts = lines(NONCONVEX_R, NONCONVEX_C)
         env = build_envelope(acts)
-        assert eval_envelope(env, acts, 0.3) == pytest.approx(0.0, abs=1e-12)
+        assert eval_envelope(env, *columns(acts), 0.3) == pytest.approx(0.0, abs=1e-12)
 
     def test_at_zero_is_minus_min_cost(self):
         acts = lines(NONCONVEX_R, NONCONVEX_C)
         env = build_envelope(acts)
-        assert eval_envelope(env, acts, 0.0) == -1.0
+        assert eval_envelope(env, *columns(acts), 0.0) == -1.0
 
     def test_single_action(self):
         acts = lines([10], [2])
         env = build_envelope(acts)
-        assert eval_envelope(env, acts, 0.5) == pytest.approx(3.0)
+        assert eval_envelope(env, *columns(acts), 0.5) == pytest.approx(3.0)
 
     def test_negative_gamma_rejected(self):
         acts = lines([10], [2])
         env = build_envelope(acts)
         with pytest.raises(ValueError):
-            eval_envelope(env, acts, -0.1)
+            eval_envelope(env, *columns(acts), -0.1)
 
 
 class TestInvert:
     def test_six_action_y1(self):
         acts = lines(NONCONVEX_R, NONCONVEX_C)
         env = build_envelope(acts)
-        assert invert_envelope(env, acts, 1.0) == pytest.approx(3.1 / 7, abs=1e-12)
+        assert invert_envelope(env, *columns(acts), 1.0) == pytest.approx(3.1 / 7, abs=1e-12)
 
     def test_single_action_root(self):
         acts = lines([10], [2])
         env = build_envelope(acts)
-        assert invert_envelope(env, acts, 0.0) == pytest.approx(0.2)
+        assert invert_envelope(env, *columns(acts), 0.0) == pytest.approx(0.2)
 
     def test_left_endpoint(self):
         acts = lines(NONCONVEX_R, NONCONVEX_C)
         env = build_envelope(acts)
-        assert invert_envelope(env, acts, -1.0) == 0.0
+        assert invert_envelope(env, *columns(acts), -1.0) == 0.0
 
     def test_below_range(self):
         acts = lines([10], [2])
         env = build_envelope(acts)
         with pytest.raises(BelowRange):
-            invert_envelope(env, acts, -2.5)
+            invert_envelope(env, *columns(acts), -2.5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,7 +154,7 @@ def test_eval_matches_pointwise_max(pairs, gamma):
     costs = np.cumsum([p[1] for p in pairs])
     acts = lines(rewards, costs)
     env = build_envelope(acts)
-    assert eval_envelope(env, acts, gamma) == pytest.approx(
+    assert eval_envelope(env, *columns(acts), gamma) == pytest.approx(
         pointwise_max(acts, gamma), abs=1e-12
     )
 
@@ -168,15 +173,15 @@ class TestProperties:
         acts = lines(NONCONVEX_R, NONCONVEX_C)
         env = build_envelope(acts)
         for g in self.rng.uniform(0, 1, 1000):
-            assert abs(eval_envelope(env, acts, g) - pointwise_max(acts, g)) <= 1e-12
+            assert abs(eval_envelope(env, *columns(acts), g) - pointwise_max(acts, g)) <= 1e-12
 
     def test_invert_is_right_inverse(self):
         for _ in range(50):
             acts = self._random_lines()
             env = build_envelope(acts)
             for g in self.rng.uniform(0, 1.5, 20):
-                y = eval_envelope(env, acts, g)
-                assert invert_envelope(env, acts, y) == pytest.approx(g, abs=1e-9)
+                y = eval_envelope(env, *columns(acts), g)
+                assert invert_envelope(env, *columns(acts), y) == pytest.approx(g, abs=1e-9)
 
     def test_convexity_midpoint(self):
         for _ in range(50):
@@ -184,8 +189,8 @@ class TestProperties:
             env = build_envelope(acts)
             a, b = np.sort(self.rng.uniform(0, 1, 2))
             mid = 0.5 * (a + b)
-            lhs = eval_envelope(env, acts, mid)
-            rhs = 0.5 * (eval_envelope(env, acts, a) + eval_envelope(env, acts, b))
+            lhs = eval_envelope(env, *columns(acts), mid)
+            rhs = 0.5 * (eval_envelope(env, *columns(acts), a) + eval_envelope(env, *columns(acts), b))
             assert lhs <= rhs + 1e-12
 
     def test_non_hull_actions_never_above(self):
@@ -193,6 +198,6 @@ class TestProperties:
             acts = self._random_lines()
             env = build_envelope(acts)
             for g in np.linspace(0, 1, 101):
-                top = eval_envelope(env, acts, g)
+                top = eval_envelope(env, *columns(acts), g)
                 for act in acts:
                     assert g * act.reward - act.cost <= top + 1e-12

@@ -1,20 +1,24 @@
 import json
 import math
+from operator import attrgetter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inspection_contracts import (
     Action,
     AgentSpec,
+    ContractError,
     DegenerateInput,
     InfeasibleSafety,
     UpperEnvelope,
     ValidationError,
+    build_envelope,
     load_instance,
     parse_instance,
 )
+from inspection_contracts.single_agent import check_safety
 from inspection_contracts.tolerance import TOL
 
 GOOD = {
@@ -135,6 +139,16 @@ def test_unsorted_actions_are_canonicalized():
     )
     inst = parse_instance(doc)
     assert inst.agents[0].spec.costs == (1.0, 2.0)
+
+
+def test_name_utf8_cannot_encode_rejected():
+    # a lone surrogate escape parses as a str but cannot be written out
+    doc = json.loads(json.dumps(GOOD).replace('"a1"', '"a\\ud800"'))
+    assert doc["agents"][0]["name"] == "a\ud800"
+    with pytest.raises(ValidationError) as exc:
+        parse_instance(doc)
+    assert type(exc.value) is ValidationError
+    assert str(exc.value) == "agents[0].name: expected a string UTF-8 can encode"
 
 
 def test_agent_lookup():
@@ -259,10 +273,11 @@ def reference_scan(actions):
 
 @st.composite
 def json_action_lists(draw):
-    """Increasing (reward, cost) pairs, each value a JSON int or float.
+    """(reward, cost) pairs, each value a JSON int or float or a float subclass.
 
-    Some points sit a few ulps off the line through the previous two, where
-    the hull's ``TOL`` test decides whether the middle one survives.
+    The pairs mostly increase.  Some points sit a few ulps off the line
+    through the previous two, where the hull's ``TOL`` test decides whether
+    the middle one survives; some lists repeat a cost or come unsorted.
     """
     reward_steps = st.one_of(st.integers(1, 1000), st.floats(0.01, 1000.0))
     cost_steps = st.one_of(st.integers(1, 100), st.floats(0.001, 100.0))
@@ -282,23 +297,77 @@ def json_action_lists(draw):
             c2 = c1 + draw(cost_steps)
             if r2 > r1 and c2 > c1:
                 pairs.append((r2, c2))
-    return pairs
+    index = st.integers(0, len(pairs) - 1)
+    if len(pairs) >= 2 and draw(st.booleans()):
+        i, j = draw(index), draw(index)
+        pairs[i] = (pairs[i][0], pairs[j][1])
+    if draw(st.booleans()):
+        pairs = [pairs[k] for k in draw(st.permutations(range(len(pairs))))]
+    as_money = st.booleans().map(lambda money: Money if money else (lambda v: v))
+    return [(draw(as_money)(r), draw(as_money)(c)) for r, c in pairs]
+
+
+def as_loaded(build):
+    """``build()``'s spec if it passes ``check_safety``, else its ContractError
+    as ``parse_instance`` words it for agent ``a``."""
+    try:
+        spec = build()
+        check_safety(spec)
+    except ContractError as exc:
+        return type(exc), f"agents[0] ('a'): {exc}"
+    return spec
 
 
 @given(json_action_lists())
 @settings(max_examples=300, deadline=None)
 def test_parsed_spec_and_envelope_match_references(pairs):
-    entries = ", ".join(f'{{"reward": {json.dumps(r)}, "cost": {json.dumps(c)}}}' for r, c in pairs)
-    text = (
-        f'{{"agents": [{{"name": "a", "actions": [{entries}],'
-        ' "kappa_s": 0.0, "kappa_i": 1.0, "alpha": 0.0}]}'
-    )
-    try:
-        spec = parse_instance(json.loads(text)).agents[0].spec
-    except InfeasibleSafety:
-        assume(False)
+    # the document json.loads would give, but for the float subclass values
+    doc = {
+        "agents": [
+            {
+                "name": "a",
+                "actions": [{"reward": r, "cost": c} for r, c in pairs],
+                "kappa_s": 0.0,
+                "kappa_i": 1.0,
+                "alpha": 0.0,
+            }
+        ]
+    }
     actions = tuple(Action(float(r), float(c)) for r, c in pairs)
-    assert spec == AgentSpec(actions, 0.0, 1.0, 0.0)
-    assert all(type(a.reward) is float and type(a.cost) is float for a in spec.actions)
-    ref = reference_scan(actions)
-    assert spec.envelope == ref and repr(spec.envelope) == repr(ref)
+    ordered = tuple(sorted(actions, key=attrgetter("cost")))
+    try:
+        got = parse_instance(doc).agents[0].spec
+    except ContractError as exc:
+        got = type(exc), str(exc)
+    direct = as_loaded(lambda: AgentSpec(actions, 0.0, 1.0, 0.0))
+    # the check on the order sorted() gives, independent of the spec's own sort
+    ref = as_loaded(lambda: (build_envelope(ordered), AgentSpec(ordered, 0.0, 1.0, 0.0))[1])
+    assert got == direct == ref
+    if isinstance(ref, tuple):
+        return
+    assert (got.rewards, got.costs) == (direct.rewards, direct.costs)
+    assert all(type(v) is float for v in got.rewards + got.costs)
+    assert got.actions == direct.actions == ordered
+    scan = reference_scan(ordered)
+    assert got.envelope == direct.envelope == scan and repr(got.envelope) == repr(scan)
+
+
+def test_all_float_instance_builds_no_action(monkeypatch):
+    # the loader stores each agent as two float columns, sorted or not
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an Action was built")
+
+    monkeypatch.setattr(Action, "__init__", refuse)
+    doc = json.loads(json.dumps(GOOD))
+    doc["agents"][0]["actions"] = [
+        {"reward": 10.0, "cost": 2.0}, {"reward": 14.0, "cost": 3.0}
+    ]
+    doc["agents"].append(dict(doc["agents"][0], name="a2"))
+    doc["agents"][1]["actions"] = [
+        {"reward": 14.0, "cost": 3.0}, {"reward": 10.0, "cost": 2.0}
+    ]
+    inst = parse_instance(doc)
+    for named in inst.agents:
+        assert (named.spec.rewards, named.spec.costs) == ((10.0, 14.0), (2.0, 3.0))
+    with pytest.raises(AssertionError, match="an Action was built"):
+        Action(1.0, 2.0)

@@ -70,9 +70,9 @@ class TestAgentSpec:
         for fn, seen in calls.items():
             original = getattr(envelope, fn)
 
-            def counted(actions, original=original, seen=seen):
-                seen.append(len(actions))
-                return original(actions)
+            def counted(rewards, costs, original=original, seen=seen):
+                seen.append(len(rewards))
+                return original(rewards, costs)
 
             for name, module in list(sys.modules.items()):
                 if name.startswith("inspection_contracts") and (
@@ -364,7 +364,7 @@ def test_sweep_equals_solving_each_row(case):
             continue
         assert row == replace(agent, **{which: v})
         assert row.envelope is agent.envelope
-        assert row.actions is agent.actions
+        assert row.rewards is agent.rewards and row.costs is agent.costs
 
 
 @settings(max_examples=200, deadline=None)
