@@ -11,6 +11,7 @@ with them numpy.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import random
@@ -322,9 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # a name stdout's encoding cannot carry is escaped; --out files are UTF-8
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         if args.out is not None:
-            with open(args.out, "w") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 return args.func(args, fh)
         return args.func(args, sys.stdout)
     except ValidationError as exc:

@@ -22,7 +22,7 @@ constants of the curves.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
@@ -213,16 +213,40 @@ def gap_bound(problem: AllocationProblem, delta: float) -> float:
     return delta * sum(_lipschitz_term(a) for a in problem.agents)
 
 
+def _spare_budget(problem: AllocationProblem, curves: list[UtilityCurve]) -> float:
+    """The budget left after the minimum inspections, floored at 0; raises
+    InfeasibleBudget when they sum to more than budget + TOL (Assumption 3)."""
+    total_min = math.fsum(c.beta_min for c in curves)
+    if total_min > problem.budget + TOL:
+        raise InfeasibleBudget(
+            f"minimum inspections sum to {total_min} > budget {problem.budget} "
+            "(Assumption 3)"
+        )
+    return max(problem.budget - total_min, 0.0)
+
+
 def _resolve_delta(problem: AllocationProblem, curves: list[UtilityCurve]) -> float:
+    """``delta``, 0.01 by default, or the step ``epsilon`` asks for.
+
+    The epsilon conversion's lower bound on the optimum is the best allocation
+    that gives all the spare budget to one agent, max_l U_l(B - sum_{k != l}
+    beta_min^k) + sum_{k != l} U_k(beta_min^k); each sum over k != l is an
+    ``fsum`` over all agents less agent l's term, so agent order does not matter.
+    """
     if problem.delta is not None:
         return problem.delta
     if problem.epsilon is None:
         return 0.01
-    rest = sum(c.beta_min for c in curves[1:])
-    lower = utility_at(curves[0], problem.budget - rest)
+    mins = [c.beta_min for c in curves]
+    floors = [utility_at(c, b) for c, b in zip(curves, mins)]
+    total_min, total_floor = math.fsum(mins), math.fsum(floors)
+    lower = max(
+        utility_at(c, problem.budget - (total_min - b)) + (total_floor - f)
+        for c, b, f in zip(curves, mins, floors)
+    )
     if lower <= 0.0:
         raise NonpositiveLowerBound(
-            "the first agent's utility at the leftover budget is "
+            "the best allocation giving one agent all the spare budget is worth "
             f"{lower} <= 0; pass delta directly"
         )
     # r * r, not r ** 2, which raises OverflowError instead of giving inf
@@ -269,14 +293,15 @@ def _dp(gains: list[np.ndarray], steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
-    total_min = math.fsum(c.beta_min for c in curves)
-    if total_min > problem.budget + TOL:
-        raise InfeasibleBudget(
-            f"minimum inspections sum to {total_min} > budget {problem.budget} "
-            "(Assumption 3)"
-        )
+    """The grid step, budget steps, and each agent's candidate caps and gains.
+
+    Each agent's caps beta_min + eta * delta stop at the first one at or past
+    where its utility envelope goes flat (later caps only tie with it, and the
+    DP keeps the first of tied choices), or else at beta_cap or the spare
+    budget, with a saturation cap; the size limits count caps to the latter.
+    """
+    spare = _spare_budget(problem, curves)
     delta = _resolve_delta(problem, curves)
-    spare = max(problem.budget - total_min, 0.0)
     # an epsilon below what a double resolves gives delta = 0: an infinite grid
     ratio = spare / delta + QUOTIENT_TOL if delta > 0.0 else math.inf
     # a tiny delta overflows the ratio to inf, which has no floor
@@ -298,9 +323,13 @@ def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
     grid, gains = [], []
     for c, cap, n_l in zip(curves, caps_x, ns):
         betas = [c.beta_min + eta * delta for eta in range(n_l + 1)]
-        # saturation, entry n_l + 1: reaching the flat region exactly costs a
-        # rounded-up number of units but can beat every grid point before it
-        if cap > n_l * delta and n_l + 1 <= steps:
+        # at or past the last rise's peak and its beta_lo, utility_at is that peak
+        end = bisect_left(betas, max(c.rises[-1][1], c.top.beta) if c.rises else c.beta_min)
+        if end <= n_l:
+            del betas[end + 1 :]
+        elif cap > n_l * delta and n_l + 1 <= steps:
+            # saturation, entry n_l + 1: reaching the flat region exactly costs a
+            # rounded-up number of units but can beat every grid point before it
             betas.append(c.beta_min + cap)
         grid.append(betas)
         gains.append(np.array([utility_at(c, b) - c.base.utility for b in betas]))
@@ -312,9 +341,9 @@ def allocate(problem: AllocationProblem) -> Allocation:
 
     Rewrites caps as bar_beta^l = beta_min^l + x^l so every agent keeps its
     minimum, then optimizes the x^l over a delta grid, each agent's grid
-    truncated where its utility envelope goes flat (the slack returns to the
-    pool).  Budget indices are integers throughout; x^l is recovered by
-    backtracking the per-cell choices.
+    cut at its first point where its utility envelope is flat (the slack
+    returns to the pool).  Budget indices are integers throughout; x^l is
+    recovered by backtracking the per-cell choices.
     """
     curves = [build_utility_curve(a) for a in problem.agents]
     delta, steps, gains, grid = _prepare_grid(problem, curves)

@@ -7,6 +7,8 @@ grid of payment shares gamma and, at each, the least inspection probability
 that deters every unsafe action, solved from the deterrence inequality
 itself.  Callers may inject extra candidate gammas (typically from the
 solver's own answer); the evaluation path stays independent either way.
+``check_ic_ir`` shares one thing with the solvers, the agent's choice rule:
+the pairs ``agent_best_response`` chooses from.
 
 Not a production solver; everything here trades speed for transparency.
 """
@@ -18,15 +20,16 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import InfeasibleBudget, NoSafeContract, ValidationError
+from .errors import NoSafeContract, ValidationError
 from .multi_agent import (
     Allocation,
     AllocationProblem,
+    _spare_budget,
     best_contract_at,
     build_utility_curve,
     utility_at,
 )
-from .single_agent import AgentSpec, Contract
+from .single_agent import AgentSpec, Contract, _accepted_pairs
 from .tolerance import QUOTIENT_TOL, TOL
 
 # Most grid cells, grid points x actions, brute_force_single may take; a
@@ -134,18 +137,15 @@ def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
     (caps summing to <= budget + TOL).  Ties go to the first of the other
     agents' cap vectors in row-major order, and the last agent keeps its
     largest affordable cap even where a smaller one is worth as much.
+    Assumption 3 is ``allocate``'s own check, with its ``InfeasibleBudget``.
     """
     agents = problem.agents
     if len(agents) > 3:
         raise ValueError("brute_force_allocate handles at most 3 agents")
     _check_step(step)
     curves = [build_utility_curve(a) for a in agents]
-    mins = [c.beta_min for c in curves]
+    _spare_budget(problem, curves)
     budget = float(problem.budget)
-    if sum(mins) > budget + TOL:
-        raise InfeasibleBudget(
-            f"minimum inspections sum to {sum(mins)} > budget {problem.budget}"
-        )
 
     spans = [math.floor((c.beta_cap - c.beta_min) / step + QUOTIENT_TOL) for c in curves]
     grids = [c.beta_min + np.arange(k + 1) * step for c, k in zip(curves, spans)]
@@ -168,22 +168,6 @@ def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
 def check_ic_ir(
     agent: AgentSpec, contract: Contract, intended: tuple[int, bool]
 ) -> bool:
-    """Whether the intended (action, safety) pair is IC and IR, to TOL * R_n slack."""
-    tie = TOL * agent.money_scale
-    gamma, beta = contract.gamma, contract.beta
-    shade = (1.0 - beta) * (1.0 - agent.alpha) * gamma
-
-    def util(i: int, safe: bool) -> float:
-        r, c = agent.rewards[i], agent.costs[i]
-        if safe:
-            return gamma * r - c - agent.kappa_s
-        return shade * r - c
-
-    u = util(*intended)
-    if u < -tie:
-        return False
-    for i in range(agent.n):
-        for safe in (True, False):
-            if u < util(i, safe) - tie:
-                return False
-    return True
+    """Whether the intended (action, safety) pair is IC and IR, to TOL * R_n slack:
+    whether it is among the pairs ``agent_best_response`` chooses from."""
+    return tuple(intended) in _accepted_pairs(agent, contract)

@@ -365,36 +365,35 @@ def beta_at(curve: BetaCurve, gamma: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _accepted_pairs(agent: AgentSpec, contract: Contract) -> list[tuple[int, bool]]:
+    """The (action index, safe?) pairs the agent accepts under ``contract``.
+
+    Safe pair i is worth gamma*R_i - c_i - kappa_s to the agent, unsafe pair
+    i (1 - beta)(1 - alpha)*gamma*R_i - c_i.  A pair is accepted when its
+    utility is within ``TOL * R_n`` of the best pair's and of the outside
+    option 0; the list is empty when every pair is below -TOL * R_n.
+    """
+    gamma, kappa_s = contract.gamma, agent.kappa_s
+    shade = (1.0 - contract.beta) * (1.0 - agent.alpha) * gamma
+    utils: dict[tuple[int, bool], float] = {}
+    for i, (r, c) in enumerate(zip(agent.rewards, agent.costs)):
+        utils[i, True] = gamma * r - c - kappa_s
+        utils[i, False] = shade * r - c
+    floor = max(max(utils.values()), 0.0) - TOL * agent.money_scale
+    return [pair for pair, u in utils.items() if u >= floor]
+
+
 def agent_best_response(
     agent: AgentSpec, contract: Contract
 ) -> tuple[int, bool] | None:
-    """The agent's utility-maximizing (action index, safe?) pair, or None.
+    """The agent's preferred accepted (action index, safe?) pair, or None.
 
-    None means the outside option: every pair has utility below 0.  Utilities
-    within ``TOL * R_n`` are tied; ties prefer the safe variant, then the
-    higher reward action.
+    The agent accepts every pair whose utility is within ``TOL * R_n`` of the
+    best pair's and of the outside option 0 (``_accepted_pairs``); among
+    those it prefers the safe variant, then the higher reward action.  None
+    means the outside option: every pair has utility below -TOL * R_n.
     """
-    tie = TOL * agent.money_scale
-    gamma, beta = contract.gamma, contract.beta
-    shade = (1.0 - beta) * (1.0 - agent.alpha) * gamma
-    best: tuple[int, bool] | None = None
-    best_u = -math.inf
-    for i, (r, c) in enumerate(zip(agent.rewards, agent.costs)):
-        for safe in (True, False):
-            if safe:
-                u = gamma * r - c - agent.kappa_s
-            else:
-                u = shade * r - c
-            if u > best_u + tie:
-                best, best_u = (i, safe), u
-            elif u > best_u - tie and best is not None:
-                bi, bs = best
-                if (safe, i) > (bs, bi):
-                    best = (i, safe)
-                best_u = max(best_u, u)
-    if best_u < -tie:
-        return None
-    return best
+    return max(_accepted_pairs(agent, contract), key=lambda p: (p[1], p[0]), default=None)
 
 
 def principal_utility(

@@ -1,11 +1,15 @@
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import pytest
 
+import inspection_contracts
 from inspection_contracts import scheduler
 from inspection_contracts.cli import main
 from inspection_contracts.tolerance import TOL
@@ -319,6 +323,14 @@ def test_verify_multi_agent(tmp_path, capsys):
     assert "allocate vs exhaustive" in out
 
 
+def test_verify_skips_the_allocation_check_past_three_agents(tmp_path, capsys):
+    path = write(tmp_path, four_unit1_doc())
+    assert main(["verify", path, "--grid-step", "0.01"]) == 0
+    out = capsys.readouterr().out
+    assert "SKIP: allocate cross-check (more than 3 agents)\n" in out
+    assert "allocate vs exhaustive" not in out
+
+
 def test_verify_failure_prints_counterexample(tmp_path, capsys, monkeypatch):
     import inspection_contracts.cli as cli_mod
     from inspection_contracts.single_agent import Contract, SingleAgentSolution
@@ -393,6 +405,37 @@ def test_unencodable_agent_name_is_invalid_input(tmp_path, capsys):
     assert capsys.readouterr().err == "error: agents[0].name: expected a string UTF-8 can encode\n"
 
 
+def run_cli(argv, **env):
+    """The CLI in a child process, with ``env`` added to its environment."""
+    src = pathlib.Path(inspection_contracts.__file__).resolve().parents[1]
+    child = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    child["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), child.get("PYTHONPATH")]))
+    child.update(env)
+    return subprocess.run(
+        [sys.executable, "-m", "inspection_contracts.cli", *argv],
+        env=child, capture_output=True, timeout=60,
+    )
+
+
+def test_name_stdout_cannot_encode_is_escaped(tmp_path):
+    doc = json.loads(json.dumps(UNIT1_DOC))
+    doc["agents"][0]["name"] = "\u00e9"
+    proc = run_cli(["solve", write(tmp_path, doc)], PYTHONIOENCODING="ascii")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(b"agent=\\xe9 gamma=0.300000 ")
+
+
+def test_out_file_is_utf8_whatever_the_locale(tmp_path):
+    doc = json.loads(json.dumps(UNIT1_DOC))
+    doc["agents"][0]["name"] = "\u00e9"
+    target = tmp_path / "result.txt"
+    # PYTHONUTF8=0 keeps the C locale's ASCII encoding as the default
+    proc = run_cli(["solve", write(tmp_path, doc), "--out", str(target)],
+                   LC_ALL="C", PYTHONUTF8="0")
+    assert proc.returncode == 0, proc.stderr
+    assert target.read_bytes().startswith("agent=\u00e9 gamma=".encode())
+
+
 def test_deeply_nested_json_is_invalid_input(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
@@ -448,6 +491,22 @@ def test_negative_counts_rejected_at_parsing(tmp_path, capsys, argv):
         main([argv[0], path, *argv[1:]])
     assert exc.value.code == 2
     assert "expected a nonnegative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["schedule", "--targets", "0.5,abc"],
+         "error: --targets: could not convert string to float: 'abc'\n"),
+        (["sweep", "--agent", "a1", "--param", "kappa_i", "--from", "1", "--to", "2",
+          "--steps", "0"], "error: need at least one point, got 0\n"),
+    ],
+    ids=["targets-not-a-number", "sweep-no-steps"],
+)
+def test_bad_argument_values_are_invalid_input(tmp_path, capsys, argv, message):
+    path = write(tmp_path, UNIT1_DOC)
+    assert main([argv[0], path, *argv[1:]]) == 2
+    assert capsys.readouterr().err == message
 
 
 def test_allocate_grid_above_limit_is_invalid_input(tmp_path, capsys):

@@ -135,6 +135,13 @@ class TestInvert:
         env = build_envelope(acts)
         assert invert_envelope(env, *columns(acts), -1.0) == 0.0
 
+    def test_zero_reward_first_action(self):
+        # u_h is flat at 0 up to gamma = 1/2, and its least root is 0
+        acts = lines([0, 2], [0, 1])
+        env = build_envelope(acts)
+        assert invert_envelope(env, *columns(acts), 0.0) == 0.0
+        assert invert_envelope(env, *columns(acts), 1.0) == 1.0
+
     def test_below_range(self):
         acts = lines([10], [2])
         env = build_envelope(acts)

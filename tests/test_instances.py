@@ -165,6 +165,24 @@ def test_bad_scalar_names_its_path_once(key):
     assert str(exc.value) == f"agents[0].{key}: expected a number, got 'one'"
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([GOOD], "instance document must be a JSON object"),
+        ({"agents": []}, "'agents' must be a nonempty list"),
+        ({"agents": ["a1"]}, "agents[0]: expected an object"),
+        (agent_doc(name=""), "agents[0].name: expected a nonempty string"),
+        (agent_doc(actions=[]), "agents[0].actions: expected a nonempty list"),
+    ],
+    ids=["not-an-object", "no-agents", "agent-not-an-object", "empty-name", "no-actions"],
+)
+def test_bad_document_message(doc, message):
+    with pytest.raises(ValidationError) as exc:
+        parse_instance(doc)
+    assert type(exc.value) is ValidationError
+    assert str(exc.value) == message
+
+
 def entry_doc(entry: str) -> dict:
     """GOOD with ``entry`` (JSON text) as the agent's second action."""
     text = json.dumps(GOOD).replace(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,8 @@ from inspection_contracts import (
     utility_at,
 )
 from inspection_contracts import multi_agent, oracle
-from inspection_contracts.multi_agent import _dp, _prepare_grid
-from inspection_contracts.tolerance import TOL
+from inspection_contracts.multi_agent import _dp, _prepare_grid, _spare_budget
+from inspection_contracts.tolerance import QUOTIENT_TOL, TOL
 from conftest import NONCONVEX_C, NONCONVEX_R, make_agent, priced, random_agent
 
 # safety costs a few ulps of R or less, where beta(1) may round to 0
@@ -161,11 +163,35 @@ class TestAllocate:
         assert alloc.total_utility == pytest.approx(sol.utility, abs=1e-9)
 
     def test_infeasible_budget(self):
-        # beta_min = 0.5 each, so three of them overrun B=1
+        # beta_min = 0.5 each, so three of them overrun B=1; the DP and the
+        # exhaustive search raise the one Assumption 3 error
         agent = make_agent([10.0], [2.0], kappa_s=5.0)
         assert build_utility_curve(agent).beta_min == pytest.approx(0.5)
-        with pytest.raises(InfeasibleBudget):
-            allocate(AllocationProblem((agent,) * 3, 1, delta=0.01))
+        problem = AllocationProblem((agent,) * 3, 1, delta=0.01)
+        message = "minimum inspections sum to 1.5 > budget 1 (Assumption 3)"
+        with pytest.raises(InfeasibleBudget) as exc:
+            allocate(problem)
+        assert str(exc.value) == message
+        with pytest.raises(InfeasibleBudget) as exc:
+            brute_force_allocate(problem, 0.01)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "agents, kwargs, message",
+        [
+            (0, {}, "at least one agent is required"),
+            (1, {"delta": math.nan}, "delta must be positive, got nan"),
+            (1, {"delta": math.inf}, "delta must be positive, got inf"),
+            (1, {"epsilon": -0.1}, "epsilon must be positive, got -0.1"),
+            (1, {"budget": 0}, "budget must be a positive integer, got 0"),
+        ],
+        ids=["no-agents", "nan-delta", "inf-delta", "negative-epsilon", "zero-budget"],
+    )
+    def test_problem_validation(self, unit1, agents, kwargs, message):
+        with pytest.raises(ValidationError) as exc:
+            AllocationProblem((unit1,) * agents, **kwargs)
+        assert type(exc.value) is ValidationError
+        assert str(exc.value) == message
 
     def test_delta_epsilon_exclusive(self, unit1):
         with pytest.raises(ValidationError):
@@ -201,13 +227,22 @@ class TestAllocate:
         rng = np.random.default_rng(seed)
         agents = tuple(random_agent(rng, n_max=5) for _ in range(m))
         budget = int(rng.integers(1, 3))
-        delta = data.draw(st.sampled_from([0.005, 0.01, 0.02]))
-        try:
-            alloc = allocate(AllocationProblem(agents, budget, delta=delta))
-        except InfeasibleBudget:
-            return
+        step = data.draw(st.sampled_from(
+            [{"delta": 0.005}, {"delta": 0.01}, {"delta": 0.02}, {"epsilon": 1.0}]
+        ))
         perm = data.draw(st.permutations(range(m)))
-        moved = allocate(AllocationProblem(tuple(agents[i] for i in perm), budget, delta=delta))
+
+        def solve(order):
+            return allocate(AllocationProblem(tuple(agents[i] for i in order), budget, **step))
+
+        try:
+            alloc = solve(range(m))
+        except (InfeasibleBudget, NonpositiveLowerBound) as exc:
+            with pytest.raises(type(exc)):
+                solve(perm)
+            return
+        moved = solve(perm)
+        assert moved.delta == alloc.delta
         assert moved.caps == tuple(alloc.caps[i] for i in perm)
         slack = TOL * m * sum(a.money_scale for a in agents)
         assert abs(moved.total_utility - alloc.total_utility) <= slack
@@ -358,6 +393,42 @@ def test_dp_kernel_blocks_match_per_cell_loop(monkeypatch):
     assert np.array_equal(choices, ref_choices)
 
 
+def _full_grid(curve, spare, delta, steps):
+    """The agent's caps up to beta_cap (or the spare budget), with the
+    saturation cap: the grid the DP took before cutting at the flat point."""
+    cap = min(curve.beta_cap - curve.beta_min, spare)
+    n = math.floor(cap / delta + QUOTIENT_TOL)
+    betas = [curve.beta_min + eta * delta for eta in range(n + 1)]
+    if cap > n * delta and n + 1 <= steps:
+        betas.append(curve.beta_min + cap)
+    return betas
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from([0.005, 0.01, 0.02]))
+def test_dp_on_the_full_grid_picks_the_units_allocate_picks(seed, m, delta):
+    rng = np.random.default_rng(seed)
+    agents = tuple(random_agent(rng, n_max=5) for _ in range(m))
+    problem = AllocationProblem(agents, int(rng.integers(1, 3)), delta=delta)
+    curves = [build_utility_curve(a) for a in agents]
+    try:
+        alloc = allocate(problem)
+    except InfeasibleBudget:
+        return
+    _, steps, gains, grid = _prepare_grid(problem, curves)
+    full = [_full_grid(c, _spare_budget(problem, curves), delta, steps) for c in curves]
+    full_gains = [np.array([utility_at(c, b) - c.base.utility for b in betas])
+                  for c, betas in zip(curves, full)]
+    values, choices = _dp(full_gains, steps)
+    assert values[steps] == _dp(gains, steps)[0][steps]
+    j = steps
+    for l in range(m - 1, -1, -1):
+        units = int(choices[l, j])
+        assert grid[l][: units + 1] == full[l][: units + 1]
+        assert grid[l][units] == alloc.caps[l]
+        j -= units
+
+
 class TestDPvsOracle:
     def test_matches_brute_force_on_same_grid(self):
         rng = np.random.default_rng(404)
@@ -382,6 +453,10 @@ class TestGapBound:
 
     def test_zero_delta(self, unit1):
         assert gap_bound(AllocationProblem((unit1,), 1), 0.0) == 0.0
+
+    def test_negative_delta_rejected(self, unit1):
+        with pytest.raises(ValidationError, match=r"^delta must be nonnegative, got -0\.01$"):
+            gap_bound(AllocationProblem((unit1,), 1), -0.01)
 
     def test_additive(self, unit1):
         problem = AllocationProblem((unit1,) * 4, 1, delta=0.01)

@@ -64,6 +64,12 @@ class TestAgentSpec:
                         build(acts)
                     assert err.type is ValidationError
 
+    def test_from_columns_rejects_unequal_lengths(self):
+        with pytest.raises(ValidationError) as exc:
+            AgentSpec.from_columns([10.0, 12.0], [2.0], 1.0, 1.0, 0.0)
+        assert type(exc.value) is ValidationError
+        assert str(exc.value) == "2 rewards but 1 costs"
+
     def test_actions_checked_once_per_spec(self, monkeypatch):
         # the hull is scanned once per spec too, and sweep rows reuse both
         calls = {"_check_actions": [], "_scan_hull": []}
@@ -144,6 +150,11 @@ class TestBetaCurve:
         with pytest.raises(BelowIRThreshold):
             beta_at(curve, 0.35)
 
+    def test_above_one_raises(self, nonconvex6):
+        curve = build_beta_curve(nonconvex6)
+        with pytest.raises(ValueError, match=r"^gamma must not exceed 1, got 1\.5$"):
+            beta_at(curve, 1.5)
+
     def test_zero_safety_cost_curve_is_flat_zero(self):
         agent = make_agent([10.0], [2.0], kappa_s=0.0)
         curve = build_beta_curve(agent)
@@ -202,6 +213,16 @@ class TestBestResponse:
         # both safe actions earn exactly 0 at the breakpoint gamma = 0.25
         agent = make_agent([2.0, 6.0], [0.5, 1.5], kappa_s=0.0)
         assert agent_best_response(agent, Contract(0.25, 1.0)) == (1, True)
+
+    def test_near_ties_are_relative_to_the_best_pair(self):
+        # safe and unsafe action 1 are each within TOL * R_n of action 0's
+        # utility, but unsafe beats safe by 1.15 * TOL * R_n: the safe pair is
+        # not a best response, and check_ic_ir agrees
+        agent = make_agent([1.0, 2.0], [0.0, 0.5 - 1.4e-12], kappa_s=2.5e-12)
+        contract = Contract(0.5, 2e-13)
+        assert agent_best_response(agent, contract) == (1, False)
+        assert not check_ic_ir(agent, contract, (1, True))
+        assert check_ic_ir(agent, contract, (1, False))
 
 
 class TestPrincipalUtility:
@@ -283,6 +304,41 @@ def test_answer_does_not_depend_on_currency_unit(agent, k):
     assert sol.contract.beta == pytest.approx(base.contract.beta, abs=1e-9)
     assert sol.utility == pytest.approx(base.utility * unit, rel=1e-9)
     assert check_ic_ir(priced(agent, unit), sol.contract, (sol.action, True))
+
+
+@st.composite
+def near_tie_contracts(draw, agent):
+    """The solver's contract, or one where two pairs (or a pair and the
+    outside option) tie, nudged by a few ulps up to a few TOL."""
+    rewards, costs, k_s = agent.rewards, agent.costs, agent.kappa_s
+    i, j = draw(st.integers(0, agent.n - 1)), draw(st.integers(0, agent.n - 1))
+    kind = draw(st.sampled_from(["solver", "ir", "safe-safe", "safe-unsafe"]))
+    beta = draw(st.floats(0.0, 1.0))
+    if kind == "solver":
+        sol = solve_single(agent)
+        gamma, beta = sol.contract.gamma, sol.contract.beta
+    elif kind == "ir":  # safe pair i earns 0
+        gamma = (costs[i] + k_s) / rewards[i]
+    elif kind == "safe-safe" and i != j:  # safe pairs i and j earn the same
+        gamma = (costs[j] - costs[i]) / (rewards[j] - rewards[i])
+    else:  # safe pair i and unsafe pair j earn the same
+        gamma = draw(st.floats(0.0, 1.0))
+        shade = (1.0 - agent.alpha) * gamma * rewards[j]
+        if shade > 0.0:
+            beta = 1.0 - (gamma * rewards[i] - costs[i] - k_s + costs[j]) / shade
+    unit = draw(st.sampled_from([1e-16, 1e-13, TOL, 3 * TOL]))
+    gamma += draw(st.integers(-3, 3)) * unit
+    beta += draw(st.integers(-3, 3)) * unit
+    return Contract(min(max(gamma, 0.0), 1.0), min(max(beta, 0.0), 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_agents(), st.data())
+def test_best_response_passes_check_ic_ir(agent, data):
+    contract = data.draw(near_tie_contracts(agent))
+    response = agent_best_response(agent, contract)
+    if response is not None:
+        assert check_ic_ir(agent, contract, response)
 
 
 @pytest.mark.parametrize("k", range(-9, 10))
