@@ -4,15 +4,18 @@ Library layout:
 
 * ``envelope``     - upper envelope of the agent-utility lines (hull duality)
 * ``single_agent`` - the beta(gamma) curve, the optimal contract, statics sweeps
-* ``multi_agent``  - per-agent utility curves and the budget-allocation DP
+* ``multi_agent``  - per-agent utility curves; the exact (Lagrangian) budget
+                     split, and the paper's grid DP
 * ``scheduler``    - sequential randomized inspector assignment, exact marginals
 * ``oracle``       - brute-force cross-checks for all of the above
 * ``instances``    - strict JSON instance ingestion
 * ``cli``          - batch front end
 
-``multi_agent`` and ``oracle`` are the only modules that import numpy.  Their
-names are loaded on first access, so ``import inspection_contracts`` and the
-single-agent stack run without numpy.
+``oracle`` imports numpy, and ``multi_agent`` imports it only inside the grid
+DP, which an explicit ``delta`` or ``epsilon`` selects and the exact split
+runs only on a duality gap.  Both modules' names are loaded on first access,
+so ``import inspection_contracts``, the single-agent stack and the default
+``allocate`` run without numpy.
 """
 
 from importlib import import_module
@@ -119,7 +122,7 @@ __all__ = [
     "utility_at",
 ]
 
-# name -> the numpy-backed submodule that defines it (PEP 562)
+# name -> the submodule that defines it, imported on first access (PEP 562)
 _LAZY = {
     **dict.fromkeys(
         (

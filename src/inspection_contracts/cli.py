@@ -4,8 +4,9 @@ Subcommands: solve, beta-curve, sweep, allocate, schedule, verify.  One
 command per process; CSV and key=value output is deterministic given the
 inputs and seed.  Exit codes: 0 ok, 1 infeasible instance, 2 invalid input,
 3 internal invariant breach (including failed verification).  Only the
-handlers that allocate or verify import ``multi_agent`` and ``oracle``, and
-with them numpy.
+handlers that allocate or verify import ``multi_agent``, and only ``verify``
+imports ``oracle``.  numpy comes with ``oracle``, or with the grid DP that
+``--delta``/``--epsilon`` select; the default exact allocation runs without it.
 """
 
 from __future__ import annotations
@@ -229,17 +230,16 @@ def _cmd_verify(args, out: IO[str]) -> int:
         )
 
     if len(instance.agents) <= 3:
-        problem = multi_agent.AllocationProblem(
-            instance.specs, instance.budget, delta=0.01
-        )
+        problem = multi_agent.AllocationProblem(instance.specs, instance.budget)
         alloc = multi_agent.allocate(problem)
         ref_alloc = oracle.brute_force_allocate(problem, 0.01)
         slack = TOL * sum(a.money_scale for a in instance.specs)
-        ok = alloc.total_utility >= ref_alloc.total_utility - slack
+        ref = ref_alloc.total_utility
+        ok = alloc.total_utility >= ref - slack and alloc.dual_bound >= ref - slack
         report(
             ok,
             "allocate vs exhaustive search (step 0.01)",
-            f"dp={alloc.total_utility:.9f} brute={ref_alloc.total_utility:.9f}"
+            f"exact={alloc.total_utility:.9f} dual={alloc.dual_bound:.9f} brute={ref:.9f}"
             + ("" if ok else f" counterexample: caps={ref_alloc.caps}"),
         )
         sched = scheduler.build_schedule(list(alloc.caps), instance.budget)
@@ -295,8 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def allocation_flags(p: argparse.ArgumentParser) -> None:
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--delta", type=float, default=None, help="DP grid step")
-        group.add_argument("--epsilon", type=float, default=None, help="relative target")
+        group.add_argument("--delta", type=float, default=None,
+                           help="grid step of the paper's DP (default: exact split)")
+        group.add_argument("--epsilon", type=float, default=None,
+                           help="relative target for the paper's DP")
 
     p = sub.add_parser("allocate", help="split the inspection budget across agents")
     common(p)

@@ -13,21 +13,24 @@ U_l(bar_beta) = max_{beta <= bar_beta} U_l(beta): nondecreasing, and stored as
 the pieces whose peak raises the running best, each with that peak.  The
 peaks are the single-agent solver's, so the curve's best point is the optimal
 single-agent contract; every piece formula is a ``BetaPiece`` method.
-Splitting the budget is then a multiple-choice-knapsack-style problem solved
-approximately on a delta grid by dynamic programming, over each agent's list
-of candidate caps; the discretization loss is bounded by the Lipschitz
-constants of the curves.
+Splitting the budget is then a multiple-choice-knapsack-style problem.  By
+default ``allocate`` solves it by Lagrangian duality (Everett 1963): it
+bisects the budget's shadow price lambda, takes each agent's maximizer of
+U_l(beta) - lambda*beta from the rises' closed forms, and certifies the result
+with the dual bound; this path is pure Python.  Given a grid step delta or a
+target epsilon it runs the paper's method instead, a dynamic program over a
+delta grid of each agent's candidate caps, whose discretization loss is
+bounded by the Lipschitz constants of the curves; only that DP imports numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     BelowMinimumInspection,
@@ -44,6 +47,9 @@ from .single_agent import (
     build_beta_curve,
 )
 from .tolerance import QUOTIENT_TOL, TOL
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -138,6 +144,12 @@ def utility_at(curve: UtilityCurve, beta_bar: float) -> float:
     return best_contract_at(curve, beta_bar).utility
 
 
+def _flat_from(curve: UtilityCurve) -> float:
+    """The least cap from which the utility envelope is flat: at or past the
+    last rise's peak and its beta_lo, ``utility_at`` is that peak."""
+    return max(curve.rises[-1][1], curve.top.beta) if curve.rises else curve.beta_min
+
+
 # ---------------------------------------------------------------------------
 # budget allocation
 # ---------------------------------------------------------------------------
@@ -161,8 +173,8 @@ _DP_BLOCK = 1 << 15
 class AllocationProblem:
     """Agents, an integer budget of inspectors, and a grid step (or target).
 
-    Exactly one of ``delta`` and ``epsilon`` may be given; with neither,
-    delta defaults to 0.01.
+    At most one of ``delta`` and ``epsilon`` may be given.  Either selects the
+    paper's grid DP; with neither, ``allocate`` solves the split exactly.
     """
 
     agents: tuple[AgentSpec, ...]
@@ -189,14 +201,23 @@ class Allocation:
 
     ``sum(contracts[l].beta)`` may fall short of ``sum(caps)``: flat-envelope
     slack is not spent.  ``total_utility`` is within ``gap_bound`` of the best
-    achievable over fractional caps.
+    achievable over fractional caps.  On the grid DP path ``gap_bound`` is the
+    a-priori Lipschitz bound at grid step ``delta``, and no dual is computed
+    (``dual_bound`` and ``shadow_price`` are None).  On the exact path
+    ``dual_bound`` is the Lagrangian dual's value at ``shadow_price`` (lambda*,
+    the value of one more unit of budget), an upper bound on every feasible
+    total, and ``gap_bound`` is the certified gap ``dual_bound -
+    total_utility``; ``delta`` is None, or 0.01 when the grid DP's answer was
+    the better one.
     """
 
     caps: tuple[float, ...]
     contracts: tuple[ContractChoice, ...]
     total_utility: float
     gap_bound: float
-    delta: float
+    delta: float | None
+    dual_bound: float | None = None
+    shadow_price: float | None = None
 
 
 def _lipschitz_term(agent: AgentSpec) -> float:
@@ -226,17 +247,17 @@ def _spare_budget(problem: AllocationProblem, curves: list[UtilityCurve]) -> flo
 
 
 def _resolve_delta(problem: AllocationProblem, curves: list[UtilityCurve]) -> float:
-    """``delta``, 0.01 by default, or the step ``epsilon`` asks for.
+    """``delta``, or the step ``epsilon`` asks for.
 
-    The epsilon conversion's lower bound on the optimum is the best allocation
-    that gives all the spare budget to one agent, max_l U_l(B - sum_{k != l}
-    beta_min^k) + sum_{k != l} U_k(beta_min^k); each sum over k != l is an
-    ``fsum`` over all agents less agent l's term, so agent order does not matter.
+    The epsilon conversion's lower bound L on the optimum is the better of two
+    feasible allocations' values: the Lagrangian primal's total, and the best
+    allocation that gives all the spare budget to one agent, max_l U_l(B -
+    sum_{k != l} beta_min^k) + sum_{k != l} U_k(beta_min^k); each sum over k != l
+    is an ``fsum`` over all agents less agent l's term, so agent order does not
+    matter.
     """
-    if problem.delta is not None:
-        return problem.delta
     if problem.epsilon is None:
-        return 0.01
+        return problem.delta
     mins = [c.beta_min for c in curves]
     floors = [utility_at(c, b) for c, b in zip(curves, mins)]
     total_min, total_floor = math.fsum(mins), math.fsum(floors)
@@ -244,10 +265,10 @@ def _resolve_delta(problem: AllocationProblem, curves: list[UtilityCurve]) -> fl
         utility_at(c, problem.budget - (total_min - b)) + (total_floor - f)
         for c, b, f in zip(curves, mins, floors)
     )
+    lower = max(lower, _lagrangian(problem, curves).total_utility)
     if lower <= 0.0:
         raise NonpositiveLowerBound(
-            "the best allocation giving one agent all the spare budget is worth "
-            f"{lower} <= 0; pass delta directly"
+            f"the best feasible allocation found is worth {lower} <= 0; pass delta directly"
         )
     # r * r, not r ** 2, which raises OverflowError instead of giving inf
     terms = [a.money_scale * a.money_scale / a.kappa_s for a in problem.agents if a.kappa_s > 0]
@@ -273,6 +294,9 @@ def _dp(gains: list[np.ndarray], steps: int) -> tuple[np.ndarray, np.ndarray]:
     depend on the blocking.  argmax takes the first maximizer, so ties
     resolve toward spending less (no inspection wasted on flat curves).
     """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
     m = len(gains)
     values = np.zeros(steps + 1)
     choices = np.zeros((m, steps + 1), dtype=np.int32)
@@ -300,6 +324,8 @@ def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
     DP keeps the first of tied choices), or else at beta_cap or the spare
     budget, with a saturation cap; the size limits count caps to the latter.
     """
+    import numpy as np
+
     spare = _spare_budget(problem, curves)
     delta = _resolve_delta(problem, curves)
     # an epsilon below what a double resolves gives delta = 0: an infinite grid
@@ -323,8 +349,7 @@ def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
     grid, gains = [], []
     for c, cap, n_l in zip(curves, caps_x, ns):
         betas = [c.beta_min + eta * delta for eta in range(n_l + 1)]
-        # at or past the last rise's peak and its beta_lo, utility_at is that peak
-        end = bisect_left(betas, max(c.rises[-1][1], c.top.beta) if c.rises else c.beta_min)
+        end = bisect_left(betas, _flat_from(c))
         if end <= n_l:
             del betas[end + 1 :]
         elif cap > n_l * delta and n_l + 1 <= steps:
@@ -336,8 +361,8 @@ def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
     return delta, steps, gains, grid
 
 
-def allocate(problem: AllocationProblem) -> Allocation:
-    """Split the inspection budget across agents by dynamic programming.
+def _allocate_dp(problem: AllocationProblem, curves: list[UtilityCurve]) -> Allocation:
+    """The paper's method: split the budget by dynamic programming on a grid.
 
     Rewrites caps as bar_beta^l = beta_min^l + x^l so every agent keeps its
     minimum, then optimizes the x^l over a delta grid, each agent's grid
@@ -345,7 +370,6 @@ def allocate(problem: AllocationProblem) -> Allocation:
     returns to the pool).  Budget indices are integers throughout; x^l is
     recovered by backtracking the per-cell choices.
     """
-    curves = [build_utility_curve(a) for a in problem.agents]
     delta, steps, gains, grid = _prepare_grid(problem, curves)
     values, choices = _dp(gains, steps)
 
@@ -367,3 +391,136 @@ def allocate(problem: AllocationProblem) -> Allocation:
     return Allocation(
         tuple(caps), contracts, total, gap_bound(problem, delta), delta
     )
+
+
+def _shifted_argmax(curve: UtilityCurve, lam: float) -> tuple[float, float]:
+    """The least cap maximizing U(cap) - lam * cap, and U there.
+
+    Past a rise's peak the envelope is flat, and where the running best still
+    beats a rise it is flat at the previous peak, so the maximizer is beta_min,
+    a rise's peak, or the point of a rise where its slope r_own*c_const*d /
+    ((r_own - d) + beta*d)^2 - kappa_i equals lam, clamped into [beta_lo,
+    peak.beta].  Each candidate is valued with ``utility_at``.
+    """
+    rate = curve.beta_curve.agent.kappa_i + lam
+    b0 = curve.beta_min
+    best_b = b0
+    best_u = best_v = utility_at(curve, b0)
+    for piece, lo, peak in curve.rises:
+        stationary = peak.beta
+        if piece.d > 0.0 and rate > 0.0:
+            # square roots of each factor, so no product of money overflows
+            root = math.sqrt(piece.r_own) * math.sqrt(piece.d) * math.sqrt(
+                max(piece.c_const / rate, 0.0)
+            )
+            stationary = (root - (piece.r_own - piece.d)) / piece.d
+        for b in (min(max(stationary, lo), peak.beta), peak.beta):
+            u = utility_at(curve, b)
+            v = u - lam * (b - b0)
+            if v > best_v or (v == best_v and b < best_b):
+                best_b, best_u, best_v = b, u, v
+    return best_b, best_u
+
+
+class _Priced(NamedTuple):
+    """Every agent's least maximizer of U_l(beta) - lam*beta, and U_l there."""
+
+    lam: float
+    caps: list[float]
+    utilities: list[float]
+    used: float  # fsum of the caps, so agent order does not matter
+
+
+def _priced(curves: list[UtilityCurve], lam: float) -> _Priced:
+    points = [_shifted_argmax(c, lam) for c in curves]
+    caps = [b for b, _ in points]
+    return _Priced(lam, caps, [u for _, u in points], math.fsum(caps))
+
+
+def _lagrangian(problem: AllocationProblem, curves: list[UtilityCurve]) -> Allocation:
+    """The Lagrangian primal at the budget's shadow price, with its dual bound.
+
+    For a price lam >= 0, D(lam) = lam*B + sum_l max_beta [U_l(beta) - lam*beta]
+    bounds every feasible total from above.  lam* is bracketed by doubling and
+    bisected on the subgradient, the budget minus the least maximizers' sum,
+    down to adjacent doubles lo < hi, infeasible and feasible.  The primal
+    takes the maximizers at hi.  The budget they leave goes first to agents
+    whose maximizer jumps between hi and lo, each taking its whole jump while
+    it fits (largest first), then what remains to the agent it raises most,
+    nudged down until the caps' ``fsum`` fits.  The dual bound is the smaller
+    of D(lo) and D(hi); when the curves are concave it meets the primal's
+    total.
+    """
+    _spare_budget(problem, curves)
+    # minimums within TOL above the budget pin every agent to its minimum
+    limit = max(float(problem.budget), math.fsum(c.beta_min for c in curves))
+    lo = hi = _priced(curves, 0.0)
+    if hi.used > limit:
+        # double a price in money units until it brings the caps within budget
+        price = max(a.money_scale for a in problem.agents)
+        while (hi := _priced(curves, price)).used > limit:
+            if price == sys.float_info.max:
+                raise RuntimeError("no shadow price brings the caps within the budget")
+            lo, price = hi, min(2.0 * price, sys.float_info.max)
+        while lo.lam < (mid := lo.lam + 0.5 * (hi.lam - lo.lam)) < hi.lam:
+            point = _priced(curves, mid)
+            if point.used > limit:
+                lo = point
+            else:
+                hi = point
+    dual = min(math.fsum(p.utilities) + p.lam * (limit - p.used) for p in (lo, hi))
+
+    caps = list(hi.caps)
+    jumps = sorted(
+        ((up - b, l) for l, (up, b) in enumerate(zip(lo.caps, caps)) if up > b), reverse=True
+    )
+    for _, l in jumps:
+        before, caps[l] = caps[l], lo.caps[l]
+        if math.fsum(caps) > limit:
+            caps[l] = before
+    left = limit - math.fsum(caps)
+    if left > 0.0:
+        raises = []
+        for l, (c, b) in enumerate(zip(curves, caps)):
+            # past where the envelope goes flat more cap gains nothing
+            cap = min(b + left, max(_flat_from(c), b))
+            raises.append((utility_at(c, cap) - utility_at(c, b), l, cap))
+        gain, l, cap = max(raises, key=itemgetter(0))
+        if gain > 0.0:
+            caps[l] = cap
+            while math.fsum(caps) > limit:
+                caps[l] = math.nextafter(caps[l], -math.inf)
+
+    contracts = tuple(best_contract_at(c, cap) for c, cap in zip(curves, caps))
+    total = math.fsum(ch.utility for ch in contracts)
+    return Allocation(
+        tuple(caps), contracts, total, max(dual - total, 0.0), None, dual, hi.lam
+    )
+
+
+def allocate(problem: AllocationProblem) -> Allocation:
+    """Split the inspection budget across agents.
+
+    With ``delta`` or ``epsilon`` this is the paper's grid DP
+    (``_allocate_dp``).  With neither it is the Lagrangian primal
+    (``_lagrangian``), whose ``gap_bound`` is certified by the dual.  A gap
+    above ``TOL`` * sum_l R_n means the curves are not concave near lambda*
+    (a duality gap); the DP at delta = 0.01 then also runs, unless its grid
+    is over the size limits, and the better total is returned with its own
+    certified gap.
+    """
+    curves = [build_utility_curve(a) for a in problem.agents]
+    if problem.delta is not None or problem.epsilon is not None:
+        return _allocate_dp(problem, curves)
+    exact = _lagrangian(problem, curves)
+    if exact.gap_bound <= TOL * math.fsum(a.money_scale for a in problem.agents):
+        return exact
+    try:
+        grid = _allocate_dp(replace(problem, delta=0.01), curves)
+    except ValidationError:
+        return exact
+    if grid.total_utility <= exact.total_utility:
+        return exact
+    gap = max(exact.dual_bound - grid.total_utility, 0.0)
+    return replace(grid, gap_bound=gap, dual_bound=exact.dual_bound,
+                   shadow_price=exact.shadow_price)

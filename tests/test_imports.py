@@ -1,4 +1,4 @@
-"""numpy is loaded only by the subcommands that allocate or verify."""
+"""numpy is loaded only by ``verify`` and by the grid DP that --delta/--epsilon select."""
 
 import os
 import pathlib
@@ -25,14 +25,20 @@ for argv in {argvs!r}:
 print(*(sys.modules.get(m) is not None for m in {modules!r}))
 """
 
-# the modules that import numpy, and numpy itself
-NUMPY_MODULES = ("numpy", "inspection_contracts.multi_agent", "inspection_contracts.oracle")
+# numpy, and the one module that imports it on import; multi_agent imports it
+# only inside the grid DP
+NUMPY_MODULES = ("numpy", "inspection_contracts.oracle")
 
 SINGLE_AGENT = [
     ["solve"],
     ["beta-curve", "--agent", "a1", "--samples", "5"],
     ["sweep", "--agent", "a1", "--param", "kappa_i", "--from", "0.5", "--to", "2", "--steps", "3"],
     ["schedule", "--targets", "0.5,0.25", "--samples", "10"],
+]
+
+EXACT_ALLOCATION = [
+    ["allocate"],
+    ["schedule", "--from-allocation", "--samples", "10"],
 ]
 
 
@@ -51,15 +57,21 @@ def run_child(argvs, block_numpy):
 def test_single_agent_subcommands_run_without_numpy():
     proc = run_child(SINGLE_AGENT, block_numpy=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False False False"
+    assert proc.stdout.splitlines()[-1] == "False False"
 
 
-def test_allocate_loads_numpy():
-    # keeps the check above from passing because nothing ever imports numpy
-    proc = run_child([["allocate"]], block_numpy=False)
+def test_default_allocation_runs_without_numpy():
+    proc = run_child(EXACT_ALLOCATION, block_numpy=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "True True False"
-    blocked = run_child([["allocate"]], block_numpy=True)
+    assert proc.stdout.splitlines()[-1] == "False False"
+
+
+def test_grid_dp_loads_numpy():
+    # keeps the checks above from passing because nothing ever imports numpy
+    proc = run_child([["allocate", "--delta", "0.01"]], block_numpy=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True False"
+    blocked = run_child([["allocate", "--delta", "0.01"]], block_numpy=True)
     assert blocked.returncode != 0
     assert "numpy" in blocked.stderr
 

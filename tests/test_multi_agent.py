@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,16 +163,25 @@ class TestAllocate:
         )
         assert alloc.total_utility == pytest.approx(sol.utility, abs=1e-9)
 
+    def test_grid_dp_computes_no_dual(self, unit1, monkeypatch):
+        def no_dual(*args):
+            raise AssertionError("the grid DP bisected the shadow price")
+
+        monkeypatch.setattr(multi_agent, "_lagrangian", no_dual)
+        alloc = allocate(AllocationProblem((unit1,) * 4, 1, delta=0.01))
+        assert (alloc.delta, alloc.dual_bound, alloc.shadow_price) == (0.01, None, None)
+
     def test_infeasible_budget(self):
-        # beta_min = 0.5 each, so three of them overrun B=1; the DP and the
-        # exhaustive search raise the one Assumption 3 error
+        # beta_min = 0.5 each, so three of them overrun B=1; the DP, the exact
+        # split and the exhaustive search raise the one Assumption 3 error
         agent = make_agent([10.0], [2.0], kappa_s=5.0)
         assert build_utility_curve(agent).beta_min == pytest.approx(0.5)
         problem = AllocationProblem((agent,) * 3, 1, delta=0.01)
         message = "minimum inspections sum to 1.5 > budget 1 (Assumption 3)"
-        with pytest.raises(InfeasibleBudget) as exc:
-            allocate(problem)
-        assert str(exc.value) == message
+        for case in (problem, replace(problem, delta=None)):
+            with pytest.raises(InfeasibleBudget) as exc:
+                allocate(case)
+            assert str(exc.value) == message
         with pytest.raises(InfeasibleBudget) as exc:
             brute_force_allocate(problem, 0.01)
         assert str(exc.value) == message
@@ -228,7 +238,7 @@ class TestAllocate:
         agents = tuple(random_agent(rng, n_max=5) for _ in range(m))
         budget = int(rng.integers(1, 3))
         step = data.draw(st.sampled_from(
-            [{"delta": 0.005}, {"delta": 0.01}, {"delta": 0.02}, {"epsilon": 1.0}]
+            [{}, {"delta": 0.005}, {"delta": 0.01}, {"delta": 0.02}, {"epsilon": 1.0}]
         ))
         perm = data.draw(st.permutations(range(m)))
 
@@ -257,13 +267,38 @@ class TestAllocate:
             m = int(rng.integers(1, 4))
             agents = tuple(random_agent(rng, n_max=5) for _ in range(m))
             budget = int(rng.integers(1, 3))
-            try:
-                alloc = allocate(AllocationProblem(agents, budget, delta=0.02))
-            except InfeasibleBudget:
-                continue
-            doubled = allocate(AllocationProblem(agents * 2, 2 * budget, delta=0.02))
-            slack = TOL * m * sum(a.money_scale for a in agents)
-            assert doubled.total_utility >= 2 * alloc.total_utility - slack
+            for step in ({"delta": 0.02}, {}):
+                try:
+                    alloc = allocate(AllocationProblem(agents, budget, **step))
+                except InfeasibleBudget:
+                    continue
+                doubled = allocate(AllocationProblem(agents * 2, 2 * budget, **step))
+                slack = TOL * m * sum(a.money_scale for a in agents)
+                assert doubled.total_utility >= 2 * alloc.total_utility - slack
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(-9, 9),
+           st.sampled_from([{}, {"delta": 0.01}, {"epsilon": 1.0}]))
+    def test_answer_does_not_depend_on_currency_unit(self, seed, m, k, step):
+        rng = np.random.default_rng(seed)
+        agents = tuple(random_agent(rng, n_max=5) for _ in range(m))
+        budget = int(rng.integers(1, 3))
+        unit = 10.0**k
+
+        def solve(group):
+            return allocate(AllocationProblem(group, budget, **step))
+
+        try:
+            alloc = solve(agents)
+        # a tiny kappa_s / R_n^2 can ask epsilon's DP for a grid over the limits
+        except (InfeasibleBudget, NonpositiveLowerBound, ValidationError) as exc:
+            with pytest.raises(type(exc)):
+                solve(tuple(priced(a, unit) for a in agents))
+            return
+        scaled = solve(tuple(priced(a, unit) for a in agents))
+        assert scaled.caps == pytest.approx(alloc.caps, abs=1e-9)
+        slack = 1e-9 * sum(a.money_scale for a in agents)
+        assert abs(scaled.total_utility / unit - alloc.total_utility) <= slack
 
     def test_feasibility_and_grid_membership(self):
         rng = np.random.default_rng(99)
@@ -326,6 +361,143 @@ class TestAllocate:
         for delta in (1e-9, 5e-324):
             with pytest.raises(ValidationError, match="above the limit"):
                 allocate(AllocationProblem((unit1,), 1, delta=delta))
+
+
+# one action (R=10, c=2), kappa_s=1, kappa_i=1, alpha=0: U(b) = 10 - 1/b - b
+# on [0.1, 1/3], so U'(b) = 1/b^2 - 1
+class TestExactAllocate:
+    def test_four_unit1_split_evenly(self, unit1):
+        alloc = allocate(AllocationProblem((unit1,) * 4, 1))
+        assert alloc.caps == pytest.approx([0.25] * 4, abs=1e-12)
+        assert alloc.total_utility == pytest.approx(23.0, abs=1e-12)
+        assert alloc.delta is None
+        # one more inspector's worth of cap is worth U'(1/4) = 15 per unit
+        assert alloc.shadow_price == pytest.approx(15.0, rel=1e-12)
+        assert alloc.dual_bound == pytest.approx(23.0, abs=1e-12)
+        assert alloc.gap_bound <= TOL * 40.0
+
+    def test_slack_budget_has_zero_price(self, unit1):
+        alloc = allocate(AllocationProblem((unit1,) * 2, 2))
+        assert alloc.caps == pytest.approx([1 / 3] * 2, abs=1e-12)
+        assert alloc.shadow_price == 0.0
+        assert alloc.gap_bound == 0.0
+        assert alloc.total_utility == pytest.approx(40 / 3, abs=1e-12)
+
+    def test_single_agent_reduction(self, nonconvex6):
+        sol = solve_single(nonconvex6)
+        alloc = allocate(AllocationProblem((nonconvex6,), 1))
+        ch = alloc.contracts[0]
+        assert ch.action == sol.action
+        assert (ch.gamma, ch.beta) == (sol.contract.gamma, sol.contract.beta)
+        assert alloc.total_utility == sol.utility
+
+    @pytest.mark.parametrize("seed, alpha_max", [(9, 0.5), (10, 0.0)])
+    def test_no_grid_beats_the_exact_split(self, seed, alpha_max):
+        # the dual bound is above every feasible total; without a duality gap
+        # the exact total meets it, so no grid gets more; with one it is still
+        # at least the DP's at delta = 0.01 and 0.02 (whose grid it contains)
+        # and the exhaustive search's at step 0.01
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            m = int(rng.integers(1, 4))
+            agents = tuple(random_agent(rng, n_max=5, alpha_max=alpha_max) for _ in range(m))
+            problem = AllocationProblem(agents, int(rng.integers(1, 3)))
+            try:
+                alloc = allocate(problem)
+            except InfeasibleBudget:
+                continue
+            slack = TOL * sum(a.money_scale for a in agents)
+            assert alloc.gap_bound == max(alloc.dual_bound - alloc.total_utility, 0.0)
+            assert math.fsum(alloc.caps) <= problem.budget + TOL
+            assert sum(alloc.caps) <= problem.budget + TOL
+            totals = {
+                delta: allocate(replace(problem, delta=delta)).total_utility
+                for delta in (0.02, 0.01, 1e-3)
+            }
+            totals["search"] = brute_force_allocate(problem, 0.01).total_utility
+            for key, total in totals.items():
+                assert alloc.dual_bound >= total - slack, key
+                assert alloc.total_utility >= total - alloc.gap_bound - slack, key
+                if key != 1e-3:
+                    assert alloc.total_utility >= total - slack, key
+
+    def test_caps_fit_a_large_budget(self):
+        # forty agents share ten inspectors; each cap is the sum of a minimum
+        # and a share, so a plain sum can overshoot the budget by a few ulps
+        rng = np.random.default_rng(3)
+        agents = tuple(random_agent(rng, n_max=5) for _ in range(40))
+        alloc = allocate(AllocationProblem(agents, 10))
+        assert alloc.shadow_price > 0.0
+        assert math.fsum(alloc.caps) <= 10.0
+        assert sum(alloc.caps) <= 10.0 + TOL
+        for agent, cap, ch in zip(agents, alloc.caps, alloc.contracts):
+            assert build_utility_curve(agent).beta_min <= cap <= 1.0
+            assert ch.beta <= cap
+
+    def test_duality_gap_takes_the_grid_dp(self):
+        # from seed-9 draws with alpha = 0: a rise of agent 0 overtakes its
+        # running best at lambda*, so the Lagrangian primal leaves budget
+        # unspent, and the DP at delta = 0.01 finds a better split
+        agents = (
+            make_agent([1.1807683193446512, 3.0903515730620246, 3.856674509704404,
+                        4.327631598774597, 4.682802666694951, 5.709044664534008,
+                        6.176276839359652, 7.998259549647688],
+                       [0.06077359873999759, 0.26204608155364223, 0.37649533341943564,
+                        0.6196222263937723, 0.834945178777152, 1.1884132485140366,
+                        1.3659936414557146, 1.7466889640703438],
+                       kappa_s=2.759721901457163, kappa_i=0.6480612807692433),
+            make_agent([0.9307574440182724, 2.0224959694467373, 3.2898429547585666,
+                        3.6266113138670004, 4.697951362670378, 5.5340884455218315,
+                        6.032072498687187],
+                       [0.36040544066728164, 0.4719680604708917, 0.5993239114258395,
+                        1.1656594020188495, 1.755936145760018, 1.8913238113579167,
+                        2.2613416568942935],
+                       kappa_s=1.4323047586713267, kappa_i=1.2483887557168691),
+            make_agent([1.5927923075585135, 2.828269638925968, 4.436742388374528,
+                        5.700790796113244, 6.395665026197783],
+                       [0.0906647548172125, 0.18389632028210542, 0.37439009223907516,
+                        0.6137231685416245, 0.8366901373984585],
+                       kappa_s=1.7863970525053159, kappa_i=2.95545226832728),
+        )
+        problem = AllocationProblem(agents, 2)
+        slack = TOL * sum(a.money_scale for a in agents)
+        curves = [build_utility_curve(a) for a in agents]
+        primal = multi_agent._lagrangian(problem, curves)
+        assert primal.gap_bound > slack
+        grid = allocate(replace(problem, delta=0.01))
+        assert grid.total_utility > primal.total_utility
+
+        alloc = allocate(problem)
+        assert alloc.delta == 0.01
+        assert (alloc.caps, alloc.total_utility) == (grid.caps, grid.total_utility)
+        assert alloc.dual_bound == primal.dual_bound
+        assert alloc.shadow_price == primal.shadow_price
+        assert alloc.gap_bound == alloc.dual_bound - alloc.total_utility
+        fine = allocate(replace(problem, delta=1e-3)).total_utility
+        assert alloc.dual_bound >= fine
+
+    def test_epsilon_lower_bound_takes_the_exact_split(self):
+        # giving either agent all the spare budget loses money, but the best
+        # split earns 0.079 (drawn from rng seed 0; raised NonpositiveLowerBound
+        # when the bound was the one-agent allocations alone)
+        agents = (
+            make_agent([1.2886325758962063, 2.960487577690526, 3.953845249761581],
+                       [0.32849227459698943, 0.42405250597519656, 0.95617087115464],
+                       kappa_s=1.8157650876870504, kappa_i=1.7352584909480329,
+                       alpha=0.088716684517963),
+            make_agent([0.5970763040022026, 1.5185586552120287, 2.7526510123456918,
+                        3.8853431789881037, 5.1282271018184655],
+                       [0.5991598156729129, 0.7676109903665297, 1.0625650053029272,
+                        1.1421037592795404, 1.6374092619624199],
+                       kappa_s=1.8396762579712864, kappa_i=4.637390627514937,
+                       alpha=0.32882673548497376),
+        )
+        exact = allocate(AllocationProblem(agents, 2))
+        assert exact.total_utility > 0.07
+        alloc = allocate(AllocationProblem(agents, 2, epsilon=1.0))
+        terms = [a.money_scale * a.money_scale / a.kappa_s for a in agents]
+        assert alloc.delta == exact.total_utility / (2 * max(terms))
+        assert alloc.total_utility > 0.0
 
 
 def _dp_per_cell(gains, steps):
