@@ -12,7 +12,8 @@ breakpoints.  The object the allocator consumes is the running maximum
 U_l(bar_beta) = max_{beta <= bar_beta} U_l(beta): nondecreasing, and stored as
 the pieces whose peak raises the running best, each with that peak.  The
 peaks are the single-agent solver's, so the curve's best point is the optimal
-single-agent contract; every piece formula is a ``BetaPiece`` method.
+single-agent contract; every piece formula is a ``BetaPiece`` method, and this
+module writes none itself, so money enters each only as a ratio.
 Splitting the budget is then a multiple-choice-knapsack-style problem.  By
 default ``allocate`` solves it by Lagrangian duality (Everett 1963): it
 bisects the budget's shadow price lambda, takes each agent's maximizer of
@@ -220,18 +221,20 @@ class Allocation:
     shadow_price: float | None = None
 
 
-def _lipschitz_term(agent: AgentSpec) -> float:
-    # a kappa_s of 0 collapses the curve to a point, so it contributes nothing
+def _curvature(agent: AgentSpec) -> float:
+    """R_n^2 / kappa_s, as R_n * (R_n / kappa_s) so no money is squared; 0 for a
+    kappa_s of 0, which collapses the curve to a point."""
     if agent.kappa_s == 0.0:
         return 0.0
-    return max(agent.money_scale * agent.money_scale / agent.kappa_s - agent.kappa_i, 0.0)
+    return agent.money_scale * (agent.money_scale / agent.kappa_s)
 
 
 def gap_bound(problem: AllocationProblem, delta: float) -> float:
-    """Upper bound on the DP's loss to discretization at grid step delta."""
+    """Upper bound on the DP's loss to discretization at grid step delta, in
+    money: delta * sum_l max(R_n^2 / kappa_s - kappa_i, 0)."""
     if delta < 0:
         raise ValidationError(f"delta must be nonnegative, got {delta!r}")
-    return delta * sum(_lipschitz_term(a) for a in problem.agents)
+    return delta * sum(max(_curvature(a) - a.kappa_i, 0.0) for a in problem.agents)
 
 
 def _spare_budget(problem: AllocationProblem, curves: list[UtilityCurve]) -> float:
@@ -270,11 +273,8 @@ def _resolve_delta(problem: AllocationProblem, curves: list[UtilityCurve]) -> fl
         raise NonpositiveLowerBound(
             f"the best feasible allocation found is worth {lower} <= 0; pass delta directly"
         )
-    # r * r, not r ** 2, which raises OverflowError instead of giving inf
-    terms = [a.money_scale * a.money_scale / a.kappa_s for a in problem.agents if a.kappa_s > 0]
-    if not terms:
-        return 1.0
-    return problem.epsilon * lower / (len(problem.agents) * max(terms))
+    top = max(map(_curvature, problem.agents))
+    return problem.epsilon * lower / (len(problem.agents) * top) if top > 0.0 else 1.0
 
 
 def _dp(gains: list[np.ndarray], steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -398,22 +398,17 @@ def _shifted_argmax(curve: UtilityCurve, lam: float) -> tuple[float, float]:
 
     Past a rise's peak the envelope is flat, and where the running best still
     beats a rise it is flat at the previous peak, so the maximizer is beta_min,
-    a rise's peak, or the point of a rise where its slope r_own*c_const*d /
-    ((r_own - d) + beta*d)^2 - kappa_i equals lam, clamped into [beta_lo,
-    peak.beta].  Each candidate is valued with ``utility_at``.
+    a rise's peak, or the point of a rise where the slope of U equals lam:
+    the piece's ``stationary`` point at price kappa_i + lam, clamped into
+    [beta_lo, peak.beta].  Each candidate is valued with ``utility_at``.
     """
     rate = curve.beta_curve.agent.kappa_i + lam
     b0 = curve.beta_min
     best_b = b0
     best_u = best_v = utility_at(curve, b0)
     for piece, lo, peak in curve.rises:
-        stationary = peak.beta
-        if piece.d > 0.0 and rate > 0.0:
-            # square roots of each factor, so no product of money overflows
-            root = math.sqrt(piece.r_own) * math.sqrt(piece.d) * math.sqrt(
-                max(piece.c_const / rate, 0.0)
-            )
-            stationary = (root - (piece.r_own - piece.d)) / piece.d
+        # a rise's d is positive: its peak, computed already, divides by it
+        stationary = piece.beta(piece.stationary(rate)) if rate > 0.0 else peak.beta
         for b in (min(max(stationary, lo), peak.beta), peak.beta):
             u = utility_at(curve, b)
             v = u - lam * (b - b0)
@@ -447,9 +442,10 @@ def _lagrangian(problem: AllocationProblem, curves: list[UtilityCurve]) -> Alloc
     takes the maximizers at hi.  The budget they leave goes first to agents
     whose maximizer jumps between hi and lo, each taking its whole jump while
     it fits (largest first), then what remains to the agent it raises most,
-    nudged down until the caps' ``fsum`` fits.  The dual bound is the smaller
-    of D(lo) and D(hi); when the curves are concave it meets the primal's
-    total.
+    nudged down until the caps' ``fsum`` fits.  Ties in either go to the
+    larger cap, not the earlier agent, so the split does not depend on agent
+    order.  The dual bound is the smaller of D(lo) and D(hi); when the curves
+    are concave it meets the primal's total.
     """
     _spare_budget(problem, curves)
     # minimums within TOL above the budget pin every agent to its minimum
@@ -472,9 +468,9 @@ def _lagrangian(problem: AllocationProblem, curves: list[UtilityCurve]) -> Alloc
 
     caps = list(hi.caps)
     jumps = sorted(
-        ((up - b, l) for l, (up, b) in enumerate(zip(lo.caps, caps)) if up > b), reverse=True
+        ((up - b, up, l) for l, (up, b) in enumerate(zip(lo.caps, caps)) if up > b), reverse=True
     )
-    for _, l in jumps:
+    for *_, l in jumps:
         before, caps[l] = caps[l], lo.caps[l]
         if math.fsum(caps) > limit:
             caps[l] = before
@@ -484,8 +480,8 @@ def _lagrangian(problem: AllocationProblem, curves: list[UtilityCurve]) -> Alloc
         for l, (c, b) in enumerate(zip(curves, caps)):
             # past where the envelope goes flat more cap gains nothing
             cap = min(b + left, max(_flat_from(c), b))
-            raises.append((utility_at(c, cap) - utility_at(c, b), l, cap))
-        gain, l, cap = max(raises, key=itemgetter(0))
+            raises.append((utility_at(c, cap) - utility_at(c, b), cap, l))
+        gain, cap, l = max(raises)
         if gain > 0.0:
             caps[l] = cap
             while math.fsum(caps) > limit:

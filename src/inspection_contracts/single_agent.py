@@ -202,7 +202,8 @@ class BetaPiece:
     ``r_own`` = R_owner, ``c_const`` = c_owner + kappa_s - c_shadow and ``d`` =
     R_shadow*(1 - alpha), with beta(gamma) = 1 - (r_own*gamma - c_const) /
     (d*gamma).  On a clamped piece the deterrence constraint is slack and
-    beta(gamma) = 0.
+    beta(gamma) = 0.  Money enters every closed form only as a ratio of two
+    amounts, so none overflows in any currency unit.
     """
 
     gamma_lo: float
@@ -234,20 +235,21 @@ class BetaPiece:
         """The principal's utility at inspection ``beta`` on this piece."""
         return (1.0 - self.gamma(beta)) * self.r_own - beta * kappa_i
 
+    def stationary(self, price: float) -> float:
+        """The maximizer of (1 - gamma)*r_own - price*beta(gamma) on an unclamped
+        piece: sqrt(price*c_const / (r_own*d)), in ratios, clamped into it."""
+        root = math.sqrt(price / self.r_own) * math.sqrt(max(self.c_const / self.d, 0.0))
+        return min(max(root, self.gamma_lo), self.gamma_hi)
+
     def peak(self, kappa_i: float) -> ContractChoice:
         """The best contract on this piece, with the principal's utility.
 
         On an unclamped piece the utility (1 - gamma)*r_own - beta(gamma)*kappa_i
-        is concave, with its stationary point at gamma = sqrt(kappa_i*c_const /
-        (r_own*d)); the peak is that point clamped into [gamma_lo, gamma_hi].
+        is concave and the peak is its ``stationary`` point at price kappa_i.
         On a clamped piece beta is 0 and the utility falls in gamma, so the
         peak is the left end.
         """
-        if self.clamped:
-            gamma = self.gamma_lo
-        else:
-            stationary = math.sqrt(max(kappa_i * self.c_const / (self.r_own * self.d), 0.0))
-            gamma = min(max(stationary, self.gamma_lo), self.gamma_hi)
+        gamma = self.gamma_lo if self.clamped else self.stationary(kappa_i)
         beta = self.beta(gamma)
         u = (1.0 - gamma) * self.r_own - beta * kappa_i
         return ContractChoice(gamma, beta, self.owner, u)
@@ -422,11 +424,9 @@ class SingleAgentSolution:
 def solve_single(agent: AgentSpec) -> SingleAgentSolution:
     """Optimal linear contract for one agent: the best peak over the pieces.
 
-    Each beta-curve piece's peak is its stationary point gamma =
-    sqrt(kappa_i*(c_own - c_shadow + kappa_s) / (R_own*R_shadow*(1 - alpha)))
-    clamped into the piece, or the left end of a clamped piece; the utility
-    is concave per piece, so the best peak is optimal.  Ties go to smaller
-    beta, then smaller gamma.
+    Each beta-curve piece's peak (``BetaPiece.peak``) is its stationary point,
+    or the left end of a clamped piece; the utility is concave per piece, so
+    the best peak is optimal.  Ties go to smaller beta, then smaller gamma.
     """
     return _best_peak(build_beta_curve(agent), agent.kappa_i)
 

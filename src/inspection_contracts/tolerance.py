@@ -2,7 +2,9 @@
 
 ``TOL`` is for comparing gamma, beta, probabilities and inspector counts, and
 money divided by R_n = ``AgentSpec.money_scale``, the agent's largest reward,
-so results do not depend on the currency unit.  ``QUOTIENT_TOL`` is only for
+so results do not depend on the currency unit.  For the same reason every
+closed form takes money as ratios of two amounts, never as a product of two,
+which overflows or underflows far sooner.  ``QUOTIENT_TOL`` is only for
 quotients with a larger relative error: a span divided by a grid step before
 flooring, and scheduler probabilities conditioned on a normalizer near zero.
 """

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -60,6 +63,20 @@ def priced(agent, unit):
         kappa_i=agent.kappa_i * unit,
         alpha=agent.alpha,
     )
+
+
+def representable(agent, unit):
+    """Whether doubles can hold ``agent`` and ``priced(agent, unit)``: no
+    nonzero amount of money falls below the normal range, and R_n * (R_n /
+    kappa_s), the allocator's curvature term, stays finite in either unit."""
+    amounts = (*agent.rewards, *agent.costs, agent.kappa_s, agent.kappa_i)
+    r = agent.money_scale
+    for u in (1.0, unit):
+        if any(x != 0.0 and abs(x * u) < sys.float_info.min for x in amounts):
+            return False
+        if agent.kappa_s > 0.0 and not math.isfinite(r * (r / agent.kappa_s) * u):
+            return False
+    return True
 
 
 @pytest.fixture

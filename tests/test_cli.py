@@ -13,7 +13,7 @@ import inspection_contracts
 from inspection_contracts import scheduler
 from inspection_contracts.cli import main
 from inspection_contracts.tolerance import TOL
-from conftest import NEAR_ONE_IR
+from conftest import NEAR_ONE_IR, NONCONVEX_C, NONCONVEX_R
 
 UNIT1_DOC = {
     "agents": [
@@ -591,6 +591,61 @@ def test_allocate_epsilon_at_extreme_scales_is_invalid_input(tmp_path, capsys, r
     assert main(["allocate", path, "--epsilon", "0.1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "above the limit" in err
+
+
+NONCONVEX_DOC = {
+    "agents": [
+        {
+            "name": "a1",
+            "actions": [{"reward": r, "cost": c} for r, c in zip(NONCONVEX_R, NONCONVEX_C)],
+            "kappa_s": 1.0,
+            "kappa_i": 1.0,
+            "alpha": 0.0,
+        }
+    ],
+    "budget": 1,
+}
+
+
+def priced_doc(doc, unit):
+    """``doc`` with every amount of money multiplied by ``unit``."""
+    doc = json.loads(json.dumps(doc))
+    for agent in doc["agents"]:
+        for action in agent["actions"]:
+            action["reward"] *= unit
+            action["cost"] *= unit
+        agent["kappa_s"] *= unit
+        agent["kappa_i"] *= unit
+    return doc
+
+
+@pytest.mark.parametrize("k", [154, 159, 300, -200, -300])
+@pytest.mark.parametrize(
+    "doc, contract",
+    [
+        (UNIT1_DOC, "gamma=0.300000 beta=0.333333 action=1"),
+        (NONCONVEX_DOC, "gamma=0.500000 beta=0.285714 action=4"),
+    ],
+    ids=["one_action", "nonconvex"],
+)
+def test_every_subcommand_at_extreme_currency_units(tmp_path, capsys, doc, contract, k):
+    # a product of two amounts of money overflows past 10^153 and underflows
+    # below 10^-154, a ratio of two does neither
+    unit = 10.0**k
+    path = write(tmp_path, priced_doc(doc, unit))
+    assert main(["solve", path]) == 0
+    assert capsys.readouterr().out.startswith(f"agent=a1 {contract} utility=")
+    kappa_i = ["--from", repr(unit), "--to", repr(4.0 * unit), "--steps", "3"]
+    for argv in (
+        ["verify", path],
+        ["allocate", path],
+        ["allocate", path, "--delta", "0.01"],
+        ["allocate", path, "--epsilon", "0.1"],
+        ["sweep", path, "--agent", "a1", "--param", "kappa_i", *kappa_i],
+    ):
+        assert main(argv) == 0, argv
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "infeasible" not in out
 
 
 def test_tiny_safety_cost_allocates_and_verifies(tmp_path, capsys):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from inspection_contracts import (
@@ -23,7 +23,14 @@ from inspection_contracts import (
 from inspection_contracts import multi_agent, oracle
 from inspection_contracts.multi_agent import _dp, _prepare_grid, _spare_budget
 from inspection_contracts.tolerance import QUOTIENT_TOL, TOL
-from conftest import NONCONVEX_C, NONCONVEX_R, make_agent, priced, random_agent
+from conftest import (
+    NONCONVEX_C,
+    NONCONVEX_R,
+    make_agent,
+    priced,
+    random_agent,
+    representable,
+)
 
 # safety costs a few ulps of R or less, where beta(1) may round to 0
 TINY_KAPPA_S = (1e-12, 1e-14, 1e-15, 3e-16)
@@ -64,7 +71,7 @@ class TestUtilityCurve:
         rng = np.random.default_rng(31)
         agents = [random_agent(rng) for _ in range(300)]
         nonconvex = make_agent(NONCONVEX_R, NONCONVEX_C)
-        agents += [priced(nonconvex, 10.0**k) for k in range(-9, 10)]
+        agents += [priced(nonconvex, 10.0**k) for k in range(-300, 301)]
         agents += [make_agent([10.0], [2.0], kappa_s=ks) for ks in TINY_KAPPA_S]
         for agent in agents:
             top, sol = build_utility_curve(agent).top, solve_single(agent)
@@ -232,22 +239,28 @@ class TestAllocate:
             assert a2.total_utility >= a1.total_utility - 1e-12
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.data())
-    def test_permuting_agents_permutes_the_allocation(self, seed, m, data):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5),
+           st.sampled_from([{}, {"delta": 0.005}, {"delta": 0.01}, {"delta": 0.02},
+                            {"epsilon": 1.0}]),
+           st.permutations(range(5)))
+    # epsilon asks this group's DP for 8.43e12 candidate sums, over the limit
+    @example(347, 3, {"epsilon": 1.0}, (4, 2, 0, 3, 1))
+    # two agents' maximizers move by the same ulps at the shadow price
+    @example(2818, 3, {}, (1, 0, 2, 3, 4))
+    @example(2818, 4, {"epsilon": 1.0}, (1, 0, 2, 3, 4))
+    def test_permuting_agents_permutes_the_allocation(self, seed, m, step, shuffled):
         rng = np.random.default_rng(seed)
         agents = tuple(random_agent(rng, n_max=5) for _ in range(m))
         budget = int(rng.integers(1, 3))
-        step = data.draw(st.sampled_from(
-            [{}, {"delta": 0.005}, {"delta": 0.01}, {"delta": 0.02}, {"epsilon": 1.0}]
-        ))
-        perm = data.draw(st.permutations(range(m)))
+        perm = [i for i in shuffled if i < m]
 
         def solve(order):
             return allocate(AllocationProblem(tuple(agents[i] for i in order), budget, **step))
 
         try:
             alloc = solve(range(m))
-        except (InfeasibleBudget, NonpositiveLowerBound) as exc:
+        # a tiny kappa_s / R_n^2 can ask epsilon's DP for a grid over the limits
+        except (InfeasibleBudget, NonpositiveLowerBound, ValidationError) as exc:
             with pytest.raises(type(exc)):
                 solve(perm)
             return
@@ -277,13 +290,18 @@ class TestAllocate:
                 assert doubled.total_utility >= 2 * alloc.total_utility - slack
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(-9, 9),
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(-300, 300),
            st.sampled_from([{}, {"delta": 0.01}, {"epsilon": 1.0}]))
+    # a product of two amounts overflows past 10^153 and underflows below 10^-154
+    @example(1, 3, 154, {})
+    @example(7, 3, 160, {"delta": 0.01})
+    @example(7, 3, -200, {"epsilon": 1.0})
     def test_answer_does_not_depend_on_currency_unit(self, seed, m, k, step):
         rng = np.random.default_rng(seed)
         agents = tuple(random_agent(rng, n_max=5) for _ in range(m))
         budget = int(rng.integers(1, 3))
         unit = 10.0**k
+        assume(all(representable(a, unit) for a in agents))
 
         def solve(group):
             return allocate(AllocationProblem(group, budget, **step))
@@ -299,6 +317,13 @@ class TestAllocate:
         assert scaled.caps == pytest.approx(alloc.caps, abs=1e-9)
         slack = 1e-9 * sum(a.money_scale for a in agents)
         assert abs(scaled.total_utility / unit - alloc.total_utility) <= slack
+        money = [(scaled.gap_bound, alloc.gap_bound)]
+        assert (scaled.dual_bound is None) == (alloc.dual_bound is None)
+        if alloc.dual_bound is not None:
+            money += [(scaled.dual_bound, alloc.dual_bound),
+                      (scaled.shadow_price, alloc.shadow_price)]
+        for x, ref in money:
+            assert x / unit == pytest.approx(ref, rel=1e-9, abs=slack)
 
     def test_feasibility_and_grid_membership(self):
         rng = np.random.default_rng(99)
@@ -495,7 +520,8 @@ class TestExactAllocate:
         exact = allocate(AllocationProblem(agents, 2))
         assert exact.total_utility > 0.07
         alloc = allocate(AllocationProblem(agents, 2, epsilon=1.0))
-        terms = [a.money_scale * a.money_scale / a.kappa_s for a in agents]
+        # R_n^2 / kappa_s as the code forms it, R_n * (R_n / kappa_s)
+        terms = [a.money_scale * (a.money_scale / a.kappa_s) for a in agents]
         assert alloc.delta == exact.total_utility / (2 * max(terms))
         assert alloc.total_utility > 0.0
 

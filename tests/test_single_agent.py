@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from inspection_contracts import (
@@ -36,6 +36,7 @@ from conftest import (
     near_one_ir_agent,
     priced,
     random_agent,
+    representable,
 )
 
 
@@ -295,9 +296,14 @@ def valid_agents(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(valid_agents(), st.integers(-9, 9))
+@given(valid_agents(), st.integers(-300, 300))
+# a product of two amounts overflows past 10^153 and underflows below 10^-154
+@example(make_agent(NONCONVEX_R, NONCONVEX_C), 154)
+@example(make_agent(NONCONVEX_R, NONCONVEX_C), 160)
+@example(make_agent(NONCONVEX_R, NONCONVEX_C), -200)
 def test_answer_does_not_depend_on_currency_unit(agent, k):
     unit = 10.0**k
+    assume(representable(agent, unit))
     base, sol = solve_single(agent), solve_single(priced(agent, unit))
     assert sol.action == base.action
     assert sol.contract.gamma == pytest.approx(base.contract.gamma, abs=1e-9)
@@ -341,7 +347,7 @@ def test_best_response_passes_check_ic_ir(agent, data):
         assert check_ic_ir(agent, contract, response)
 
 
-@pytest.mark.parametrize("k", range(-9, 10))
+@pytest.mark.parametrize("k", range(-300, 301))
 def test_nonconvex_optimum_in_any_currency_unit(nonconvex6, k):
     agent = priced(nonconvex6, 10.0**k)
     sol = solve_single(agent)
