@@ -3,10 +3,12 @@
 Subcommands: solve, beta-curve, sweep, allocate, schedule, verify.  One
 command per process; CSV and key=value output is deterministic given the
 inputs and seed.  Exit codes: 0 ok, 1 infeasible instance, 2 invalid input,
-3 internal invariant breach (including failed verification).  Only the
-handlers that allocate or verify import ``multi_agent``, and only ``verify``
-imports ``oracle``.  numpy comes with ``oracle``, or with the grid DP that
-``--delta``/``--epsilon`` select; the default exact allocation runs without it.
+3 internal invariant breach (including failed verification), 141 when
+stdout's reader has gone (128 + SIGPIPE, as the shell reports for ``cat``).
+Only the handlers that allocate or verify import ``multi_agent``, and only
+``verify`` imports ``oracle``.  numpy comes with ``oracle``, or with the grid
+DP that ``--delta``/``--epsilon`` select; the default exact allocation runs
+without it.
 """
 
 from __future__ import annotations
@@ -164,8 +166,8 @@ def _cmd_schedule(args, out: IO[str]) -> int:
     empirical = None
     if args.samples:
         counts = [0] * len(targets)
-        # one stream for the whole run; seeding a generator per draw cost more
-        # than the draws
+        # one stream for the whole run: seeding a generator per draw would
+        # cost more than the draw, which bisects each rule's compiled table
         rng = random.Random(args.seed)
         for _ in range(args.samples):
             # per-rule picks: the idle inspectors past the last rule add nothing
@@ -332,7 +334,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 return args.func(args, fh)
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        # a reader that has gone shows here at the latest, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # no reader is no invariant breach: exit as a SIGPIPE'd process
+        # would, and point stdout at devnull so the exit flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

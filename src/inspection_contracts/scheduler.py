@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import BudgetExceeded, InvalidProbability, ValidationError
 from .tolerance import QUOTIENT_TOL, TOL
@@ -55,11 +57,35 @@ class InspectionSchedule:
     inspectors past ``len(rules)`` are idle.  Each rule's ``boundary`` is the
     first agent index at which the cumulative targets reach b, or None when
     they never do.
+
+    Each rule is compiled once, here, into ``_table``: per rule the pair
+    (when_prev_missed, when_prev_hit), each branch as its running sums, its
+    agents with None appended and its boundary flags with False appended, so
+    a draw bisects the sums instead of rescanning the branch.
     """
 
     targets: tuple[float, ...]
     budget: int
     rules: tuple[InspectorRule, ...] = field(repr=False)
+    _table: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        table = []
+        for b, rule in enumerate(self.rules, start=1):
+            pair = []
+            for branch in (rule.when_prev_missed, rule.when_prev_hit):
+                # the same left-to-right additions as a linear scan, so
+                # bisect_right picks the agent the scan would pick; that needs
+                # the sums nondecreasing, hence no negative or NaN p
+                probs = [p for _, p in branch]
+                cums = tuple(accumulate(probs))
+                if not all(p >= 0.0 for p in probs) or (cums and cums[-1] > 1.0 + QUOTIENT_TOL):
+                    raise RuntimeError(f"inspector {b}: malformed rule {branch}")
+                agents = tuple(a for a, _ in branch) + (None,)
+                hits = tuple(a == rule.boundary for a, _ in branch) + (False,)
+                pair.append((cums, agents, hits))
+            table.append(tuple(pair))
+        object.__setattr__(self, "_table", tuple(table))
 
 
 def _prefix_sums(xs: list[float]) -> list[float]:
@@ -139,10 +165,6 @@ def build_schedule(targets: list[float] | tuple[float, ...], budget: int) -> Ins
             missed_t = tuple(missed)
         else:
             missed_t = ()
-        for branch in (hit, missed_t):
-            s = sum(p for _, p in branch)
-            if s > 1.0 + QUOTIENT_TOL or any(p < 0.0 for _, p in branch):
-                raise RuntimeError(f"inspector {b}: malformed rule {branch}")
         rules.append(InspectorRule(prev_l, l_b, hit, missed_t))
         if l_b is None:
             break
@@ -177,21 +199,19 @@ def exact_marginals(schedule: InspectionSchedule) -> tuple[float, ...]:
 
 
 def _draw(schedule: InspectionSchedule, rng: random.Random) -> list[int | None]:
-    """One pick per rule, one ``rng.random()`` each: the rule's agent, or None if idle."""
+    """One pick per rule, one ``rng.random()`` each: the rule's agent, or None if idle.
+
+    ``bisect_right`` finds the first running sum above u, the agent a linear
+    scan would stop at; past the branch's mass it lands on the appended None.
+    """
     out: list[int | None] = []
+    uniform = rng.random
     prev_hit = False
-    for rule in schedule.rules:
-        branch = rule.when_prev_hit if prev_hit else rule.when_prev_missed
-        u = rng.random()
-        agent: int | None = None
-        acc = 0.0
-        for a, p in branch:
-            acc += p
-            if u < acc:
-                agent = a
-                break
-        prev_hit = agent is not None and agent == rule.boundary
-        out.append(agent)
+    for pair in schedule._table:
+        cums, agents, hits = pair[prev_hit]
+        i = bisect_right(cums, uniform())
+        out.append(agents[i])
+        prev_hit = hits[i]
     return out
 
 

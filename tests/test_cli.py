@@ -405,16 +405,42 @@ def test_unencodable_agent_name_is_invalid_input(tmp_path, capsys):
     assert capsys.readouterr().err == "error: agents[0].name: expected a string UTF-8 can encode\n"
 
 
-def run_cli(argv, **env):
+def run_cli(argv, stdout=subprocess.PIPE, **env):
     """The CLI in a child process, with ``env`` added to its environment."""
     src = pathlib.Path(inspection_contracts.__file__).resolve().parents[1]
-    child = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    drop = ("PYTHONIOENCODING", "PYTHONUNBUFFERED")
+    child = {k: v for k, v in os.environ.items() if k not in drop}
     child["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), child.get("PYTHONPATH")]))
     child.update(env)
     return subprocess.run(
         [sys.executable, "-m", "inspection_contracts.cli", *argv],
-        env=child, capture_output=True, timeout=60,
+        env=child, stdout=stdout, stderr=subprocess.PIPE, timeout=60,
     )
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        (["solve"], ""),
+        (["allocate"], ""),
+        (["verify"], ""),
+        (["schedule", "--from-allocation", "--samples", "100"], ""),
+        (["solve"], "1"),
+    ],
+)
+def test_closed_stdout_exits_as_sigpipe(tmp_path, argv, unbuffered):
+    # buffered output meets the closed pipe at main's flush, unbuffered output
+    # at its first write; neither is an internal error
+    path = write(tmp_path, UNIT1_DOC)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli([argv[0], path, *argv[1:]], stdout=write_end,
+                       PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_name_stdout_cannot_encode_is_escaped(tmp_path):
