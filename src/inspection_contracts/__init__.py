@@ -12,8 +12,8 @@ Library layout:
 * ``cli``          - batch front end
 
 ``oracle`` imports numpy, and ``multi_agent`` imports it only inside the grid
-DP, which an explicit ``delta`` or ``epsilon`` selects and the exact split
-runs only on a duality gap.  Both modules' names are loaded on first access,
+DP, which an explicit ``delta`` selects and the exact split runs only on a
+duality gap.  Both modules' names are loaded on first access,
 so ``import inspection_contracts``, the single-agent stack and the default
 ``allocate`` run without numpy.
 """
@@ -38,7 +38,6 @@ from .errors import (
     InfeasibleError,
     InfeasibleSafety,
     InvalidProbability,
-    NonpositiveLowerBound,
     NoSafeContract,
     ValidationError,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "Instance",
     "InvalidProbability",
     "NamedAgent",
-    "NonpositiveLowerBound",
     "NoSafeContract",
     "SingleAgentSolution",
     "SweepPoint",

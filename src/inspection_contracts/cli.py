@@ -7,8 +7,8 @@ inputs and seed.  Exit codes: 0 ok, 1 infeasible instance, 2 invalid input,
 stdout's reader has gone (128 + SIGPIPE, as the shell reports for ``cat``).
 Only the handlers that allocate or verify import ``multi_agent``, and only
 ``verify`` imports ``oracle``.  numpy comes with ``oracle``, or with the grid
-DP that ``--delta``/``--epsilon`` select; the default exact allocation runs
-without it.
+DP that ``--delta`` selects; the exact allocation, with or without
+``--epsilon``, runs without it unless it meets a duality gap.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import math
 import os
 import random
 import sys
-from typing import IO
+from itertools import islice
+from typing import IO, Iterator
 
 from . import scheduler, single_agent
 from .errors import ContractError, InfeasibleError, ValidationError
@@ -51,6 +52,10 @@ def _precision(text: str) -> int:
     return value
 
 
+# grid points per sweep_parameter call in ``sweep``
+_SWEEP_SLICE = 1024
+
+
 def _fmt(x: float, precision: int) -> str:
     return f"{x:.{precision}f}"
 
@@ -68,12 +73,14 @@ def _pick_agents(instance: Instance, name: str | None):
     return [instance.agent(name)]
 
 
-def _linspace(a: float, b: float, k: int) -> list[float]:
+def _linspace(a: float, b: float, k: int) -> Iterator[float]:
+    """``k`` evenly spaced points from ``a`` to ``b``, generated one at a time
+    so no command holds them all; ``k`` is checked at the call."""
     if k < 1:
         raise ValidationError(f"need at least one point, got {k}")
     if k == 1:
-        return [a]
-    return [a + (b - a) * i / (k - 1) for i in range(k)]
+        return iter((a,))
+    return (a + (b - a) * i / (k - 1) for i in range(k))
 
 
 def _allocation_from_args(instance: Instance, args):
@@ -118,17 +125,19 @@ def _cmd_sweep(args, out: IO[str]) -> int:
     instance = load_instance(args.file)
     named = instance.agent(args.agent)
     grid = _linspace(args.from_, args.to, args.steps)
-    rows = single_agent.sweep_parameter(named.spec, args.param, grid)
     p = args.precision
     out.write("value,gamma_star,beta_star,utility\n")
-    for row in rows:
-        if row.feasible:
-            out.write(
-                f"{_fmt(row.value, p)},{_fmt(row.gamma, p)},"
-                f"{_fmt(row.beta, p)},{_fmt(row.utility, p)}\n"
-            )
-        else:
-            out.write(f"{_fmt(row.value, p)},infeasible,infeasible,infeasible\n")
+    # fixed slices keep memory flat in --steps; a kappa_i sweep builds its
+    # curve once per slice
+    while values := list(islice(grid, _SWEEP_SLICE)):
+        for row in single_agent.sweep_parameter(named.spec, args.param, values):
+            if row.feasible:
+                out.write(
+                    f"{_fmt(row.value, p)},{_fmt(row.gamma, p)},"
+                    f"{_fmt(row.beta, p)},{_fmt(row.utility, p)}\n"
+                )
+            else:
+                out.write(f"{_fmt(row.value, p)},infeasible,infeasible,infeasible\n")
     return 0
 
 
@@ -222,7 +231,7 @@ def _cmd_verify(args, out: IO[str]) -> int:
             "" if ic else f"counterexample: contract={pair} action={sol.action}",
         )
         curve = single_agent.build_beta_curve(named.spec)
-        gs = _linspace(curve.gamma_ir, 1.0, 201)
+        gs = list(_linspace(curve.gamma_ir, 1.0, 201))
         vals = [single_agent.beta_at(curve, g) for g in gs]
         mono = all(a >= b - TOL for a, b in zip(vals, vals[1:]))
         report(
@@ -300,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--delta", type=float, default=None,
                            help="grid step of the paper's DP (default: exact split)")
         group.add_argument("--epsilon", type=float, default=None,
-                           help="relative target for the paper's DP")
+                           help="relative target for the grid DP the exact split "
+                                "falls back on at a duality gap")
 
     p = sub.add_parser("allocate", help="split the inspection budget across agents")
     common(p)

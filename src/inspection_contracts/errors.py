@@ -43,13 +43,6 @@ class NoSafeContract(InfeasibleError):
     """Brute-force enumeration found no contract implementing a safe action."""
 
 
-class NonpositiveLowerBound(InfeasibleError):
-    """The epsilon-to-delta conversion's utility lower bound is nonpositive.
-
-    Callers hitting this must choose the grid step delta directly.
-    """
-
-
 class BelowRange(ContractError):
     """Envelope inversion target lies below the envelope's value at zero."""
 

@@ -18,10 +18,11 @@ Splitting the budget is then a multiple-choice-knapsack-style problem.  By
 default ``allocate`` solves it by Lagrangian duality (Everett 1963): it
 bisects the budget's shadow price lambda, takes each agent's maximizer of
 U_l(beta) - lambda*beta from the rises' closed forms, and certifies the result
-with the dual bound; this path is pure Python.  Given a grid step delta or a
-target epsilon it runs the paper's method instead, a dynamic program over a
-delta grid of each agent's candidate caps, whose discretization loss is
-bounded by the Lipschitz constants of the curves; only that DP imports numpy.
+with the dual bound; this path is pure Python.  Given a grid step delta it
+runs the paper's method instead, a dynamic program over a delta grid of each
+agent's candidate caps, whose discretization loss is bounded by the
+Lipschitz constants of the curves; the exact split runs it too on a duality
+gap, where a target epsilon sets its step.  Only that DP imports numpy.
 """
 
 from __future__ import annotations
@@ -33,12 +34,7 @@ from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import (
-    BelowMinimumInspection,
-    InfeasibleBudget,
-    NonpositiveLowerBound,
-    ValidationError,
-)
+from .errors import BelowMinimumInspection, InfeasibleBudget, ValidationError
 from .single_agent import (
     AgentSpec,
     BetaCurve,
@@ -47,7 +43,7 @@ from .single_agent import (
     beta_at,
     build_beta_curve,
 )
-from .tolerance import QUOTIENT_TOL, TOL
+from .tolerance import TOL, grid_steps
 
 if TYPE_CHECKING:
     import numpy as np
@@ -174,8 +170,9 @@ _DP_BLOCK = 1 << 15
 class AllocationProblem:
     """Agents, an integer budget of inspectors, and a grid step (or target).
 
-    At most one of ``delta`` and ``epsilon`` may be given.  Either selects the
-    paper's grid DP; with neither, ``allocate`` solves the split exactly.
+    At most one of ``delta`` and ``epsilon`` may be given.  ``delta`` selects
+    the paper's grid DP; otherwise ``allocate`` solves the split exactly, and
+    ``epsilon`` sets the step of the DP it falls back on at a duality gap.
     """
 
     agents: tuple[AgentSpec, ...]
@@ -208,8 +205,8 @@ class Allocation:
     ``dual_bound`` is the Lagrangian dual's value at ``shadow_price`` (lambda*,
     the value of one more unit of budget), an upper bound on every feasible
     total, and ``gap_bound`` is the certified gap ``dual_bound -
-    total_utility``; ``delta`` is None, or 0.01 when the grid DP's answer was
-    the better one.
+    total_utility``; ``delta`` is None, or the fallback step when the grid DP's
+    answer was the better one.
     """
 
     caps: tuple[float, ...]
@@ -247,34 +244,6 @@ def _spare_budget(problem: AllocationProblem, curves: list[UtilityCurve]) -> flo
             "(Assumption 3)"
         )
     return max(problem.budget - total_min, 0.0)
-
-
-def _resolve_delta(problem: AllocationProblem, curves: list[UtilityCurve]) -> float:
-    """``delta``, or the step ``epsilon`` asks for.
-
-    The epsilon conversion's lower bound L on the optimum is the better of two
-    feasible allocations' values: the Lagrangian primal's total, and the best
-    allocation that gives all the spare budget to one agent, max_l U_l(B -
-    sum_{k != l} beta_min^k) + sum_{k != l} U_k(beta_min^k); each sum over k != l
-    is an ``fsum`` over all agents less agent l's term, so agent order does not
-    matter.
-    """
-    if problem.epsilon is None:
-        return problem.delta
-    mins = [c.beta_min for c in curves]
-    floors = [utility_at(c, b) for c, b in zip(curves, mins)]
-    total_min, total_floor = math.fsum(mins), math.fsum(floors)
-    lower = max(
-        utility_at(c, problem.budget - (total_min - b)) + (total_floor - f)
-        for c, b, f in zip(curves, mins, floors)
-    )
-    lower = max(lower, _lagrangian(problem, curves).total_utility)
-    if lower <= 0.0:
-        raise NonpositiveLowerBound(
-            f"the best feasible allocation found is worth {lower} <= 0; pass delta directly"
-        )
-    top = max(map(_curvature, problem.agents))
-    return problem.epsilon * lower / (len(problem.agents) * top) if top > 0.0 else 1.0
 
 
 def _dp(gains: list[np.ndarray], steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -317,7 +286,7 @@ def _dp(gains: list[np.ndarray], steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
-    """The grid step, budget steps, and each agent's candidate caps and gains.
+    """The budget steps, and each agent's candidate caps and gains.
 
     Each agent's caps beta_min + eta * delta stop at the first one at or past
     where its utility envelope goes flat (later caps only tie with it, and the
@@ -327,24 +296,21 @@ def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
     import numpy as np
 
     spare = _spare_budget(problem, curves)
-    delta = _resolve_delta(problem, curves)
-    # an epsilon below what a double resolves gives delta = 0: an infinite grid
-    ratio = spare / delta + QUOTIENT_TOL if delta > 0.0 else math.inf
-    # a tiny delta overflows the ratio to inf, which has no floor
-    steps = math.floor(ratio) if math.isfinite(ratio) else math.inf
+    delta = problem.delta
+    steps = grid_steps(spare, delta)
     if len(curves) * (steps + 1) > MAX_DP_CELLS:
         raise ValidationError(
-            f"delta = {delta!r} needs a DP grid of {len(curves) * (ratio + 1):.3g} cells "
+            f"delta = {delta!r} needs a DP grid of {len(curves) * (steps + 1.0):.3g} cells "
             f"({len(curves)} agents x budget steps), above the limit of "
-            f"{MAX_DP_CELLS:,}; use a larger delta or epsilon"
+            f"{MAX_DP_CELLS:,}; use a larger delta"
         )
     caps_x = [min(c.beta_cap - c.beta_min, spare) for c in curves]
-    ns = [int(math.floor(cap / delta + QUOTIENT_TOL)) for cap in caps_x]
+    ns = [grid_steps(cap, delta) for cap in caps_x]
     work = sum(n_l + 1 for n_l in ns) * (steps + 1)
     if work > MAX_DP_WORK:
         raise ValidationError(
             f"delta = {delta!r} needs {work:.3g} DP candidate sums, above the limit of "
-            f"{MAX_DP_WORK:,}; use a larger delta or epsilon"
+            f"{MAX_DP_WORK:,}; use a larger delta"
         )
     grid, gains = [], []
     for c, cap, n_l in zip(curves, caps_x, ns):
@@ -358,7 +324,7 @@ def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
             betas.append(c.beta_min + cap)
         grid.append(betas)
         gains.append(np.array([utility_at(c, b) - c.base.utility for b in betas]))
-    return delta, steps, gains, grid
+    return steps, gains, grid
 
 
 def _allocate_dp(problem: AllocationProblem, curves: list[UtilityCurve]) -> Allocation:
@@ -370,7 +336,7 @@ def _allocate_dp(problem: AllocationProblem, curves: list[UtilityCurve]) -> Allo
     returns to the pool).  Budget indices are integers throughout; x^l is
     recovered by backtracking the per-cell choices.
     """
-    delta, steps, gains, grid = _prepare_grid(problem, curves)
+    steps, gains, grid = _prepare_grid(problem, curves)
     values, choices = _dp(gains, steps)
 
     caps = [0.0] * len(curves)
@@ -389,7 +355,7 @@ def _allocate_dp(problem: AllocationProblem, curves: list[UtilityCurve]) -> Allo
             f"DP value {check} disagrees with backtracked total {total}"
         )
     return Allocation(
-        tuple(caps), contracts, total, gap_bound(problem, delta), delta
+        tuple(caps), contracts, total, gap_bound(problem, problem.delta), problem.delta
     )
 
 
@@ -494,25 +460,36 @@ def _lagrangian(problem: AllocationProblem, curves: list[UtilityCurve]) -> Alloc
     )
 
 
+def _fallback_step(problem: AllocationProblem, lower: float) -> float:
+    """The grid DP's step on a duality gap: 0.01, or with ``epsilon`` the
+    paper's conversion epsilon * L / (m * max_l R_n^2 / kappa_s) from the
+    feasible total L, while L > 0."""
+    top = max(map(_curvature, problem.agents))
+    if problem.epsilon is None or lower <= 0.0 or top == 0.0:
+        return 0.01
+    return problem.epsilon * lower / (len(problem.agents) * top)
+
+
 def allocate(problem: AllocationProblem) -> Allocation:
     """Split the inspection budget across agents.
 
-    With ``delta`` or ``epsilon`` this is the paper's grid DP
-    (``_allocate_dp``).  With neither it is the Lagrangian primal
-    (``_lagrangian``), whose ``gap_bound`` is certified by the dual.  A gap
-    above ``TOL`` * sum_l R_n means the curves are not concave near lambda*
-    (a duality gap); the DP at delta = 0.01 then also runs, unless its grid
-    is over the size limits, and the better total is returned with its own
-    certified gap.
+    With ``delta`` this is the paper's grid DP (``_allocate_dp``).  Otherwise
+    it is the Lagrangian primal (``_lagrangian``), whose ``gap_bound`` is
+    certified by the dual.  A gap above ``TOL`` * sum_l R_n means the curves
+    are not concave near lambda* (a duality gap); the DP then also runs, at
+    the step ``_fallback_step`` gives, and the better total is returned with
+    its own certified gap.  A step that is not a positive double, or whose
+    grid is over the size limits, leaves the exact split.
     """
     curves = [build_utility_curve(a) for a in problem.agents]
-    if problem.delta is not None or problem.epsilon is not None:
+    if problem.delta is not None:
         return _allocate_dp(problem, curves)
     exact = _lagrangian(problem, curves)
     if exact.gap_bound <= TOL * math.fsum(a.money_scale for a in problem.agents):
         return exact
+    step = _fallback_step(problem, exact.total_utility)
     try:
-        grid = _allocate_dp(replace(problem, delta=0.01), curves)
+        grid = _allocate_dp(replace(problem, delta=step, epsilon=None), curves)
     except ValidationError:
         return exact
     if grid.total_utility <= exact.total_utility:

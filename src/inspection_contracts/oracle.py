@@ -30,7 +30,7 @@ from .multi_agent import (
     utility_at,
 )
 from .single_agent import AgentSpec, Contract, _accepted_pairs
-from .tolerance import QUOTIENT_TOL, TOL
+from .tolerance import TOL, grid_steps
 
 # Most grid cells, grid points x actions, brute_force_single may take; a
 # finer step is rejected as invalid input before any grid array is built.
@@ -51,9 +51,7 @@ def _grid(step: float, n: int) -> np.ndarray:
     Raises ValidationError before building it when its points times the ``n``
     actions exceed ``MAX_ORACLE_CELLS``.
     """
-    ratio = 1.0 / step + QUOTIENT_TOL
-    # a tiny step overflows the ratio to inf, which has no floor
-    k = math.floor(ratio) if math.isfinite(ratio) else math.inf
+    k = grid_steps(1.0, step)
     ends_short = k * step < 1.0 - TOL
     cells = float(k + 1 + ends_short) * n
     if cells > MAX_ORACLE_CELLS:
@@ -147,7 +145,7 @@ def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
     _spare_budget(problem, curves)
     budget = float(problem.budget)
 
-    spans = [math.floor((c.beta_cap - c.beta_min) / step + QUOTIENT_TOL) for c in curves]
+    spans = [grid_steps(c.beta_cap - c.beta_min, step) for c in curves]
     grids = [c.beta_min + np.arange(k + 1) * step for c, k in zip(curves, spans)]
     values = [np.array([utility_at(c, b) for b in g]) for c, g in zip(curves, grids)]
 

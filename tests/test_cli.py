@@ -10,10 +10,10 @@ import tracemalloc
 import pytest
 
 import inspection_contracts
-from inspection_contracts import scheduler
+from inspection_contracts import cli, scheduler, single_agent
 from inspection_contracts.cli import main
 from inspection_contracts.tolerance import TOL
-from conftest import NEAR_ONE_IR, NONCONVEX_C, NONCONVEX_R
+from conftest import NEAR_ONE_IR, NONCONVEX_C, NONCONVEX_R, make_agent
 
 UNIT1_DOC = {
     "agents": [
@@ -607,16 +607,61 @@ def test_schedule_huge_budget_runs(tmp_path, capsys, samples):
     assert capsys.readouterr().out.startswith("agent=1 target=0.500000 exact=0.500000")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["beta-curve", "--agent", "a1", "--samples", "50000"],
+        ["sweep", "--agent", "a1", "--param", "kappa_i", "--from", "0.5", "--to", "4",
+         "--steps", "10000"],
+    ],
+    ids=["beta-curve", "sweep"],
+)
+def test_csv_rows_are_written_as_they_are_computed(tmp_path, argv):
+    # holding every point, or every sweep row, would take a few MB here
+    path = write(tmp_path, UNIT1_DOC)
+    tracemalloc.start()
+    try:
+        assert main([argv[0], path, *argv[1:], "--out", os.devnull]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("param", ["kappa_i", "alpha"])
+def test_sweep_slices_do_not_change_the_rows(tmp_path, capsys, monkeypatch, param):
+    path = write(tmp_path, UNIT1_DOC)
+    argv = ["sweep", path, "--agent", "a1", "--param", param, "--from", "0.05", "--to",
+            "0.95", "--steps", "10", "--precision", "17"]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_SWEEP_SLICE", 3)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+    # the rows are the library's on the whole grid
+    grid = [0.05 + (0.95 - 0.05) * i / 9 for i in range(10)]
+    rows = single_agent.sweep_parameter(make_agent([10.0], [2.0]), param, grid)
+    fields = [(r.value, r.gamma, r.beta, r.utility) for r in rows]
+    assert whole.splitlines()[1:] == [
+        ",".join("infeasible" if x is None else f"{x:.17f}" for x in row) for row in fields
+    ]
+
+
 @pytest.mark.parametrize("reward, kappa_s", [(10.0, 5e-324), (1e155, 1.0)])
-def test_allocate_epsilon_at_extreme_scales_is_invalid_input(tmp_path, capsys, reward, kappa_s):
-    # R_n^2 / kappa_s is infinite, so the epsilon conversion asks for delta = 0
+def test_allocate_epsilon_at_extreme_scales_keeps_the_exact_split(
+    tmp_path, capsys, reward, kappa_s
+):
+    # R_n^2 / kappa_s is infinite, so the paper's conversion would ask for
+    # delta = 0; one concave curve has no duality gap, so no step is needed
     doc = json.loads(json.dumps(UNIT1_DOC))
     doc["agents"][0]["actions"][0]["reward"] = reward
     doc["agents"][0]["kappa_s"] = kappa_s
     path = write(tmp_path, doc)
-    assert main(["allocate", path, "--epsilon", "0.1"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "above the limit" in err
+    assert main(["allocate", path]) == 0
+    exact = capsys.readouterr().out
+    assert main(["allocate", path, "--epsilon", "0.1"]) == 0
+    assert capsys.readouterr().out == exact
+    assert "total=" in exact
 
 
 NONCONVEX_DOC = {

@@ -10,7 +10,6 @@ from inspection_contracts import (
     AllocationProblem,
     BelowMinimumInspection,
     InfeasibleBudget,
-    NonpositiveLowerBound,
     ValidationError,
     allocate,
     best_contract_at,
@@ -217,15 +216,19 @@ class TestAllocate:
             AllocationProblem((unit1,), 0, delta=0.01)
 
     def test_epsilon_conversion(self, unit1):
-        # lower bound = U_1(B) = 20/3; max term = 100; delta = eps*L/(m*term)
-        alloc = allocate(AllocationProblem((unit1,), 1, epsilon=0.15))
-        assert alloc.delta == pytest.approx(0.15 * (20 / 3) / 100, abs=1e-12)
+        # one concave curve has no duality gap, so the exact split is optimal
+        # and epsilon converts to no grid step
+        exact = allocate(AllocationProblem((unit1,), 1))
+        assert exact.total_utility == pytest.approx(20 / 3)
+        assert allocate(AllocationProblem((unit1,), 1, epsilon=0.15)) == exact
 
     def test_epsilon_nonpositive_lower_bound(self):
-        # inspection this expensive makes even the best contract lose money
+        # inspection this expensive makes even the best contract lose money;
+        # the exact split needs no positive lower bound
         agent = make_agent([10.0], [2.0], kappa_i=200.0)
-        with pytest.raises(NonpositiveLowerBound):
-            allocate(AllocationProblem((agent,), 1, epsilon=0.1))
+        exact = allocate(AllocationProblem((agent,), 1))
+        assert exact.total_utility < 0.0
+        assert allocate(AllocationProblem((agent,), 1, epsilon=0.1)) == exact
 
     def test_budget_monotonicity(self):
         rng = np.random.default_rng(5150)
@@ -243,7 +246,7 @@ class TestAllocate:
            st.sampled_from([{}, {"delta": 0.005}, {"delta": 0.01}, {"delta": 0.02},
                             {"epsilon": 1.0}]),
            st.permutations(range(5)))
-    # epsilon asks this group's DP for 8.43e12 candidate sums, over the limit
+    # epsilon's paper step for this group, 2.4e-7, is far over the DP's limits
     @example(347, 3, {"epsilon": 1.0}, (4, 2, 0, 3, 1))
     # two agents' maximizers move by the same ulps at the shadow price
     @example(2818, 3, {}, (1, 0, 2, 3, 4))
@@ -259,9 +262,8 @@ class TestAllocate:
 
         try:
             alloc = solve(range(m))
-        # a tiny kappa_s / R_n^2 can ask epsilon's DP for a grid over the limits
-        except (InfeasibleBudget, NonpositiveLowerBound, ValidationError) as exc:
-            with pytest.raises(type(exc)):
+        except InfeasibleBudget:
+            with pytest.raises(InfeasibleBudget):
                 solve(perm)
             return
         moved = solve(perm)
@@ -308,9 +310,8 @@ class TestAllocate:
 
         try:
             alloc = solve(agents)
-        # a tiny kappa_s / R_n^2 can ask epsilon's DP for a grid over the limits
-        except (InfeasibleBudget, NonpositiveLowerBound, ValidationError) as exc:
-            with pytest.raises(type(exc)):
+        except InfeasibleBudget:
+            with pytest.raises(InfeasibleBudget):
                 solve(tuple(priced(a, unit) for a in agents))
             return
         scaled = solve(tuple(priced(a, unit) for a in agents))
@@ -349,7 +350,7 @@ class TestAllocate:
     def test_dp_rows_nondecreasing(self, unit1):
         problem = AllocationProblem((unit1,) * 3, 2, delta=0.01)
         curves = [build_utility_curve(a) for a in problem.agents]
-        _, steps, gains, _ = _prepare_grid(problem, curves)
+        steps, gains, _ = _prepare_grid(problem, curves)
         for m in range(1, len(curves) + 1):
             values, _ = _dp(gains[:m], steps)
             assert values.shape == (steps + 1,)
@@ -358,7 +359,7 @@ class TestAllocate:
     def test_dp_final_row_gives_allocate_total(self, nonconvex6, unit1):
         problem = AllocationProblem((nonconvex6, unit1, nonconvex6), 2, delta=0.01)
         curves = [build_utility_curve(a) for a in problem.agents]
-        _, steps, gains, _ = _prepare_grid(problem, curves)
+        steps, gains, _ = _prepare_grid(problem, curves)
         values, _ = _dp(gains, steps)
         base = sum(c.base.utility for c in curves)
         assert allocate(problem).total_utility == pytest.approx(base + values[-1])
@@ -459,31 +460,33 @@ class TestExactAllocate:
             assert build_utility_curve(agent).beta_min <= cap <= 1.0
             assert ch.beta <= cap
 
+    # from seed-9 draws with alpha = 0: a rise of agent 0 overtakes its
+    # running best at lambda*, so the Lagrangian primal leaves budget
+    # unspent, and the DP at delta = 0.01 finds a better split
+    GAP_AGENTS = (
+        make_agent([1.1807683193446512, 3.0903515730620246, 3.856674509704404,
+                    4.327631598774597, 4.682802666694951, 5.709044664534008,
+                    6.176276839359652, 7.998259549647688],
+                   [0.06077359873999759, 0.26204608155364223, 0.37649533341943564,
+                    0.6196222263937723, 0.834945178777152, 1.1884132485140366,
+                    1.3659936414557146, 1.7466889640703438],
+                   kappa_s=2.759721901457163, kappa_i=0.6480612807692433),
+        make_agent([0.9307574440182724, 2.0224959694467373, 3.2898429547585666,
+                    3.6266113138670004, 4.697951362670378, 5.5340884455218315,
+                    6.032072498687187],
+                   [0.36040544066728164, 0.4719680604708917, 0.5993239114258395,
+                    1.1656594020188495, 1.755936145760018, 1.8913238113579167,
+                    2.2613416568942935],
+                   kappa_s=1.4323047586713267, kappa_i=1.2483887557168691),
+        make_agent([1.5927923075585135, 2.828269638925968, 4.436742388374528,
+                    5.700790796113244, 6.395665026197783],
+                   [0.0906647548172125, 0.18389632028210542, 0.37439009223907516,
+                    0.6137231685416245, 0.8366901373984585],
+                   kappa_s=1.7863970525053159, kappa_i=2.95545226832728),
+    )
+
     def test_duality_gap_takes_the_grid_dp(self):
-        # from seed-9 draws with alpha = 0: a rise of agent 0 overtakes its
-        # running best at lambda*, so the Lagrangian primal leaves budget
-        # unspent, and the DP at delta = 0.01 finds a better split
-        agents = (
-            make_agent([1.1807683193446512, 3.0903515730620246, 3.856674509704404,
-                        4.327631598774597, 4.682802666694951, 5.709044664534008,
-                        6.176276839359652, 7.998259549647688],
-                       [0.06077359873999759, 0.26204608155364223, 0.37649533341943564,
-                        0.6196222263937723, 0.834945178777152, 1.1884132485140366,
-                        1.3659936414557146, 1.7466889640703438],
-                       kappa_s=2.759721901457163, kappa_i=0.6480612807692433),
-            make_agent([0.9307574440182724, 2.0224959694467373, 3.2898429547585666,
-                        3.6266113138670004, 4.697951362670378, 5.5340884455218315,
-                        6.032072498687187],
-                       [0.36040544066728164, 0.4719680604708917, 0.5993239114258395,
-                        1.1656594020188495, 1.755936145760018, 1.8913238113579167,
-                        2.2613416568942935],
-                       kappa_s=1.4323047586713267, kappa_i=1.2483887557168691),
-            make_agent([1.5927923075585135, 2.828269638925968, 4.436742388374528,
-                        5.700790796113244, 6.395665026197783],
-                       [0.0906647548172125, 0.18389632028210542, 0.37439009223907516,
-                        0.6137231685416245, 0.8366901373984585],
-                       kappa_s=1.7863970525053159, kappa_i=2.95545226832728),
-        )
+        agents = self.GAP_AGENTS
         problem = AllocationProblem(agents, 2)
         slack = TOL * sum(a.money_scale for a in agents)
         curves = [build_utility_curve(a) for a in agents]
@@ -501,10 +504,29 @@ class TestExactAllocate:
         fine = allocate(replace(problem, delta=1e-3)).total_utility
         assert alloc.dual_bound >= fine
 
+    def test_epsilon_on_a_duality_gap(self):
+        # the problem above: epsilon's DP runs at the paper's step
+        # epsilon * L / (m * max_l R_n^2 / kappa_s) from the exact total L, and
+        # the better of it and the exact split is returned
+        problem = AllocationProblem(self.GAP_AGENTS, 2)
+        curves = [build_utility_curve(a) for a in self.GAP_AGENTS]
+        exact = multi_agent._lagrangian(problem, curves)
+        assert exact.total_utility == 5.583549294875517
+        fine = allocate(replace(problem, epsilon=0.1))
+        # R_n^2 / kappa_s as the code forms it, R_n * (R_n / kappa_s)
+        top = max(a.money_scale * (a.money_scale / a.kappa_s) for a in self.GAP_AGENTS)
+        assert fine.delta == 0.1 * exact.total_utility / (3 * top) == 0.007326413552657841
+        assert fine.total_utility == 5.592762067636374
+        assert fine.gap_bound == 0.008289845202274826
+        assert fine.gap_bound == exact.dual_bound - fine.total_utility
+        # a coarse step's DP loses to the exact split, which is returned
+        assert allocate(replace(problem, epsilon=1.0)) == exact
+        # a step whose grid is over the size limits leaves the exact split
+        assert allocate(replace(problem, epsilon=1e-12)) == exact
+
     def test_epsilon_lower_bound_takes_the_exact_split(self):
         # giving either agent all the spare budget loses money, but the best
-        # split earns 0.079 (drawn from rng seed 0; raised NonpositiveLowerBound
-        # when the bound was the one-agent allocations alone)
+        # split earns 0.079 (drawn from rng seed 0)
         agents = (
             make_agent([1.2886325758962063, 2.960487577690526, 3.953845249761581],
                        [0.32849227459698943, 0.42405250597519656, 0.95617087115464],
@@ -519,11 +541,7 @@ class TestExactAllocate:
         )
         exact = allocate(AllocationProblem(agents, 2))
         assert exact.total_utility > 0.07
-        alloc = allocate(AllocationProblem(agents, 2, epsilon=1.0))
-        # R_n^2 / kappa_s as the code forms it, R_n * (R_n / kappa_s)
-        terms = [a.money_scale * (a.money_scale / a.kappa_s) for a in agents]
-        assert alloc.delta == exact.total_utility / (2 * max(terms))
-        assert alloc.total_utility > 0.0
+        assert allocate(AllocationProblem(agents, 2, epsilon=1.0)) == exact
 
 
 def _dp_per_cell(gains, steps):
@@ -613,7 +631,7 @@ def test_dp_on_the_full_grid_picks_the_units_allocate_picks(seed, m, delta):
         alloc = allocate(problem)
     except InfeasibleBudget:
         return
-    _, steps, gains, grid = _prepare_grid(problem, curves)
+    steps, gains, grid = _prepare_grid(problem, curves)
     full = [_full_grid(c, _spare_budget(problem, curves), delta, steps) for c in curves]
     full_gains = [np.array([utility_at(c, b) - c.base.utility for b in betas])
                   for c, betas in zip(curves, full)]
