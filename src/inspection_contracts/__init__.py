@@ -12,8 +12,8 @@ Library layout:
 * ``cli``          - batch front end
 
 ``oracle`` imports numpy, and ``multi_agent`` imports it only inside the grid
-DP, which an explicit ``delta`` selects and the exact split runs only on a
-duality gap.  Both modules' names are loaded on first access,
+DP, which an explicit ``delta`` selects and the exact split runs, at step
+0.01, only on a duality gap.  Both modules' names are loaded on first access,
 so ``import inspection_contracts``, the single-agent stack and the default
 ``allocate`` run without numpy.
 """

@@ -7,8 +7,8 @@ inputs and seed.  Exit codes: 0 ok, 1 infeasible instance, 2 invalid input,
 stdout's reader has gone (128 + SIGPIPE, as the shell reports for ``cat``).
 Only the handlers that allocate or verify import ``multi_agent``, and only
 ``verify`` imports ``oracle``.  numpy comes with ``oracle``, or with the grid
-DP that ``--delta`` selects; the exact allocation, with or without
-``--epsilon``, runs without it unless it meets a duality gap.
+DP that ``--delta`` selects; the exact allocation runs without it unless it
+meets a duality gap.
 """
 
 from __future__ import annotations
@@ -86,9 +86,7 @@ def _linspace(a: float, b: float, k: int) -> Iterator[float]:
 def _allocation_from_args(instance: Instance, args):
     from . import multi_agent
 
-    problem = multi_agent.AllocationProblem(
-        instance.specs, instance.budget, delta=args.delta, epsilon=args.epsilon
-    )
+    problem = multi_agent.AllocationProblem(instance.specs, instance.budget, delta=args.delta)
     return multi_agent.allocate(problem)
 
 
@@ -156,8 +154,8 @@ def _cmd_allocate(args, out: IO[str]) -> int:
 
 
 def _cmd_schedule(args, out: IO[str]) -> int:
-    if args.targets is not None and (args.delta is not None or args.epsilon is not None):
-        raise ValidationError("--delta and --epsilon apply only with --from-allocation")
+    if args.targets is not None and args.delta is not None:
+        raise ValidationError("--delta applies only with --from-allocation")
     instance = load_instance(args.file)
     if args.targets is not None:
         try:
@@ -305,12 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     def allocation_flags(p: argparse.ArgumentParser) -> None:
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--delta", type=float, default=None,
-                           help="grid step of the paper's DP (default: exact split)")
-        group.add_argument("--epsilon", type=float, default=None,
-                           help="relative target for the grid DP the exact split "
-                                "falls back on at a duality gap")
+        p.add_argument("--delta", type=float, default=None,
+                       help="grid step of the paper's DP (default: exact split)")
 
     p = sub.add_parser("allocate", help="split the inspection budget across agents")
     common(p)

@@ -21,8 +21,8 @@ U_l(beta) - lambda*beta from the rises' closed forms, and certifies the result
 with the dual bound; this path is pure Python.  Given a grid step delta it
 runs the paper's method instead, a dynamic program over a delta grid of each
 agent's candidate caps, whose discretization loss is bounded by the
-Lipschitz constants of the curves; the exact split runs it too on a duality
-gap, where a target epsilon sets its step.  Only that DP imports numpy.
+Lipschitz constants of the curves; the exact split runs it too, at step
+0.01, on a duality gap.  Only that DP imports numpy.
 """
 
 from __future__ import annotations
@@ -168,17 +168,15 @@ _DP_BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class AllocationProblem:
-    """Agents, an integer budget of inspectors, and a grid step (or target).
+    """Agents, an integer budget of inspectors, and an optional grid step.
 
-    At most one of ``delta`` and ``epsilon`` may be given.  ``delta`` selects
-    the paper's grid DP; otherwise ``allocate`` solves the split exactly, and
-    ``epsilon`` sets the step of the DP it falls back on at a duality gap.
+    ``delta`` selects the paper's grid DP; without it ``allocate`` solves the
+    split exactly.
     """
 
     agents: tuple[AgentSpec, ...]
     budget: int = 1
     delta: float | None = None
-    epsilon: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "agents", tuple(self.agents))
@@ -186,11 +184,8 @@ class AllocationProblem:
             raise ValidationError("at least one agent is required")
         if not isinstance(self.budget, int) or self.budget < 1:
             raise ValidationError(f"budget must be a positive integer, got {self.budget!r}")
-        if self.delta is not None and self.epsilon is not None:
-            raise ValidationError("give delta or epsilon, not both")
-        for label, v in (("delta", self.delta), ("epsilon", self.epsilon)):
-            if v is not None and not (math.isfinite(v) and v > 0):
-                raise ValidationError(f"{label} must be positive, got {v!r}")
+        if self.delta is not None and not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValidationError(f"delta must be positive, got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -205,8 +200,8 @@ class Allocation:
     ``dual_bound`` is the Lagrangian dual's value at ``shadow_price`` (lambda*,
     the value of one more unit of budget), an upper bound on every feasible
     total, and ``gap_bound`` is the certified gap ``dual_bound -
-    total_utility``; ``delta`` is None, or the fallback step when the grid DP's
-    answer was the better one.
+    total_utility``; ``delta`` is None, or 0.01 when the grid DP that runs on
+    a duality gap gave the better total.
     """
 
     caps: tuple[float, ...]
@@ -346,7 +341,7 @@ def _allocate_dp(problem: AllocationProblem, curves: list[UtilityCurve]) -> Allo
         caps[l] = float(grid[l][units])
         j -= units
     contracts = tuple(best_contract_at(c, cap) for c, cap in zip(curves, caps))
-    total = sum(ch.utility for ch in contracts)
+    total = math.fsum(ch.utility for ch in contracts)
     check = sum(c.base.utility for c in curves) + values[steps]
     # both sides add the same m utilities and m bases in different orders
     scale = math.fsum(abs(ch.utility) + abs(c.base.utility) for c, ch in zip(curves, contracts))
@@ -460,16 +455,6 @@ def _lagrangian(problem: AllocationProblem, curves: list[UtilityCurve]) -> Alloc
     )
 
 
-def _fallback_step(problem: AllocationProblem, lower: float) -> float:
-    """The grid DP's step on a duality gap: 0.01, or with ``epsilon`` the
-    paper's conversion epsilon * L / (m * max_l R_n^2 / kappa_s) from the
-    feasible total L, while L > 0."""
-    top = max(map(_curvature, problem.agents))
-    if problem.epsilon is None or lower <= 0.0 or top == 0.0:
-        return 0.01
-    return problem.epsilon * lower / (len(problem.agents) * top)
-
-
 def allocate(problem: AllocationProblem) -> Allocation:
     """Split the inspection budget across agents.
 
@@ -477,9 +462,8 @@ def allocate(problem: AllocationProblem) -> Allocation:
     it is the Lagrangian primal (``_lagrangian``), whose ``gap_bound`` is
     certified by the dual.  A gap above ``TOL`` * sum_l R_n means the curves
     are not concave near lambda* (a duality gap); the DP then also runs, at
-    the step ``_fallback_step`` gives, and the better total is returned with
-    its own certified gap.  A step that is not a positive double, or whose
-    grid is over the size limits, leaves the exact split.
+    step 0.01, and the better total is returned with its own certified gap.
+    A grid over the size limits leaves the exact split.
     """
     curves = [build_utility_curve(a) for a in problem.agents]
     if problem.delta is not None:
@@ -487,9 +471,8 @@ def allocate(problem: AllocationProblem) -> Allocation:
     exact = _lagrangian(problem, curves)
     if exact.gap_bound <= TOL * math.fsum(a.money_scale for a in problem.agents):
         return exact
-    step = _fallback_step(problem, exact.total_utility)
     try:
-        grid = _allocate_dp(replace(problem, delta=step, epsilon=None), curves)
+        grid = _allocate_dp(replace(problem, delta=0.01), curves)
     except ValidationError:
         return exact
     if grid.total_utility <= exact.total_utility:

@@ -341,6 +341,15 @@ def build_beta_curve(agent: AgentSpec) -> BetaCurve:
             # beta hits zero inside the piece; split there, clamp the rest
             r_own, c_const, d = coeffs
             root = min(max(c_const / (r_own - d), lo), hi)
+            if _beta_raw(*coeffs, root) > 0.0:
+                # the root rounds to a beta above 0: bisect to adjacent doubles
+                # for the least gamma past it where beta is 0
+                below, root = root, hi
+                while below < (g := below + 0.5 * (root - below)) < root:
+                    if _beta_raw(*coeffs, g) > 0.0:
+                        below = g
+                    else:
+                        root = g
             pieces.append(BetaPiece(lo, root, owner, shadow, False, *coeffs))
             pieces.append(BetaPiece(root, hi, owner, shadow, True, *coeffs))
             clamped_seen = True

@@ -192,12 +192,6 @@ def test_allocate_output(tmp_path, capsys):
     assert "gap_bound=3.960000" in out
 
 
-def test_allocate_epsilon_flag(tmp_path, capsys):
-    path = write(tmp_path, UNIT1_DOC)
-    assert main(["allocate", path, "--epsilon", "0.15"]) == 0
-    assert "total=6.666667" in capsys.readouterr().out
-
-
 def test_schedule_targets(tmp_path, capsys):
     doc = json.loads(json.dumps(UNIT1_DOC))
     doc["budget"] = 2
@@ -244,20 +238,23 @@ def test_schedule_from_allocation(tmp_path, capsys):
         assert "target=0.250000 exact=0.250000" in line
 
 
-@pytest.mark.parametrize("flag", [["--delta", "0.01"], ["--epsilon", "0.1"]])
-def test_schedule_targets_rejects_allocation_flags(tmp_path, capsys, flag):
+def test_schedule_targets_rejects_allocation_flags(tmp_path, capsys):
     path = write(tmp_path, UNIT1_DOC)
-    assert main(["schedule", path, "--targets", "0.5", *flag]) == 2
-    assert "only with --from-allocation" in capsys.readouterr().err
+    assert main(["schedule", path, "--targets", "0.5", "--delta", "0.01"]) == 2
+    assert "--delta applies only with --from-allocation" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("source", [["--targets", "0.5"], ["--from-allocation"]])
-def test_schedule_delta_and_epsilon_are_exclusive(tmp_path, capsys, source):
+@pytest.mark.parametrize(
+    "command, flags",
+    [("allocate", ["--epsilon", "0.1"]), ("schedule", ["--from-allocation", "--epsilon", "1"])],
+    ids=["allocate", "schedule"],
+)
+def test_epsilon_is_not_an_option(tmp_path, capsys, command, flags):
     path = write(tmp_path, UNIT1_DOC)
     with pytest.raises(SystemExit) as exc:
-        main(["schedule", path, *source, "--delta", "-1", "--epsilon", "nan"])
+        main([command, path, *flags])
     assert exc.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
+    assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
 
 
 def test_schedule_overbudget_exit(tmp_path, capsys):
@@ -648,20 +645,15 @@ def test_sweep_slices_do_not_change_the_rows(tmp_path, capsys, monkeypatch, para
 
 
 @pytest.mark.parametrize("reward, kappa_s", [(10.0, 5e-324), (1e155, 1.0)])
-def test_allocate_epsilon_at_extreme_scales_keeps_the_exact_split(
-    tmp_path, capsys, reward, kappa_s
-):
-    # R_n^2 / kappa_s is infinite, so the paper's conversion would ask for
-    # delta = 0; one concave curve has no duality gap, so no step is needed
+def test_allocate_at_extreme_scales_keeps_the_exact_split(tmp_path, capsys, reward, kappa_s):
+    # R_n^2 / kappa_s is infinite, so the grid DP's gap bound would be too;
+    # one concave curve has no duality gap, so the exact split answers alone
     doc = json.loads(json.dumps(UNIT1_DOC))
     doc["agents"][0]["actions"][0]["reward"] = reward
     doc["agents"][0]["kappa_s"] = kappa_s
     path = write(tmp_path, doc)
     assert main(["allocate", path]) == 0
-    exact = capsys.readouterr().out
-    assert main(["allocate", path, "--epsilon", "0.1"]) == 0
-    assert capsys.readouterr().out == exact
-    assert "total=" in exact
+    assert "total=" in capsys.readouterr().out
 
 
 NONCONVEX_DOC = {
@@ -711,7 +703,6 @@ def test_every_subcommand_at_extreme_currency_units(tmp_path, capsys, doc, contr
         ["verify", path],
         ["allocate", path],
         ["allocate", path, "--delta", "0.01"],
-        ["allocate", path, "--epsilon", "0.1"],
         ["sweep", path, "--agent", "a1", "--param", "kappa_i", *kappa_i],
     ):
         assert main(argv) == 0, argv

@@ -1,5 +1,5 @@
 """numpy is loaded only by ``verify`` and by the grid DP, which --delta selects
-and the exact split runs only on a duality gap, with or without --epsilon."""
+and the exact split runs only on a duality gap."""
 
 import os
 import pathlib
@@ -40,8 +40,6 @@ SINGLE_AGENT = [
 EXACT_ALLOCATION = [
     ["allocate"],
     ["schedule", "--from-allocation", "--samples", "10"],
-    ["allocate", "--epsilon", "0.1"],
-    ["schedule", "--from-allocation", "--epsilon", "1", "--samples", "10"],
 ]
 
 

@@ -198,10 +198,9 @@ class TestAllocate:
             (0, {}, "at least one agent is required"),
             (1, {"delta": math.nan}, "delta must be positive, got nan"),
             (1, {"delta": math.inf}, "delta must be positive, got inf"),
-            (1, {"epsilon": -0.1}, "epsilon must be positive, got -0.1"),
             (1, {"budget": 0}, "budget must be a positive integer, got 0"),
         ],
-        ids=["no-agents", "nan-delta", "inf-delta", "negative-epsilon", "zero-budget"],
+        ids=["no-agents", "nan-delta", "inf-delta", "zero-budget"],
     )
     def test_problem_validation(self, unit1, agents, kwargs, message):
         with pytest.raises(ValidationError) as exc:
@@ -209,26 +208,9 @@ class TestAllocate:
         assert type(exc.value) is ValidationError
         assert str(exc.value) == message
 
-    def test_delta_epsilon_exclusive(self, unit1):
-        with pytest.raises(ValidationError):
-            AllocationProblem((unit1,), 1, delta=0.01, epsilon=0.1)
-        with pytest.raises(ValidationError):
-            AllocationProblem((unit1,), 0, delta=0.01)
-
-    def test_epsilon_conversion(self, unit1):
-        # one concave curve has no duality gap, so the exact split is optimal
-        # and epsilon converts to no grid step
-        exact = allocate(AllocationProblem((unit1,), 1))
-        assert exact.total_utility == pytest.approx(20 / 3)
-        assert allocate(AllocationProblem((unit1,), 1, epsilon=0.15)) == exact
-
-    def test_epsilon_nonpositive_lower_bound(self):
-        # inspection this expensive makes even the best contract lose money;
-        # the exact split needs no positive lower bound
-        agent = make_agent([10.0], [2.0], kappa_i=200.0)
-        exact = allocate(AllocationProblem((agent,), 1))
-        assert exact.total_utility < 0.0
-        assert allocate(AllocationProblem((agent,), 1, epsilon=0.1)) == exact
+    def test_delta_is_the_only_option(self, unit1):
+        with pytest.raises(TypeError):
+            AllocationProblem((unit1,), 1, epsilon=0.1)
 
     def test_budget_monotonicity(self):
         rng = np.random.default_rng(5150)
@@ -243,14 +225,12 @@ class TestAllocate:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5),
-           st.sampled_from([{}, {"delta": 0.005}, {"delta": 0.01}, {"delta": 0.02},
-                            {"epsilon": 1.0}]),
+           st.sampled_from([{}, {"delta": 0.005}, {"delta": 0.01}, {"delta": 0.02}]),
            st.permutations(range(5)))
-    # epsilon's paper step for this group, 2.4e-7, is far over the DP's limits
-    @example(347, 3, {"epsilon": 1.0}, (4, 2, 0, 3, 1))
+    @example(347, 3, {}, (4, 2, 0, 3, 1))
     # two agents' maximizers move by the same ulps at the shadow price
     @example(2818, 3, {}, (1, 0, 2, 3, 4))
-    @example(2818, 4, {"epsilon": 1.0}, (1, 0, 2, 3, 4))
+    @example(2818, 4, {}, (1, 0, 2, 3, 4))
     def test_permuting_agents_permutes_the_allocation(self, seed, m, step, shuffled):
         rng = np.random.default_rng(seed)
         agents = tuple(random_agent(rng, n_max=5) for _ in range(m))
@@ -293,11 +273,11 @@ class TestAllocate:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(-300, 300),
-           st.sampled_from([{}, {"delta": 0.01}, {"epsilon": 1.0}]))
+           st.sampled_from([{}, {"delta": 0.01}]))
     # a product of two amounts overflows past 10^153 and underflows below 10^-154
     @example(1, 3, 154, {})
     @example(7, 3, 160, {"delta": 0.01})
-    @example(7, 3, -200, {"epsilon": 1.0})
+    @example(7, 3, -200, {})
     def test_answer_does_not_depend_on_currency_unit(self, seed, m, k, step):
         rng = np.random.default_rng(seed)
         agents = tuple(random_agent(rng, n_max=5) for _ in range(m))
@@ -504,45 +484,72 @@ class TestExactAllocate:
         fine = allocate(replace(problem, delta=1e-3)).total_utility
         assert alloc.dual_bound >= fine
 
-    def test_epsilon_on_a_duality_gap(self):
-        # the problem above: epsilon's DP runs at the paper's step
-        # epsilon * L / (m * max_l R_n^2 / kappa_s) from the exact total L, and
-        # the better of it and the exact split is returned
+    def test_grid_over_the_size_limits_keeps_the_exact_split(self, monkeypatch):
         problem = AllocationProblem(self.GAP_AGENTS, 2)
         curves = [build_utility_curve(a) for a in self.GAP_AGENTS]
         exact = multi_agent._lagrangian(problem, curves)
-        assert exact.total_utility == 5.583549294875517
-        fine = allocate(replace(problem, epsilon=0.1))
-        # R_n^2 / kappa_s as the code forms it, R_n * (R_n / kappa_s)
-        top = max(a.money_scale * (a.money_scale / a.kappa_s) for a in self.GAP_AGENTS)
-        assert fine.delta == 0.1 * exact.total_utility / (3 * top) == 0.007326413552657841
-        assert fine.total_utility == 5.592762067636374
-        assert fine.gap_bound == 0.008289845202274826
-        assert fine.gap_bound == exact.dual_bound - fine.total_utility
-        # a coarse step's DP loses to the exact split, which is returned
-        assert allocate(replace(problem, epsilon=1.0)) == exact
-        # a step whose grid is over the size limits leaves the exact split
-        assert allocate(replace(problem, epsilon=1e-12)) == exact
+        monkeypatch.setattr(multi_agent, "MAX_DP_CELLS", 100)
+        assert allocate(problem) == exact
 
-    def test_epsilon_lower_bound_takes_the_exact_split(self):
-        # giving either agent all the spare budget loses money, but the best
-        # split earns 0.079 (drawn from rng seed 0)
-        agents = (
-            make_agent([1.2886325758962063, 2.960487577690526, 3.953845249761581],
-                       [0.32849227459698943, 0.42405250597519656, 0.95617087115464],
-                       kappa_s=1.8157650876870504, kappa_i=1.7352584909480329,
-                       alpha=0.088716684517963),
-            make_agent([0.5970763040022026, 1.5185586552120287, 2.7526510123456918,
-                        3.8853431789881037, 5.1282271018184655],
-                       [0.5991598156729129, 0.7676109903665297, 1.0625650053029272,
-                        1.1421037592795404, 1.6374092619624199],
-                       kappa_s=1.8396762579712864, kappa_i=4.637390627514937,
-                       alpha=0.32882673548497376),
-        )
-        exact = allocate(AllocationProblem(agents, 2))
-        assert exact.total_utility > 0.07
-        assert allocate(AllocationProblem(agents, 2, epsilon=1.0)) == exact
+    # draw 2877 of rng 7's alpha = 0 problems: the DP at delta = 0.01 ties the
+    # exact split's total, 3.928424859599613, once both are correctly rounded
+    # sums; a plain sum put the DP's one ulp above it
+    TIE_AGENTS = (
+        make_agent([0.5713622913344356, 2.512824492470861, 2.8690379602870473,
+                    4.363162321914444, 6.07724621932302, 7.931383279853707],
+                   [0.41792920936345906, 0.7154351480394099, 0.9853347966662019,
+                    1.4816566023226403, 1.9564575904952046, 2.0404508982123764],
+                   kappa_s=1.645019318717214, kappa_i=1.3668996328824665),
+        make_agent([1.5542564431985688, 2.3174101559347324, 3.955195788155156,
+                    5.069629128884643],
+                   [0.17958677977098536, 0.7330456692070063, 1.296048438366319,
+                    1.3849680830052364],
+                   kappa_s=1.0574926426214717, kappa_i=2.854163168226584),
+        make_agent([1.1012813098936207, 1.9245744292703086, 3.7070895411502502,
+                    5.017312498650856, 5.744677264215333, 7.680160775492195,
+                    9.461581334358025],
+                   [0.37979601378605704, 0.7479734085682086, 1.2600384721620304,
+                    1.4647742347470147, 1.878296079720882, 2.0858499121239,
+                    2.2433485998391287],
+                   kappa_s=1.8893535502311034, kappa_i=3.517055501800139),
+        make_agent([1.2445196527802964, 1.6857367359027269],
+                   [0.39461761232118997, 0.7051058460566956],
+                   kappa_s=0.18554966254389588, kappa_i=1.2355568838930342),
+        make_agent([1.7429363233162576, 3.7066543857124747, 5.622330556399085,
+                    6.52601500233614, 8.28939922694153, 8.726833777697657,
+                    9.098470072259566],
+                   [0.30712890817317906, 0.7936897661546922, 1.2023767373651855,
+                    1.3965578276826545, 1.4595266015449846, 1.6514876444290396,
+                    2.2010349408322485],
+                   kappa_s=6.066517613849811, kappa_i=3.6592733058958364),
+        make_agent([1.2798330342266144], [0.06696822580347501],
+                   kappa_s=0.8416714701943862, kappa_i=4.46803295350127),
+    )
 
+    def test_a_rounding_tie_keeps_the_exact_split(self):
+        problem = AllocationProblem(self.TIE_AGENTS, 3)
+        curves = [build_utility_curve(a) for a in self.TIE_AGENTS]
+        exact = multi_agent._lagrangian(problem, curves)
+        assert exact.gap_bound > TOL * sum(a.money_scale for a in self.TIE_AGENTS)
+        grid = allocate(replace(problem, delta=0.01))
+        assert grid.total_utility == math.fsum(ch.utility for ch in grid.contracts)
+        assert grid.total_utility == exact.total_utility == 3.928424859599613
+        alloc = allocate(problem)
+        assert alloc == exact
+        assert alloc.delta is None
+
+    @pytest.mark.parametrize("kappa_i, first", [(2.0, 34), (3.0, 14), (5.0, 10)])
+    def test_foregone_agents_get_cap_zero(self, kappa_i, first):
+        # criterion 6's agents: half at kappa_i = 1, half at the higher cost;
+        # from the threshold on, every high agent's cap is exactly 0
+        low = make_agent([10.0], [1.0], kappa_s=1.0, kappa_i=1.0, alpha=0.35)
+        high = make_agent([10.0], [1.0], kappa_s=1.0, kappa_i=kappa_i, alpha=0.35)
+        foregone = []
+        for m in range(2, 65, 2):
+            alloc = allocate(AllocationProblem((low,) * (m // 2) + (high,) * (m // 2), 1))
+            foregone.append(all(cap == 0.0 for cap in alloc.caps[m // 2 :]))
+        assert foregone.index(True) == first // 2 - 1
+        assert all(foregone[first // 2 - 1 :])
 
 def _dp_per_cell(gains, steps):
     """The per-cell definition of the DP, the reference for the kernel."""

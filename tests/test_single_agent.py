@@ -187,6 +187,16 @@ class TestBetaCurve:
         assert check_ic_ir(agent, sol.contract, (sol.action, True))
         assert sweep_parameter(agent, "kappa_s", [agent.kappa_s])[0].feasible
 
+    def test_split_piece_reaches_zero_at_its_end(self):
+        # criterion 6's high agent: beta's zero root c_const / (r_own - d) =
+        # 1/3.5 rounds to a beta of 1.1e-16, so the split sits just past it
+        agent = make_agent([10.0], [1.0], kappa_s=1.0, kappa_i=2.0, alpha=0.35)
+        rising, flat = build_beta_curve(agent).pieces
+        assert not rising.clamped and flat.clamped
+        assert rising.gamma_hi == flat.gamma_lo > rising.c_const / (rising.r_own - rising.d)
+        assert rising.beta(rising.gamma_hi) == 0.0
+        assert rising.beta(math.nextafter(rising.gamma_hi, 0.0)) > 0.0
+
     def test_pieces_partition_domain(self, nonconvex6):
         curve = build_beta_curve(nonconvex6)
         assert curve.pieces[0].gamma_lo == curve.gamma_ir
