@@ -44,7 +44,9 @@ class UpperEnvelope:
     ``breakpoints`` holds the k-1 interior crossings, strictly increasing;
     the implicit outer endpoints are 0 and +inf.  Segment j (0-based) is owned
     by ``hull_actions[j]``.  ``breakpoint_values`` caches u_h at each
-    breakpoint so inversion can binary-search segments.
+    breakpoint so inversion can binary-search segments.  Each value is taken
+    on the line of the hull action to the breakpoint's left: its reward and
+    cost are the smaller, so g*R - c cancels less than on the right one.
     """
 
     hull_actions: tuple[int, ...]
@@ -118,7 +120,7 @@ def _scan_hull(rewards: Sequence[float], costs: Sequence[float]) -> UpperEnvelop
             breakpoints.pop()
         hull.append(i)
         breakpoints.append(g)
-    values = [g * rewards[i] - costs[i] for g, i in zip(breakpoints, hull[1:])]
+    values = [g * rewards[i] - costs[i] for g, i in zip(breakpoints, hull)]
     if any(b >= a for a, b in zip(breakpoints[1:], breakpoints)):
         raise RuntimeError("envelope breakpoints are not strictly increasing")
     return UpperEnvelope(tuple(hull), tuple(breakpoints), tuple(values))

@@ -158,12 +158,9 @@ def _flat_from(curve: UtilityCurve) -> float:
 # this bounds the grid's memory; 2e7 is 4x the m=1000, B=50, delta=0.01 grid.
 MAX_DP_CELLS = 20_000_000
 # Most candidate sums, sum_l len(gains_l) x (budget steps + 1), the DP may take:
-# at 2-3 ns per sum a few seconds, 8x the m=100, B=10, delta=1e-3 DP.
+# at 2-2.5 ns per sum on long rows (2-CPU x86 host, numpy 2.4) about 5 s, 8x
+# the m=100, B=10, delta=1e-3 DP.
 MAX_DP_WORK = 2_000_000_000
-# candidate sums per vectorized block of the DP: a block covers
-# _DP_BLOCK // len(gains) budget cells (at least one), so its scratch memory
-# stays near 0.25 MB unless one gain curve alone is longer
-_DP_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -249,34 +246,27 @@ def _dp(gains: list[np.ndarray], steps: int) -> tuple[np.ndarray, np.ndarray]:
     chosen, for backtracking.
 
     Each agent's row is one (max,+) convolution of the previous row with its
-    gains: cell j takes the best of ``values[j-eta] + g[eta]``, read from a
-    strided window view of the row padded on the left with -inf, for a block
-    of cells at a time.  That is O(sum_l len(g_l) * steps) numpy work and
-    O(block * max_l len(g_l)) scratch memory besides the table, where a block
-    holds ``_DP_BLOCK // len(g_l)`` cells (at least one).  The sums are the
-    same additions the per-cell definition makes, so values and choices do not
-    depend on the blocking.  argmax takes the first maximizer, so ties
-    resolve toward spending less (no inspection wasted on flat curves).
+    gains: cell j takes the best of ``values[j-eta] + g[eta]``.  The row starts
+    at eta = 0 and takes one shifted vector pass per later eta, which writes
+    its sums where they are strictly larger.  Those are the additions the
+    per-cell definition makes, and the strict comparison keeps the least eta
+    on a tie, which spends less (no inspection wasted on flat curves).  That is
+    O(sum_l len(g_l) * steps) numpy work and O(steps) scratch memory besides
+    the table.
     """
     import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
 
     m = len(gains)
     values = np.zeros(steps + 1)
     choices = np.zeros((m, steps + 1), dtype=np.int32)
     for l, g in enumerate(gains):
-        k = len(g)
-        padded = np.concatenate((np.full(k - 1, -np.inf), values))
-        # win[j, eta] = values[j - eta], -inf where eta > j
-        win = sliding_window_view(padded, k)[:, ::-1]
-        nxt = np.empty(steps + 1)
-        block = max(_DP_BLOCK // k, 1)
-        for lo in range(0, steps + 1, block):
-            cand = win[lo : lo + block] + g
-            eta = cand.argmax(axis=1)
-            nxt[lo : lo + block] = np.take_along_axis(cand, eta[:, None], 1)[:, 0]
-            choices[l, lo : lo + block] = eta
-        values = nxt
+        row = values + g[0]
+        for eta in range(1, min(len(g), steps + 1)):
+            cand = values[: steps + 1 - eta] + g[eta]
+            better = cand > row[eta:]
+            np.copyto(row[eta:], cand, where=better)
+            np.copyto(choices[l, eta:], eta, where=better)
+        values = row
     return values, choices
 
 
@@ -371,6 +361,8 @@ def _shifted_argmax(curve: UtilityCurve, lam: float) -> tuple[float, float]:
         # a rise's d is positive: its peak, computed already, divides by it
         stationary = piece.beta(piece.stationary(rate)) if rate > 0.0 else peak.beta
         for b in (min(max(stationary, lo), peak.beta), peak.beta):
+            # a peak can round below beta_min, which is not a cap
+            b = max(b, b0)
             u = utility_at(curve, b)
             v = u - lam * (b - b0)
             if v > best_v or (v == best_v and b < best_b):

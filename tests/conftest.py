@@ -24,6 +24,39 @@ NEAR_ONE_IR = {
     "alpha": 0.47,
 }
 
+# agents whose actions span many orders of magnitude, as (reward, cost)
+# pairs with kappa_s, kappa_i and alpha: u_h at a breakpoint, taken from the
+# hull line on its right, cancels (to 0.0 on A, whose true value is about
+# 3.4e-9), so gamma_ir or a lifted target lands on the wrong segment
+CANCEL = {
+    "A": ([(1.0325727516058315e-09, 7.617036817555091e-11),
+           (0.000422906750489521, 13177.7448574354),
+           (6459646204.220665, 21684742557.384903)],
+          6.589978372437635e-12, 56622274090.844284, 0.8228891033822211),
+    "B": ([(8.258526040653181e-10, 8.797636297096052e-12),
+           (0.006438705912215033, 52221.863927375925),
+           (11072009.902656382, 219621634727.56375)],
+          1.3581103517959997e-10, 12996020.564569756, 0.0),
+    "C": ([(49.028576693050624, 0.00010804268192400254),
+           (701962.0416489223, 0.03530426897246729),
+           (6349205524.592945, 2716920951.1183786),
+           (1e300, 1.7e308)],
+          21855793.23040879, 61089.670172177226, 0.11760118317715273),
+    # a rise's peak beta rounds more than TOL below beta_min
+    "D": ([(11.509455191484998, 4.600111284399742),
+           (66528.5528199144, 33449.86468873493),
+           (30803957517.850685, 20833369083.086723)],
+          1.0, 18281960.919106234, 0.0),
+}
+
+
+def cancel_doc(key):
+    """The one-agent, budget-1 instance of ``CANCEL[key]``."""
+    actions, kappa_s, kappa_i, alpha = CANCEL[key]
+    agent = {"name": "a", "actions": [{"reward": r, "cost": c} for r, c in actions],
+             "kappa_s": kappa_s, "kappa_i": kappa_i, "alpha": alpha}
+    return {"agents": [agent], "budget": 1}
+
 
 def make_agent(rewards, costs, kappa_s=1.0, kappa_i=1.0, alpha=0.0):
     actions = tuple(Action(float(r), float(c)) for r, c in zip(rewards, costs))

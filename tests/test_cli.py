@@ -13,7 +13,7 @@ import inspection_contracts
 from inspection_contracts import cli, scheduler, single_agent
 from inspection_contracts.cli import main
 from inspection_contracts.tolerance import TOL
-from conftest import NEAR_ONE_IR, NONCONVEX_C, NONCONVEX_R, make_agent
+from conftest import NEAR_ONE_IR, NONCONVEX_C, NONCONVEX_R, cancel_doc, make_agent
 
 UNIT1_DOC = {
     "agents": [
@@ -722,3 +722,20 @@ def test_tiny_safety_cost_allocates_and_verifies(tmp_path, capsys):
     assert abs(total - utility) <= TOL * 10.0
     assert main(["verify", path]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["A", "B", "C"])
+def test_breakpoint_values_that_cancel_are_solved(tmp_path, capsys, key):
+    # gamma_ir and every lifted target must land on the right segment
+    path = write(tmp_path, cancel_doc(key))
+    for argv in (["solve", path], ["allocate", path], ["verify", path, "--grid-step", "0.01"]):
+        assert main(argv) == 0, argv
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    if key == "A":
+        assert out.startswith("agent=a gamma=0.080150 ")
+
+
+def test_a_peak_below_beta_min_is_raised_to_it(tmp_path):
+    # a rise's peak beta rounds below beta_min; the exact split takes beta_min
+    assert main(["allocate", write(tmp_path, cancel_doc("D"))]) == 0

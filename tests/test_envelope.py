@@ -10,11 +10,12 @@ from inspection_contracts import (
     BelowRange,
     DegenerateInput,
     ValidationError,
+    build_beta_curve,
     build_envelope,
     eval_envelope,
     invert_envelope,
 )
-from conftest import NONCONVEX_C, NONCONVEX_R
+from conftest import CANCEL, NONCONVEX_C, NONCONVEX_R, make_agent
 
 
 def lines(rewards, costs):
@@ -208,3 +209,16 @@ class TestProperties:
                 top = eval_envelope(env, *columns(acts), g)
                 for act in acts:
                     assert g * act.reward - act.cost <= top + 1e-12
+
+
+def test_breakpoint_values_come_from_the_left_hull_line():
+    # the right line's reward and cost are ten orders of magnitude larger, so
+    # g*R - c on it cancels to 0.0; the left line's gives about 3.4e-9
+    actions, kappa_s, kappa_i, alpha = CANCEL["A"]
+    agent = make_agent(*zip(*actions), kappa_s, kappa_i, alpha)
+    env = agent.envelope
+    g = env.breakpoints[0]
+    r0, c0 = actions[env.hull_actions[0]]
+    assert env.breakpoint_values[0] == g * r0 - c0
+    assert env.breakpoint_values[0] > 0.0
+    assert build_beta_curve(agent).gamma_ir <= 1.0

@@ -285,7 +285,7 @@ def reference_scan(actions):
             breakpoints.pop()
         hull.append(i)
         breakpoints.append(g)
-    values = [g * actions[i].reward - actions[i].cost for g, i in zip(breakpoints, hull[1:])]
+    values = [g * actions[i].reward - actions[i].cost for g, i in zip(breakpoints, hull)]
     return UpperEnvelope(tuple(hull), tuple(breakpoints), tuple(values))
 
 
