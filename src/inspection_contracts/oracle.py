@@ -8,9 +8,12 @@ that deters every unsafe action, solved from the deterrence inequality
 itself.  Callers may inject extra candidate gammas (typically from the
 solver's own answer); the evaluation path stays independent either way.
 ``check_ic_ir`` shares one thing with the solvers, the agent's choice rule:
-the pairs ``agent_best_response`` chooses from.
+the pairs ``agent_best_response`` chooses from.  The allocation oracle
+searches every cap vector on a step grid; it reads each agent's utility curve
+at every grid cap, with ``utility_at``'s own arithmetic over the whole grid.
 
-Not a production solver; everything here trades speed for transparency.
+Not a production solver: each check runs over whole grids, in a few array
+operations per agent rather than a loop over points.
 """
 
 from __future__ import annotations
@@ -24,19 +27,22 @@ from .errors import NoSafeContract, ValidationError
 from .multi_agent import (
     Allocation,
     AllocationProblem,
+    UtilityCurve,
     _spare_budget,
     best_contract_at,
     build_utility_curve,
-    utility_at,
 )
 from .single_agent import AgentSpec, Contract, _accepted_pairs
 from .tolerance import TOL, grid_steps
 
-# Most grid cells, grid points x actions, brute_force_single may take; a
+# Most grid cells, grid points x actions, brute_force_single may take, and
+# most table entries (and bisected caps) brute_force_allocate may take; a
 # finer step is rejected as invalid input before any grid array is built.
-# The pass holds about a dozen arrays of that many cells: at the limit a
-# 1-action agent (10^6 points) takes about 0.1 s and 100 MB on a 2-CPU Xeon
-# host.  The default step 1e-3 on an 8-action agent needs about 8e3 cells.
+# Each pass holds about a dozen arrays of that many cells.  At the limit, on
+# a 2-CPU Xeon host, a 1-action agent (10^6 points) takes about 80 ms and
+# 106 MB, and three agents (a 1228 x 790 table) about 40 ms and 32 MB.  The
+# default step 1e-3 on an 8-action agent needs about 8e3 cells, and no
+# 3-agent table at step 0.01 exceeds 101^2 entries.
 MAX_ORACLE_CELLS = 1_000_000
 
 
@@ -76,25 +82,26 @@ def _scan(agent: AgentSpec, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     The principal's payoff falls with beta, so that least beta is the best
     contract at that gamma.  Its base (1 - gamma) R uses the highest-reward
     safe action within TOL * R_n of S.  Where IR fails (S < -TOL * R_n) or
-    no beta <= 1 deters, the utility is -inf.
+    no beta <= 1 deters, the utility is -inf.  The arrays are actions x
+    gammas, so every reduction runs down the few action rows.
     """
     tie = TOL * agent.money_scale
     rewards = np.array(agent.rewards)
-    costs = np.array(agent.costs)
-    safe = gammas[:, None] * rewards[None, :] - costs[None, :]
-    top = safe.max(axis=1)
+    costs = np.array(agent.costs)[:, None]
+    safe = rewards[:, None] * gammas - costs
+    top = safe.max(axis=0)
     best_safe = top - agent.kappa_s
-    act = (len(rewards) - 1) - np.argmax((safe >= top[:, None] - tie)[:, ::-1], axis=1)
+    act = (agent.n - 1) - np.argmax((safe >= top - tie)[::-1], axis=0)
     base = (1.0 - gammas) * rewards[act]
 
-    shade = ((1.0 - agent.alpha) * gammas)[:, None] * rewards[None, :]
-    floor = best_safe[:, None] + costs[None, :]
+    shade = rewards[:, None] * ((1.0 - agent.alpha) * gammas)
+    floor = best_safe + costs
     pos = shade > 0.0
     # a subnormal shade overflows the ratio to +-inf, the right limit
     with np.errstate(over="ignore"):
         ratio = floor / np.where(pos, shade, 1.0)
     need = np.where(pos, 1.0 - ratio, np.where(floor >= 0.0, 0.0, np.inf))
-    beta = np.maximum(need.max(axis=1), 0.0)
+    beta = np.maximum(need.max(axis=0), 0.0)
     ok = (best_safe >= -tie) & (beta <= 1.0)
     # the cost overflows only where beta > 1, cells that are -inf anyway
     with np.errstate(over="ignore"):
@@ -127,15 +134,46 @@ def brute_force_single(
     return Contract(float(gammas[i]), float(beta[i])), float(util[i])
 
 
+def _values(curve: UtilityCurve, caps: np.ndarray) -> np.ndarray:
+    """``utility_at`` at every cap, with ``best_contract_at``'s float operations.
+
+    Each cap gathers the coefficients of the last rise starting at or below
+    it; below the first rise the value is ``base``'s, and at or past the
+    rise's peak it is the peak's.
+    """
+    b = np.maximum(caps, curve.beta_min)
+    if not curve.rises:
+        return np.full(b.shape, curve.base.utility)
+    befores = [curve.base.utility] + [peak.utility for _, _, peak in curve.rises[:-1]]
+    coef = np.array([
+        (piece.r_own, piece.d, piece.c_const, piece.gamma_hi, peak.beta, peak.utility, before)
+        for (piece, _, peak), before in zip(curve.rises, befores)
+    ])
+    j = np.searchsorted([lo for _, lo, _ in curve.rises], b, side="right") - 1
+    r_own, d, c_const, gamma_hi, peak_beta, peak_u, before = coef[np.maximum(j, 0)].T
+    denom = (r_own - d) + b * d
+    flat = denom == 0.0
+    # Python floats overflow to inf, and 0 * inf gives nan, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = np.where(flat, gamma_hi, c_const / np.where(flat, 1.0, denom))
+        u = (1.0 - gamma) * r_own - b * curve.beta_curve.agent.kappa_i
+    u = np.where(b >= peak_beta, peak_u, np.where(u > before, u, before))
+    return np.where(j < 0, curve.base.utility, u)
+
+
 def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
     """Exhaustive search over per-agent caps on a step grid (m <= 3 only).
 
     ``utility_at`` is a running max, so nondecreasing in the cap: given the
-    other agents' caps, the last agent's best is its largest affordable one
-    (caps summing to <= budget + TOL).  Ties go to the first of the other
-    agents' cap vectors in row-major order, and the last agent keeps its
-    largest affordable cap even where a smaller one is worth as much.
-    Assumption 3 is ``allocate``'s own check, with its ``InfeasibleBudget``.
+    other agents' caps, one agent's best is its largest affordable one (caps
+    summing to <= budget + TOL).  That agent is the one with the most grid
+    points (the first on a tie), found by bisection; the others' cap vectors
+    are tabulated, and each total is summed in agent order.  Ties go to the
+    first tabulated cap vector in row-major order, and the bisected agent
+    keeps its largest affordable cap even where a smaller one is worth as
+    much.  A step whose table entries, or whose bisected grid's points,
+    exceed ``MAX_ORACLE_CELLS`` raises ValidationError.  Assumption 3 is
+    ``allocate``'s own check, with its ``InfeasibleBudget``.
     """
     agents = problem.agents
     if len(agents) > 3:
@@ -145,18 +183,29 @@ def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
     _spare_budget(problem, curves)
     budget = float(problem.budget)
 
-    spans = [grid_steps(c.beta_cap - c.beta_min, step) for c in curves]
-    grids = [c.beta_min + np.arange(k + 1) * step for c, k in zip(curves, spans)]
-    values = [np.array([utility_at(c, b) for b in g]) for c, g in zip(curves, grids)]
+    sizes = [grid_steps(c.beta_cap - c.beta_min, step) + 1 for c in curves]
+    wide = sizes.index(max(sizes))
+    rest = [l for l in range(len(curves)) if l != wide]
+    cells = max(math.prod(float(sizes[l]) for l in rest), float(sizes[wide]))
+    if cells > MAX_ORACLE_CELLS:
+        raise ValidationError(
+            f"grid step {step!r} needs {cells:.3g} oracle table entries "
+            f"(the smaller agents' cap vectors, or the widest agent's caps), "
+            f"above the limit of {MAX_ORACLE_CELLS:,}; use a larger step"
+        )
+    grids = [c.beta_min + np.arange(n) * step for c, n in zip(curves, sizes)]
+    values = [_values(c, g) for c, g in zip(curves, grids)]
 
-    def table(arrays):  # every combination's sum in agent order, 0-d for none
-        return reduce(np.add.outer, arrays, np.zeros(()))
-
-    # tables over the other agents' caps, built as temporaries to bound the peak
-    last = np.searchsorted(grids[-1], budget - table(grids[:-1]) + TOL, side="right") - 1
-    tot = np.where(last >= 0, table(values[:-1]) + values[-1][last], -np.inf)
+    # one table axis per tabulated agent, in agent order; 0-d when there is none
+    sums = reduce(np.add.outer, [grids[l] for l in rest], np.zeros(()))
+    pick = np.searchsorted(grids[wide], budget - sums + TOL, side="right") - 1
+    terms = [values[l][pick] if l == wide
+             else values[l].reshape([-1 if q == l else 1 for q in rest])
+             for l in range(len(curves))]
+    tot = np.where(pick >= 0, reduce(np.add, terms, np.zeros(())), -np.inf)
     best = np.unravel_index(int(np.argmax(tot)), tot.shape)
-    caps = tuple(float(g[i]) for g, i in zip(grids, (*best, last[best])))
+    index = (*best[:wide], pick[best], *best[wide:])
+    caps = tuple(float(g[i]) for g, i in zip(grids, index))
 
     contracts = tuple(best_contract_at(c, cap) for c, cap in zip(curves, caps))
     total = sum(ch.utility for ch in contracts)

@@ -25,8 +25,16 @@ from inspection_contracts import (
 )
 from inspection_contracts import oracle
 from inspection_contracts.oracle import _grid
-from inspection_contracts.tolerance import QUOTIENT_TOL, TOL
+from inspection_contracts.tolerance import QUOTIENT_TOL, TOL, grid_steps
 from conftest import make_agent, random_agent
+
+# one action (10, 2) with kappa_i = 1 and alpha = 0: at step 0.01 the cap
+# grids of kappa_s = 3, 1 and 0.5 have 31, 24 and 16 points
+WIDE, MID, NARROW = (make_agent([10.0], [2.0], kappa_s=ks) for ks in (3.0, 1.0, 0.5))
+# a utility curve with no rises over a cap range of 0.1 to 1/3, and one with
+# a rise from beta_min = 0
+NO_RISES = make_agent([10.0], [2.0], kappa_s=1.0, kappa_i=200.0)
+FREE_START = make_agent([10.0], [2.0], kappa_s=3.0, kappa_i=0.1, alpha=0.5)
 
 
 def _scan_full(agent, gammas, betas):
@@ -60,6 +68,31 @@ def _scan_full(agent, gammas, betas):
         if util[bi, gi] > -math.inf and (best is None or util[bi, gi] > best[0]):
             best = (float(util[bi, gi]), float(gammas[gi]), float(bc[bi]))
     return best
+
+
+def _scan_reference(agent, gammas):
+    """``oracle._scan``'s float operations, one gamma and one action at a time."""
+    tie = TOL * agent.money_scale
+    betas, utils = [], []
+    for gamma in map(float, gammas):
+        safe = [r * gamma - c for r, c in zip(agent.rewards, agent.costs)]
+        top = max(safe)
+        best_safe = top - agent.kappa_s
+        act = max(i for i, u in enumerate(safe) if u >= top - tie)
+        base = (1.0 - gamma) * agent.rewards[act]
+        need = []
+        for r, c in zip(agent.rewards, agent.costs):
+            shade = r * ((1.0 - agent.alpha) * gamma)
+            floor = best_safe + c
+            if shade > 0.0:
+                need.append(1.0 - floor / shade)
+            else:
+                need.append(0.0 if floor >= 0.0 else math.inf)
+        beta = max(max(need), 0.0)
+        ok = best_safe >= -tie and beta <= 1.0
+        betas.append(beta)
+        utils.append(base - agent.kappa_i * beta if ok else -math.inf)
+    return betas, utils
 
 
 def _brute_force_full(agent, step, include=()):
@@ -162,6 +195,66 @@ class TestBruteForceAllocate:
     def test_rejects_large_m(self, unit1):
         with pytest.raises(ValueError):
             brute_force_allocate(AllocationProblem((unit1,) * 4, 1, delta=0.01), 0.01)
+
+    # the table holds 24 x 16 = 384 entries whatever the order, and one
+    # agent's bisected grid 31 points
+    @pytest.mark.parametrize("agents, fits", [
+        ((WIDE, MID, NARROW), 384), ((NARROW, MID, WIDE), 384), ((WIDE,), 31),
+    ])
+    def test_table_entry_limit(self, monkeypatch, agents, fits):
+        problem = AllocationProblem(agents, 1)
+        monkeypatch.setattr(oracle, "MAX_ORACLE_CELLS", fits)
+        brute_force_allocate(problem, 0.01)
+        monkeypatch.setattr(oracle, "MAX_ORACLE_CELLS", fits - 1)
+        with pytest.raises(ValidationError, match="above the limit"):
+            brute_force_allocate(problem, 0.01)
+
+    # at 2e-5 the three agents' table holds 11,667 x 7,501 entries
+    @pytest.mark.parametrize("m, step", [(3, 2e-5)] + [
+        (m, step) for m in (1, 2, 3) for step in (1e-9, 1e-300, 1e-308, 5e-324)
+    ])
+    def test_tiny_step_rejected_before_building_the_grid(self, m, step):
+        problem = AllocationProblem((WIDE, MID, NARROW)[:m], 1)
+        with pytest.raises(ValidationError, match="above the limit"):
+            brute_force_allocate(problem, step)
+
+
+@st.composite
+def allocation_agents(draw):
+    """1-4 actions, about half with alpha = 0 (flat stretches in the utility
+    curve)."""
+    n = draw(st.integers(1, 4))
+    rewards = np.cumsum(draw(st.lists(st.floats(0.3, 2.0), min_size=n, max_size=n)))
+    costs = np.cumsum(draw(st.lists(st.floats(0.05, 0.6), min_size=n, max_size=n)))
+    slack = float(np.max(rewards - costs))
+    assume(slack > 0.05)
+    return make_agent(
+        rewards,
+        costs,
+        kappa_s=draw(st.floats(0.3, 0.95)) * slack,
+        # cheap inspection puts the peaks at large caps, so budgets bind
+        kappa_i=draw(st.floats(0.01, 1.0)),
+        alpha=draw(st.just(0.0) | st.floats(0.0, 0.3)),
+    )
+
+
+def test_value_examples_have_their_shapes():
+    assert not build_utility_curve(NO_RISES).rises
+    free = build_utility_curve(FREE_START)
+    assert free.beta_min == 0.0 and free.rises
+
+
+@settings(max_examples=100, deadline=None)
+@given(allocation_agents(), st.sampled_from([1e-3, 0.01, 0.05]) | st.floats(1e-3, 0.05))
+@example(NO_RISES, 0.01)
+@example(FREE_START, 1e-3)
+@example(WIDE, 0.01)
+def test_value_fill_matches_utility_at(agent, step):
+    """The whole-grid value fill is ``utility_at`` at each cap, bit for bit."""
+    curve = build_utility_curve(agent)
+    caps = curve.beta_min + np.arange(grid_steps(curve.beta_cap - curve.beta_min, step) + 1) * step
+    expected = [utility_at(curve, float(cap)) for cap in caps]
+    assert np.array_equal(oracle._values(curve, caps), expected)
 
 
 class TestCheckIcIr:
@@ -289,6 +382,18 @@ def test_oracle_contract_meets_the_raw_definition(case):
     assert abs(utility - expected) <= tie
 
 
+@settings(max_examples=100, deadline=None)
+@given(oracle_cases())
+def test_scan_repeats_the_scalar_arithmetic(case):
+    """Every beta and utility of the scan, bit for bit, from one gamma at a time."""
+    agent, step, include = case
+    gammas = np.append(_grid(step, agent.n), [gamma for gamma, _ in include])
+    beta, util = oracle._scan(agent, gammas)
+    ref_beta, ref_util = _scan_reference(agent, gammas)
+    assert np.array_equal(beta, ref_beta)
+    assert np.array_equal(util, ref_util)
+
+
 def _enumerate_allocations(problem, step):
     """Every cap vector on the oracle's step grids, summed in agent order.
 
@@ -312,34 +417,26 @@ def _enumerate_allocations(problem, step):
 
 @st.composite
 def allocation_cases(draw):
-    """1-3 agents, about half with alpha = 0 (flat stretches in the utility
-    curve), budgets from 1 (binding) to m (slack), steps 0.01 to 0.05."""
+    """1-3 agents, budgets from 1 (binding) to m (slack), steps 0.01 to 0.05."""
     m = draw(st.sampled_from((1, 2, 3)))
-    agents = []
-    for _ in range(m):
-        n = draw(st.integers(1, 4))
-        rewards = np.cumsum(draw(st.lists(st.floats(0.3, 2.0), min_size=n, max_size=n)))
-        costs = np.cumsum(draw(st.lists(st.floats(0.05, 0.6), min_size=n, max_size=n)))
-        slack = float(np.max(rewards - costs))
-        assume(slack > 0.05)
-        agents.append(make_agent(
-            rewards,
-            costs,
-            kappa_s=draw(st.floats(0.3, 0.95)) * slack,
-            # cheap inspection puts the peaks at large caps, so budgets bind
-            kappa_i=draw(st.floats(0.01, 1.0)),
-            alpha=draw(st.just(0.0) | st.floats(0.0, 0.3)),
-        ))
+    agents = tuple(draw(allocation_agents()) for _ in range(m))
     budget = draw(st.integers(1, m))
     step = draw(st.sampled_from([0.01, 0.05]) | st.floats(0.01, 0.05))
-    return AllocationProblem(tuple(agents), budget), step
+    return AllocationProblem(agents, budget), step
 
 
 @settings(max_examples=100, deadline=None)
 @given(allocation_cases())
+# the agent with the widest cap grid first, and in the middle
+@example((AllocationProblem((WIDE, MID, NARROW), 1), 0.01))
+@example((AllocationProblem((MID, WIDE, NARROW), 1), 0.01))
 def test_allocate_oracle_matches_plain_enumeration(case):
-    """The last agent's largest affordable cap loses no allocation: the
-    totals are equal, and the caps are affordable grid points."""
+    """The bisected agent's largest affordable cap loses no allocation: the
+    totals are equal, and the caps are affordable grid points.
+
+    Each oracle total adds the agents' values in agent order, the bisected
+    agent's included, as the enumeration's plain ``sum`` does, so the two
+    totals are the same float."""
     problem, step = case
     best, grids = _enumerate_allocations(problem, step)
     if best is None:
