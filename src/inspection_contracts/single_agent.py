@@ -34,17 +34,23 @@ No scalar parameter enters the upper envelope, so an ``AgentSpec`` builds it
 once and every curve of the agent reuses it.  A parameter sweep reuses it for
 every row, and a kappa_i sweep reuses the whole curve: kappa_i enters only
 the peaks.
+
+A solve builds a record per piece and per peak, so the solver's records
+(``BetaPiece``, ``BetaCurve``, ``ContractChoice`` and ``SweepPoint``) are
+named tuples, the cheapest immutable record to build: hashable, equal by
+value, and equal to plain tuples of the same values.  ``Contract``,
+``SingleAgentSolution`` and ``AgentSpec`` are frozen dataclasses.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from contextlib import suppress
 from collections.abc import Iterable, Sequence
 from dataclasses import InitVar, dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from .envelope import (
     Action,
@@ -54,7 +60,6 @@ from .envelope import (
     _scan_hull,
     eval_envelope,
     invert_envelope,
-    segment_at,
 )
 from .errors import BelowIRThreshold, InfeasibleSafety, ValidationError
 from .tolerance import TOL
@@ -173,8 +178,7 @@ class Contract:
             raise ValidationError(f"beta must lie in [0, 1], got {self.beta!r}")
 
 
-@dataclass(frozen=True)
-class ContractChoice:
+class ContractChoice(NamedTuple):
     """A concrete contract together with the action it implements."""
 
     gamma: float
@@ -185,7 +189,8 @@ class ContractChoice:
 
 def _beta_raw(r_own: float, c_const: float, d: float, gamma: float) -> float:
     # right-limit at gamma = 0 (reachable only when kappa_s = 0 and c_1 = 0,
-    # where c_const is 0 and the piece is constant)
+    # where c_const is 0 and the piece is constant, or negative when action
+    # 1's reward is 0 too and the next hull action is the shadow)
     if gamma <= 0.0:
         if c_const == 0.0:
             return 1.0 - r_own / d
@@ -193,8 +198,7 @@ def _beta_raw(r_own: float, c_const: float, d: float, gamma: float) -> float:
     return 1.0 - (r_own * gamma - c_const) / (d * gamma)
 
 
-@dataclass(frozen=True)
-class BetaPiece:
+class BetaPiece(NamedTuple):
     """Maximal gamma interval on which beta(gamma) has a single closed form.
 
     ``owner`` is the action dominant at gamma, ``shadow`` the action whose
@@ -255,8 +259,7 @@ class BetaPiece:
         return ContractChoice(gamma, beta, self.owner, u)
 
 
-@dataclass(frozen=True)
-class BetaCurve:
+class BetaCurve(NamedTuple):
     """Piecewise closed-form representation of beta(gamma) on [gamma_ir, 1]."""
 
     agent: AgentSpec
@@ -295,7 +298,11 @@ def build_beta_curve(agent: AgentSpec) -> BetaCurve:
     Piece boundaries are the envelope breakpoints in (gamma_ir, 1), the
     subdivision points where gamma_tilde crosses a breakpoint, and the single
     point where beta reaches 0 (everything beyond is clamped).  Both walks are
-    monotone, so there are O(n) pieces.
+    monotone, so there are O(n) pieces.  A piece's owner holds its midpoint
+    and its shadow holds gamma_tilde there.  Deterrence needs the largest
+    gamma_tilde, so when that is the flat first segment of a zero-reward
+    action, the shadow is the next hull action, which owns the segment's
+    right end.
     """
     rewards, costs = agent.rewards, agent.costs
     env = agent.envelope
@@ -322,39 +329,42 @@ def build_beta_curve(agent: AgentSpec) -> BetaCurve:
     else:
         merged.append(1.0)
 
+    hull, breakpoints = env.hull_actions, env.breakpoints
+    kappa_s, shade = agent.kappa_s, 1.0 - agent.alpha
     pieces: list[BetaPiece] = []
     clamped_seen = False
     for lo, hi in zip(merged, merged[1:]):
         mid = 0.5 * (lo + hi)
-        owner = env.hull_actions[segment_at(env, mid)]
-        lowered = eval_envelope(env, rewards, costs, mid) - agent.kappa_s
-        shadow = env.hull_actions[segment_at(env, invert_envelope(env, rewards, costs, lowered))]
-        coeffs = (
-            rewards[owner],
-            costs[owner] + agent.kappa_s - costs[shadow],
-            rewards[shadow] * (1.0 - agent.alpha),
-        )
-        if clamped_seen or _beta_raw(*coeffs, lo) <= 0.0:
-            pieces.append(BetaPiece(lo, hi, owner, shadow, True, *coeffs))
+        # the segment owning mid (segment_at), and u_h(mid) on its line
+        owner = hull[bisect_right(breakpoints, mid)]
+        r_own = rewards[owner]
+        lowered = (mid * r_own - costs[owner]) - kappa_s
+        shadow = hull[bisect_right(breakpoints, invert_envelope(env, rewards, costs, lowered))]
+        if rewards[shadow] == 0.0:
+            # a flat first segment: deterrence needs its right end, the next line
+            shadow = hull[1]
+        c_const = costs[owner] + kappa_s - costs[shadow]
+        d = rewards[shadow] * shade
+        if clamped_seen or _beta_raw(r_own, c_const, d, lo) <= 0.0:
+            pieces.append(BetaPiece(lo, hi, owner, shadow, True, r_own, c_const, d))
             clamped_seen = True
-        elif _beta_raw(*coeffs, hi) < 0.0:
+        elif _beta_raw(r_own, c_const, d, hi) < 0.0:
             # beta hits zero inside the piece; split there, clamp the rest
-            r_own, c_const, d = coeffs
             root = min(max(c_const / (r_own - d), lo), hi)
-            if _beta_raw(*coeffs, root) > 0.0:
+            if _beta_raw(r_own, c_const, d, root) > 0.0:
                 # the root rounds to a beta above 0: bisect to adjacent doubles
                 # for the least gamma past it where beta is 0
                 below, root = root, hi
                 while below < (g := below + 0.5 * (root - below)) < root:
-                    if _beta_raw(*coeffs, g) > 0.0:
+                    if _beta_raw(r_own, c_const, d, g) > 0.0:
                         below = g
                     else:
                         root = g
-            pieces.append(BetaPiece(lo, root, owner, shadow, False, *coeffs))
-            pieces.append(BetaPiece(root, hi, owner, shadow, True, *coeffs))
+            pieces.append(BetaPiece(lo, root, owner, shadow, False, r_own, c_const, d))
+            pieces.append(BetaPiece(root, hi, owner, shadow, True, r_own, c_const, d))
             clamped_seen = True
         else:
-            pieces.append(BetaPiece(lo, hi, owner, shadow, False, *coeffs))
+            pieces.append(BetaPiece(lo, hi, owner, shadow, False, r_own, c_const, d))
     return BetaCurve(agent, gamma_ir, tuple(pieces))
 
 
@@ -452,8 +462,7 @@ def _best_peak(curve: BetaCurve, kappa_i: float) -> SingleAgentSolution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     """One row of a parameter sweep; solver fields are None when infeasible."""
 
     value: float
@@ -473,8 +482,8 @@ def _with_param(agent: AgentSpec, name: str, value: float) -> AgentSpec:
     scalar field enters.
     """
     _check_param(name, value)
-    spec = copy.copy(agent)
-    object.__setattr__(spec, name, value)
+    spec = object.__new__(AgentSpec)
+    vars(spec).update(vars(agent), **{name: value})
     return spec
 
 

@@ -49,13 +49,28 @@ CANCEL = {
           1.0, 18281960.919106234, 0.0),
 }
 
+# an agent, in CANCEL's form, whose first hull action has reward 0: at
+# kappa_s = 0 every lowered value falls on that flat first segment, and the
+# deterrence bound needs its right end, owned by the next hull action
+FLAT_FIRST = ([(0.0, 0.0),
+               (1.0962693207296613e-08, 1.7468734125664787e-09),
+               (68231105.92824987, 7944918.9847460985),
+               (23655737952.630306, 1073685779.8990337)],
+              0.0, 18390568957.943005, 0.0)
 
-def cancel_doc(key):
-    """The one-agent, budget-1 instance of ``CANCEL[key]``."""
-    actions, kappa_s, kappa_i, alpha = CANCEL[key]
+
+def one_agent_doc(case):
+    """The one-agent, budget-1 instance of a case in ``CANCEL``'s form."""
+    actions, kappa_s, kappa_i, alpha = case
     agent = {"name": "a", "actions": [{"reward": r, "cost": c} for r, c in actions],
              "kappa_s": kappa_s, "kappa_i": kappa_i, "alpha": alpha}
     return {"agents": [agent], "budget": 1}
+
+
+def case_agent(case):
+    """The ``AgentSpec`` of a case in ``CANCEL``'s form."""
+    actions, kappa_s, kappa_i, alpha = case
+    return make_agent(*zip(*actions), kappa_s, kappa_i, alpha)
 
 
 def make_agent(rewards, costs, kappa_s=1.0, kappa_i=1.0, alpha=0.0):

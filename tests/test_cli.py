@@ -13,7 +13,15 @@ import inspection_contracts
 from inspection_contracts import cli, scheduler, single_agent
 from inspection_contracts.cli import main
 from inspection_contracts.tolerance import TOL
-from conftest import NEAR_ONE_IR, NONCONVEX_C, NONCONVEX_R, cancel_doc, make_agent
+from conftest import (
+    CANCEL,
+    FLAT_FIRST,
+    NEAR_ONE_IR,
+    NONCONVEX_C,
+    NONCONVEX_R,
+    make_agent,
+    one_agent_doc,
+)
 
 UNIT1_DOC = {
     "agents": [
@@ -727,7 +735,7 @@ def test_tiny_safety_cost_allocates_and_verifies(tmp_path, capsys):
 @pytest.mark.parametrize("key", ["A", "B", "C"])
 def test_breakpoint_values_that_cancel_are_solved(tmp_path, capsys, key):
     # gamma_ir and every lifted target must land on the right segment
-    path = write(tmp_path, cancel_doc(key))
+    path = write(tmp_path, one_agent_doc(CANCEL[key]))
     for argv in (["solve", path], ["allocate", path], ["verify", path, "--grid-step", "0.01"]):
         assert main(argv) == 0, argv
     out = capsys.readouterr().out
@@ -738,4 +746,23 @@ def test_breakpoint_values_that_cancel_are_solved(tmp_path, capsys, key):
 
 def test_a_peak_below_beta_min_is_raised_to_it(tmp_path):
     # a rise's peak beta rounds below beta_min; the exact split takes beta_min
-    assert main(["allocate", write(tmp_path, cancel_doc("D"))]) == 0
+    assert main(["allocate", write(tmp_path, one_agent_doc(CANCEL["D"]))]) == 0
+
+
+def test_a_flat_first_segment_is_solved(tmp_path, capsys):
+    # the shadow of a lowered value on the flat first segment is the next hull
+    # line, not the zero-reward action (whose d = 0 divided by zero)
+    path = write(tmp_path, one_agent_doc(FLAT_FIRST))
+    for argv in (
+        ["solve", path],
+        ["allocate", path],
+        ["allocate", path, "--delta", "0.01"],
+        ["schedule", path, "--from-allocation"],
+        ["beta-curve", path, "--agent", "a", "--samples", "5"],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    for argv in (["verify", path], ["verify", path, "--grid-step", "0.01"]):
+        assert main(argv) == 0, argv
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("PASS: ") for line in lines), lines

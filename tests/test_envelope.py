@@ -15,7 +15,7 @@ from inspection_contracts import (
     eval_envelope,
     invert_envelope,
 )
-from conftest import CANCEL, NONCONVEX_C, NONCONVEX_R, make_agent
+from conftest import CANCEL, NONCONVEX_C, NONCONVEX_R, case_agent
 
 
 def lines(rewards, costs):
@@ -214,8 +214,8 @@ class TestProperties:
 def test_breakpoint_values_come_from_the_left_hull_line():
     # the right line's reward and cost are ten orders of magnitude larger, so
     # g*R - c on it cancels to 0.0; the left line's gives about 3.4e-9
-    actions, kappa_s, kappa_i, alpha = CANCEL["A"]
-    agent = make_agent(*zip(*actions), kappa_s, kappa_i, alpha)
+    actions = CANCEL["A"][0]
+    agent = case_agent(CANCEL["A"])
     env = agent.envelope
     g = env.breakpoints[0]
     r0, c0 = actions[env.hull_actions[0]]

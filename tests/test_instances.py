@@ -1,9 +1,11 @@
 import json
 import math
+import sys
 from operator import attrgetter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from inspection_contracts import (
@@ -14,12 +16,17 @@ from inspection_contracts import (
     InfeasibleSafety,
     UpperEnvelope,
     ValidationError,
+    build_beta_curve,
     build_envelope,
+    eval_envelope,
+    invert_envelope,
     load_instance,
     parse_instance,
 )
+from inspection_contracts.envelope import segment_at
 from inspection_contracts.single_agent import check_safety
 from inspection_contracts.tolerance import TOL
+from conftest import CANCEL, FLAT_FIRST, case_agent, priced, random_agent
 
 GOOD = {
     "agents": [
@@ -287,6 +294,93 @@ def reference_scan(actions):
         breakpoints.append(g)
     values = [g * actions[i].reward - actions[i].cost for g, i in zip(breakpoints, hull)]
     return UpperEnvelope(tuple(hull), tuple(breakpoints), tuple(values))
+
+
+def reference_walk(spec):
+    """``build_beta_curve``'s reference: (gamma_ir, pieces as plain tuples).
+
+    Every envelope lookup goes through ``segment_at``, ``eval_envelope`` and
+    ``invert_envelope``, and every closed form is written out on its own.
+    """
+    rewards, costs, env = spec.rewards, spec.costs, spec.envelope
+    top = check_safety(spec)
+    gamma_ir = invert_envelope(env, rewards, costs, spec.kappa_s)
+    cuts = {gamma_ir, 1.0}
+    for b, val in zip(env.breakpoints, env.breakpoint_values):
+        if gamma_ir < b < 1.0:
+            cuts.add(b)
+        if val + spec.kappa_s <= top:
+            g = invert_envelope(env, rewards, costs, val + spec.kappa_s)
+            if gamma_ir < g < 1.0:
+                cuts.add(g)
+    bounds = sorted(cuts)
+    merged = [bounds[0]]
+    for g in bounds[1:-1]:
+        if g - merged[-1] > TOL:
+            merged.append(g)
+    if len(merged) > 1 and 1.0 - merged[-1] <= TOL:
+        merged[-1] = 1.0
+    else:
+        merged.append(1.0)
+
+    def raw(r, c, d, g):
+        if g <= 0.0:
+            return (1.0 - r / d) if c == 0.0 else math.copysign(math.inf, c)
+        return 1.0 - (r * g - c) / (d * g)
+
+    pieces = []
+    clamped = False
+    for lo, hi in zip(merged, merged[1:]):
+        mid = 0.5 * (lo + hi)
+        owner = env.hull_actions[segment_at(env, mid)]
+        lowered = eval_envelope(env, rewards, costs, mid) - spec.kappa_s
+        j = segment_at(env, invert_envelope(env, rewards, costs, lowered))
+        if rewards[env.hull_actions[j]] == 0.0:
+            j += 1  # sup{x : u_h(x) <= lowered} is the flat segment's right end
+        shadow = env.hull_actions[j]
+        coeffs = (rewards[owner], costs[owner] + spec.kappa_s - costs[shadow],
+                  rewards[shadow] * (1.0 - spec.alpha))
+        if clamped or raw(*coeffs, lo) <= 0.0:
+            clamped = True
+            pieces.append((lo, hi, owner, shadow, True, *coeffs))
+            continue
+        if raw(*coeffs, hi) >= 0.0:
+            pieces.append((lo, hi, owner, shadow, False, *coeffs))
+            continue
+        root = min(max(coeffs[1] / (coeffs[0] - coeffs[2]), lo), hi)
+        if raw(*coeffs, root) > 0.0:
+            # the least double past the rounded root where beta is 0
+            below, root = root, hi
+            while below < (g := below + 0.5 * (root - below)) < root:
+                below, root = (g, root) if raw(*coeffs, g) > 0.0 else (below, g)
+        clamped = True
+        pieces.append((lo, root, owner, shadow, False, *coeffs))
+        pieces.append((root, hi, owner, shadow, True, *coeffs))
+    return gamma_ir, pieces
+
+
+curve_agents = st.one_of(
+    st.builds(
+        lambda seed, alpha_max: random_agent(np.random.default_rng(seed), alpha_max=alpha_max),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.5, 0.95]),
+    ),
+    st.sampled_from([*CANCEL.values(), FLAT_FIRST]).map(case_agent),
+)
+
+
+@given(curve_agents, st.just(0) | st.integers(-300, 300))
+@settings(max_examples=300, deadline=None)
+def test_beta_curve_matches_the_reference_walk(agent, k):
+    # in any currency unit where every nonzero amount stays a normal double
+    unit = 10.0**k
+    amounts = (*agent.rewards, *agent.costs, agent.kappa_s, agent.kappa_i)
+    assume(all(x == 0.0 or sys.float_info.min <= x * unit < math.inf for x in amounts))
+    spec = priced(agent, unit)
+    curve = build_beta_curve(spec)
+    # bit for bit: repr tells -0.0 from 0.0 and prints each double exactly
+    got = curve.gamma_ir, [tuple(p) for p in curve.pieces]
+    assert repr(got) == repr(reference_walk(spec))
 
 
 @st.composite

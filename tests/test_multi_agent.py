@@ -544,10 +544,19 @@ class TestExactAllocate:
         # from the threshold on, every high agent's cap is exactly 0
         low = make_agent([10.0], [1.0], kappa_s=1.0, kappa_i=1.0, alpha=0.35)
         high = make_agent([10.0], [1.0], kappa_s=1.0, kappa_i=kappa_i, alpha=0.35)
-        foregone = []
+        # in closed form, an agent stays at beta_min exactly when the shadow
+        # price is at least R*c*D / ((R - D) + beta_min*D)^2 - kappa_i, in its
+        # first rise's coefficients
+        curve = build_utility_curve(high)
+        r, c, d = (getattr(curve.rises[0][0], f) for f in ("r_own", "c_const", "d"))
+        threshold = r * c * d / ((r - d) + curve.beta_min * d) ** 2 - kappa_i
+        assert threshold == pytest.approx(65 / 12.25 - kappa_i, rel=1e-12)
+        foregone, priced_out = [], []
         for m in range(2, 65, 2):
             alloc = allocate(AllocationProblem((low,) * (m // 2) + (high,) * (m // 2), 1))
             foregone.append(all(cap == 0.0 for cap in alloc.caps[m // 2 :]))
+            priced_out.append(alloc.shadow_price >= threshold)
+        assert priced_out == foregone
         assert foregone.index(True) == first // 2 - 1
         assert all(foregone[first // 2 - 1 :])
 

@@ -209,6 +209,46 @@ class TestBetaCurve:
             assert any(abs(bp - g) < 1e-12 for g in bounds)
 
 
+_UNIT1_PIECE = (
+    "BetaPiece(gamma_lo=0.3, gamma_hi=1.0, owner=0, shadow=0, clamped=False,"
+    " r_own=10.0, c_const=1.0, d=10.0)"
+)
+
+
+@pytest.mark.parametrize(
+    "build, field, text",
+    [
+        (lambda a: build_beta_curve(a).pieces[0], "d", _UNIT1_PIECE),
+        (
+            lambda a: build_beta_curve(a).pieces[0].peak(a.kappa_i),
+            "utility",
+            "ContractChoice(gamma=0.3, beta=0.33333333333333337, action=0,"
+            " utility=6.666666666666667)",
+        ),
+        (
+            build_beta_curve,
+            "gamma_ir",
+            "BetaCurve(agent=AgentSpec(rewards=(10.0,), costs=(2.0,), kappa_s=1.0,"
+            f" kappa_i=1.0, alpha=0.0), gamma_ir=0.3, pieces=({_UNIT1_PIECE},))",
+        ),
+        (
+            lambda a: sweep_parameter(a, "kappa_s", [100.0])[0],
+            "gamma",
+            "SweepPoint(value=100.0, gamma=None, beta=None, utility=None)",
+        ),
+    ],
+    ids=["BetaPiece", "ContractChoice", "BetaCurve", "SweepPoint"],
+)
+def test_records_are_immutable_values(unit1, build, field, text):
+    record, again = build(unit1), build(unit1)
+    assert record is not again
+    assert record == again and hash(record) == hash(again)
+    assert repr(record) == text
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0.0)
+    assert repr(record) == text
+
+
 class TestBestResponse:
     def test_tie_prefers_safe(self, unit1):
         # both the safe and the unsafe variant of action 1 earn exactly 0
