@@ -1,16 +1,17 @@
 """Brute-force cross-checks for every solver in the package.
 
-These deliberately avoid the envelope/curve machinery: agent behavior is
-recomputed from the raw utility definitions, so agreement with the
-closed-form solvers is meaningful.  The single-agent oracle takes a step
-grid of payment shares gamma and, at each, the least inspection probability
-that deters every unsafe action, solved from the deterrence inequality
-itself.  Callers may inject extra candidate gammas (typically from the
-solver's own answer); the evaluation path stays independent either way.
-``check_ic_ir`` shares one thing with the solvers, the agent's choice rule:
-the pairs ``agent_best_response`` chooses from.  The allocation oracle
-searches every cap vector on a step grid; it reads each agent's utility curve
-at every grid cap, with ``utility_at``'s own arithmetic over the whole grid.
+The single-agent oracle avoids the envelope/curve machinery: agent behavior
+is recomputed from the raw utility definitions, so agreement with the
+closed-form solver is meaningful.  It takes a step grid of payment shares
+gamma and, at each, the least inspection probability that deters every
+unsafe action, solved from the deterrence inequality itself.  Callers may
+inject extra candidate gammas (typically from the solver's own answer); the
+evaluation path stays independent either way.  ``check_ic_ir`` shares one
+thing with the solvers, the agent's choice rule: the pairs
+``agent_best_response`` chooses from.  The allocation oracle reads the
+solvers' utility curves, with ``utility_at``'s own arithmetic over whole
+grids; its independence lies in the search, which tries every cap vector on
+a step grid instead of pricing the budget.
 
 Not a production solver: each check runs over whole grids, in a few array
 operations per agent rather than a loop over points.
@@ -37,12 +38,13 @@ from .tolerance import TOL, grid_steps
 
 # Most grid cells, grid points x actions, brute_force_single may take, and
 # most table entries (and bisected caps) brute_force_allocate may take; a
-# finer step is rejected as invalid input before any grid array is built.
-# Each pass holds about a dozen arrays of that many cells.  At the limit, on
-# a 2-CPU Xeon host, a 1-action agent (10^6 points) takes about 80 ms and
-# 106 MB, and three agents (a 1228 x 790 table) about 40 ms and 32 MB.  The
-# default step 1e-3 on an 8-action agent needs about 8e3 cells, and no
-# 3-agent table at step 0.01 exceeds 101^2 entries.
+# larger grid or table is rejected as invalid input before any array is
+# built.  Each pass holds about a dozen arrays of that many cells.  At the
+# limit, on a 2-CPU Xeon host, a 1-action agent (10^6 points) takes about
+# 80 ms and 106 MB, and three agents (a 1228 x 790 table) about 40 ms and
+# 32 MB.  The default step 1e-3 on an 8-action agent needs about 8e3 cells.
+# At step 0.01 (at most 101 caps per agent) every table of up to three agents
+# fits; four unit agents need 24^3 entries, six 24^5, too many.
 MAX_ORACLE_CELLS = 1_000_000
 
 
@@ -162,7 +164,7 @@ def _values(curve: UtilityCurve, caps: np.ndarray) -> np.ndarray:
 
 
 def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
-    """Exhaustive search over per-agent caps on a step grid (m <= 3 only).
+    """Exhaustive search over per-agent caps on a step grid.
 
     ``utility_at`` is a running max, so nondecreasing in the cap: given the
     other agents' caps, one agent's best is its largest affordable one (caps
@@ -171,15 +173,13 @@ def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
     are tabulated, and each total is summed in agent order.  Ties go to the
     first tabulated cap vector in row-major order, and the bisected agent
     keeps its largest affordable cap even where a smaller one is worth as
-    much.  A step whose table entries, or whose bisected grid's points,
-    exceed ``MAX_ORACLE_CELLS`` raises ValidationError.  Assumption 3 is
-    ``allocate``'s own check, with its ``InfeasibleBudget``.
+    much.  A step, or a number of agents, whose table entries or whose
+    bisected grid's points exceed ``MAX_ORACLE_CELLS`` raises
+    ValidationError.  Assumption 3 is ``allocate``'s own check, with its
+    ``InfeasibleBudget``.
     """
-    agents = problem.agents
-    if len(agents) > 3:
-        raise ValueError("brute_force_allocate handles at most 3 agents")
     _check_step(step)
-    curves = [build_utility_curve(a) for a in agents]
+    curves = [build_utility_curve(a) for a in problem.agents]
     _spare_budget(problem, curves)
     budget = float(problem.budget)
 
@@ -188,23 +188,31 @@ def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
     rest = [l for l in range(len(curves)) if l != wide]
     cells = max(math.prod(float(sizes[l]) for l in rest), float(sizes[wide]))
     if cells > MAX_ORACLE_CELLS:
+        # past about 10^308 entries the product is inf
+        count = f"{cells:.3g}" if math.isfinite(cells) else "more than 1e308"
         raise ValidationError(
-            f"grid step {step!r} needs {cells:.3g} oracle table entries "
+            f"grid step {step!r} needs {count} oracle table entries "
             f"(the smaller agents' cap vectors, or the widest agent's caps), "
-            f"above the limit of {MAX_ORACLE_CELLS:,}; use a larger step"
+            f"above the limit of {MAX_ORACLE_CELLS:,}"
         )
     grids = [c.beta_min + np.arange(n) * step for c, n in zip(curves, sizes)]
     values = [_values(c, g) for c, g in zip(curves, grids)]
 
-    # one table axis per tabulated agent, in agent order; 0-d when there is none
-    sums = reduce(np.add.outer, [grids[l] for l in rest], np.zeros(()))
+    # one table axis per tabulated agent with more than one cap, in agent
+    # order (so at most 19 axes fit the limit); 0-d when there is none
+    axes = [l for l in rest if sizes[l] > 1]
+
+    def on_axis(l: int, a: np.ndarray) -> np.ndarray:
+        return a.reshape([-1 if q == l else 1 for q in axes])
+
+    sums = reduce(np.add, [on_axis(l, grids[l]) for l in rest], np.zeros(()))
     pick = np.searchsorted(grids[wide], budget - sums + TOL, side="right") - 1
-    terms = [values[l][pick] if l == wide
-             else values[l].reshape([-1 if q == l else 1 for q in rest])
+    terms = [values[l][pick] if l == wide else on_axis(l, values[l])
              for l in range(len(curves))]
     tot = np.where(pick >= 0, reduce(np.add, terms, np.zeros(())), -np.inf)
     best = np.unravel_index(int(np.argmax(tot)), tot.shape)
-    index = (*best[:wide], pick[best], *best[wide:])
+    at = dict(zip(axes, best))
+    index = [pick[best] if l == wide else at.get(l, 0) for l in range(len(curves))]
     caps = tuple(float(g[i]) for g, i in zip(grids, index))
 
     contracts = tuple(best_contract_at(c, cap) for c, cap in zip(curves, caps))

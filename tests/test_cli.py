@@ -10,8 +10,9 @@ import tracemalloc
 import pytest
 
 import inspection_contracts
-from inspection_contracts import cli, scheduler, single_agent
+from inspection_contracts import cli, oracle, scheduler, single_agent
 from inspection_contracts.cli import main
+from inspection_contracts.errors import BelowRange
 from inspection_contracts.tolerance import TOL
 from conftest import (
     CANCEL,
@@ -328,12 +329,30 @@ def test_verify_multi_agent(tmp_path, capsys):
     assert "allocate vs exhaustive" in out
 
 
-def test_verify_skips_the_allocation_check_past_three_agents(tmp_path, capsys):
+def test_verify_checks_the_allocation_of_four_agents(tmp_path, capsys):
+    # the exhaustive search's table holds 24^3 cap vectors
     path = write(tmp_path, four_unit1_doc())
     assert main(["verify", path, "--grid-step", "0.01"]) == 0
     out = capsys.readouterr().out
-    assert "SKIP: allocate cross-check (more than 3 agents)\n" in out
-    assert "allocate vs exhaustive" not in out
+    assert ("PASS: allocate vs exhaustive search (step 0.01) "
+            "exact=23.000000000 dual=23.000000000 brute=23.000000000\n") in out
+    assert "PASS: schedule marginals match allocation caps\n" in out
+    assert "SKIP" not in out
+
+
+def test_verify_skips_a_search_over_the_table_limit(tmp_path, capsys):
+    # six agents need 24^5 table entries: the search is skipped before any
+    # array is built, and the schedule is still checked
+    doc = four_unit1_doc()
+    doc["agents"] += [dict(doc["agents"][0], name=name) for name in ("a5", "a6")]
+    path = write(tmp_path, doc)
+    assert main(["verify", path, "--grid-step", "0.01"]) == 0
+    out = capsys.readouterr().out
+    assert ("SKIP: allocate vs exhaustive search: grid step 0.01 needs 7.96e+06 "
+            "oracle table entries") in out
+    assert f"above the limit of {oracle.MAX_ORACLE_CELLS:,}\n" in out
+    assert "PASS: schedule marginals match allocation caps\n" in out
+    assert "FAIL" not in out
 
 
 def test_verify_failure_prints_counterexample(tmp_path, capsys, monkeypatch):
@@ -368,6 +387,17 @@ def test_verify_fails_a_solver_below_the_oracle(tmp_path, capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     fails = [l for l in lines if "FAIL" in l]
     assert len(fails) == 1 and "solver below oracle" in fails[0]
+
+
+@pytest.mark.parametrize("exc", [BelowRange("target below u_h(0)"), ZeroDivisionError("float division")])
+def test_an_internal_error_exits_3_with_its_class(tmp_path, capsys, monkeypatch, exc):
+    # one handler for the package's own invariant errors and for any other
+    def broken(agent):
+        raise exc
+
+    monkeypatch.setattr(single_agent, "solve_single", broken)
+    assert main(["solve", write(tmp_path, UNIT1_DOC)]) == 3
+    assert capsys.readouterr().err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
 def test_verify_passes_with_kappa_i_far_above_rewards(tmp_path, capsys):

@@ -538,6 +538,48 @@ class TestExactAllocate:
         assert alloc == exact
         assert alloc.delta is None
 
+    def test_minimums_just_over_the_budget_pin_every_agent(self):
+        # beta_min = 0.5000000000000001 each: the minimums sum to within TOL
+        # above B = 1, which Assumption 3 allows, and no shadow price brings
+        # the caps below that sum, so the price search stops there instead
+        agent = make_agent([10.0], [0.0], kappa_s=5.000000000000001)
+        alloc = allocate(AllocationProblem((agent,) * 2, 1))
+        assert alloc.caps == (0.5000000000000001,) * 2
+        assert alloc.total_utility == -1.0000000000000002
+
+    # draw 124 of rng 7's alpha = 0 problems: the maximizers at the shadow
+    # price leave budget unspent; spending it on the agent it raises most
+    # lifts the total from 5.710331522462575
+    LEFTOVER_AGENTS = (
+        make_agent([1.555708801470898, 3.1122513169582997, 3.524415762124852,
+                    5.241638607065001, 5.602997404419876],
+                   [0.28507171658283126, 0.6601343453602669, 1.163023866706082,
+                    1.2446748824154217, 1.6640288051934697],
+                   kappa_s=1.2410058157543364, kappa_i=0.30080207979652196),
+        make_agent([0.4408560209854131, 2.1829251804657757],
+                   [0.07363412139678649, 0.2551375086546795],
+                   kappa_s=0.5718894681069818, kappa_i=0.41466256351943465),
+        make_agent([1.9427456130234528, 3.7811402787838055, 4.419179284535387,
+                    6.13556328249555, 7.0097499099583, 7.80066292344966],
+                   [0.42949757198639066, 0.5264437617312687, 0.579424938363219,
+                    1.1414227321262778, 1.3860849530395818, 1.873308699252245],
+                   kappa_s=2.2713798146809485, kappa_i=0.5543560392871716),
+        make_agent([0.43744055967056233, 0.7696681197738835, 1.7510493235133073,
+                    2.4906196673396144],
+                   [0.234803468747867, 0.8137347995726529, 1.3197834309764374,
+                    1.7580320847708983],
+                   kappa_s=0.16090931997494715, kappa_i=3.77444374833817),
+        make_agent([1.1975425141682077, 1.9036496269568959],
+                   [0.164305780362078, 0.4450190105269467],
+                   kappa_s=0.3630049511816619, kappa_i=4.435437307517703),
+    )
+
+    def test_the_leftover_budget_is_spent(self):
+        alloc = allocate(AllocationProblem(self.LEFTOVER_AGENTS, 2))
+        assert alloc.total_utility == 5.728302645304373
+        assert alloc.delta is None
+        assert math.fsum(alloc.caps) <= 2.0
+
     @pytest.mark.parametrize("kappa_i, first", [(2.0, 34), (3.0, 14), (5.0, 10)])
     def test_foregone_agents_get_cap_zero(self, kappa_i, first):
         # criterion 6's agents: half at kappa_i = 1, half at the higher cost;

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -35,6 +36,8 @@ WIDE, MID, NARROW = (make_agent([10.0], [2.0], kappa_s=ks) for ks in (3.0, 1.0, 
 # a rise from beta_min = 0
 NO_RISES = make_agent([10.0], [2.0], kappa_s=1.0, kappa_i=200.0)
 FREE_START = make_agent([10.0], [2.0], kappa_s=3.0, kappa_i=0.1, alpha=0.5)
+# a cap range of 0.799 to 0.7998, one grid cap at step 0.01
+NEAR_FULL = make_agent([10.0], [2.0], kappa_s=7.99)
 
 
 def _scan_full(agent, gammas, betas):
@@ -192,9 +195,21 @@ class TestBruteForceAllocate:
             with pytest.raises(ValueError, match="finite and positive"):
                 brute_force_allocate(problem, step)
 
-    def test_rejects_large_m(self, unit1):
-        with pytest.raises(ValueError):
-            brute_force_allocate(AllocationProblem((unit1,) * 4, 1, delta=0.01), 0.01)
+    # no agent-count rule.  At step 0.05 the table holds the 5 x 4 x 5 cap
+    # vectors of MID, NARROW and FREE_START, and WIDE is bisected; at 0.01
+    # NEAR_FULL has one cap, and an axis for each of its 68 copies would pass
+    # numpy's 64-axis limit
+    @pytest.mark.parametrize("agents, budget, step", [
+        ((WIDE, MID, NARROW, FREE_START), 1, 0.05),
+        ((NEAR_FULL,) * 34 + (MID,) + (NEAR_FULL,) * 34 + (WIDE,), 56, 0.01),
+    ], ids=["four", "seventy"])
+    def test_many_agents_match_plain_enumeration(self, agents, budget, step):
+        problem = AllocationProblem(agents, budget)
+        best, grids = _enumerate_allocations(problem, step)
+        alloc = brute_force_allocate(problem, step)
+        assert alloc.total_utility == best
+        assert all(cap in grid for cap, grid in zip(alloc.caps, grids))
+        assert sum(alloc.caps) <= budget + TOL
 
     # the table holds 24 x 16 = 384 entries whatever the order, and one
     # agent's bisected grid 31 points
@@ -217,6 +232,15 @@ class TestBruteForceAllocate:
         problem = AllocationProblem((WIDE, MID, NARROW)[:m], 1)
         with pytest.raises(ValidationError, match="above the limit"):
             brute_force_allocate(problem, step)
+
+
+    # six WIDE agents need 31^5 entries; past about 200 the product is inf
+    @pytest.mark.parametrize("m, count", [(6, "2.86e+07"), (300, "more than 1e308")],
+                             ids=["six", "three_hundred"])
+    def test_many_agents_rejected_before_building_the_table(self, m, count):
+        problem = AllocationProblem((WIDE,) * m, m)
+        with pytest.raises(ValidationError, match=re.escape(f"needs {count} oracle table")):
+            brute_force_allocate(problem, 0.01)
 
 
 @st.composite
