@@ -28,9 +28,6 @@ from .envelope import (
     invert_envelope,
 )
 from .errors import (
-    BelowIRThreshold,
-    BelowMinimumInspection,
-    BelowRange,
     BudgetExceeded,
     ContractError,
     DegenerateInput,
@@ -72,9 +69,6 @@ __all__ = [
     "AgentSpec",
     "Allocation",
     "AllocationProblem",
-    "BelowIRThreshold",
-    "BelowMinimumInspection",
-    "BelowRange",
     "BetaCurve",
     "BetaPiece",
     "BudgetExceeded",

@@ -34,14 +34,19 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str, positive: bool = False) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    if not (math.isfinite(value) and (value > 0 or not positive)):
+        what = "positive number" if positive else "number"
+        raise argparse.ArgumentTypeError(f"expected a finite {what}, got {text!r}")
     return value
+
+
+def _positive_float(text: str) -> float:
+    return _finite_float(text, positive=True)
 
 
 def _precision(text: str) -> int:
@@ -152,7 +157,7 @@ def _cmd_schedule(args, out: IO[str]) -> int:
     instance = load_instance(args.file)
     if args.targets is not None:
         try:
-            targets = [float(t) for t in args.targets.split(",") if t.strip() != ""]
+            targets = [float(t) for t in args.targets.split(",")]
         except ValueError as exc:
             raise ValidationError(f"--targets: {exc}") from None
         labels = [str(i + 1) for i in range(len(targets))]
@@ -206,7 +211,7 @@ def _cmd_verify(args, out: IO[str]) -> int:
         _, ref = oracle.brute_force_single(named.spec, step, include=[pair])
         gap = sol.utility - ref
         # (1 - gamma) R - beta kappa_i: money comes in units of R_n and kappa_i
-        ok = abs(gap) <= TOL * (named.spec.money_scale + named.spec.kappa_i)
+        ok = abs(gap) <= TOL * named.spec.money_scale + TOL * named.spec.kappa_i
         report(
             ok,
             f"solve[{named.name}] vs grid oracle (step {step})",
@@ -237,7 +242,7 @@ def _cmd_verify(args, out: IO[str]) -> int:
     except ValidationError as exc:
         out.write(f"SKIP: allocate vs exhaustive search: {exc}\n")
     else:
-        slack = TOL * sum(a.money_scale for a in instance.specs)
+        slack = math.fsum(TOL * a.money_scale for a in instance.specs)
         ref = ref_alloc.total_utility
         ok = alloc.total_utility >= ref - slack and alloc.dual_bound >= ref - slack
         report(
@@ -290,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--agent", required=True)
     p.add_argument("--param", required=True, choices=["kappa_i", "kappa_s", "alpha"])
-    p.add_argument("--from", dest="from_", type=float, required=True)
-    p.add_argument("--to", type=float, required=True)
+    p.add_argument("--from", dest="from_", type=_finite_float, required=True)
+    p.add_argument("--to", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.set_defaults(func=_cmd_sweep)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import lt
 
-from .errors import BelowRange, DegenerateInput, ValidationError
+from .errors import DegenerateInput, ValidationError
 from .tolerance import TOL
 
 
@@ -151,11 +151,11 @@ def invert_envelope(
     """The unique gamma >= 0 with u_h(gamma) = y.
 
     Uniqueness comes from strict monotonicity of the envelope on [0, inf).
-    Raises BelowRange when y < u_h(0) - TOL*R_n, where u_h(0) = -min_i c_i.
+    Raises ValueError when y < u_h(0) - TOL*R_n, where u_h(0) = -min_i c_i.
     """
     floor = -costs[env.hull_actions[0]]
     if y < floor - TOL * rewards[-1]:
-        raise BelowRange(f"target {y} is below the envelope minimum {floor}")
+        raise ValueError(f"target {y} is below the envelope minimum {floor}")
     i = env.hull_actions[bisect_left(env.breakpoint_values, y)]
     if rewards[i] <= 0.0:
         # flat first segment (zero-reward action): y can only be the floor

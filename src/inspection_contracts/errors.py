@@ -1,9 +1,11 @@
 """Exception hierarchy shared across the solver modules.
 
-The CLI maps these onto exit codes: ValidationError subclasses mean the input
-itself is malformed (exit 2), InfeasibleError subclasses mean the instance is
-well-formed but admits no feasible contract or allocation (exit 1), anything
-else is an internal invariant breach (exit 3).
+A ContractError is a verdict on the instance or the flags, and it belongs to
+one of two families, which the CLI maps onto exit codes: ValidationError
+means the input itself is malformed (exit 2), InfeasibleError means it is
+well-formed but admits no feasible contract or allocation (exit 1).  A
+function called outside its domain raises ValueError, which the CLI reports,
+like any other exception, as an internal invariant breach (exit 3).
 """
 
 
@@ -42,14 +44,3 @@ class BudgetExceeded(InfeasibleError):
 class NoSafeContract(InfeasibleError):
     """Brute-force enumeration found no contract implementing a safe action."""
 
-
-class BelowRange(ContractError):
-    """Envelope inversion target lies below the envelope's value at zero."""
-
-
-class BelowIRThreshold(ContractError):
-    """Payment share below the participation threshold: no safe action implementable."""
-
-
-class BelowMinimumInspection(ContractError):
-    """Inspection cap below the least inspection implementing a safe action."""

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import BelowMinimumInspection, InfeasibleBudget, ValidationError
+from .errors import InfeasibleBudget, ValidationError
 from .single_agent import (
     AgentSpec,
     BetaCurve,
@@ -117,7 +117,7 @@ def best_contract_at(curve: UtilityCurve, beta_bar: float) -> ContractChoice:
     smaller beta, matching the single-agent tie-break.
     """
     if beta_bar < curve.beta_min - TOL:
-        raise BelowMinimumInspection(
+        raise ValueError(
             f"cap {beta_bar} is below beta_min = {curve.beta_min}; "
             "no safe action is implementable within it"
         )
@@ -222,7 +222,7 @@ def gap_bound(problem: AllocationProblem, delta: float) -> float:
     """Upper bound on the DP's loss to discretization at grid step delta, in
     money: delta * sum_l max(R_n^2 / kappa_s - kappa_i, 0)."""
     if delta < 0:
-        raise ValidationError(f"delta must be nonnegative, got {delta!r}")
+        raise ValueError(f"delta must be nonnegative, got {delta!r}")
     return delta * sum(max(_curvature(a) - a.kappa_i, 0.0) for a in problem.agents)
 
 
@@ -333,9 +333,13 @@ def _allocate_dp(problem: AllocationProblem, curves: list[UtilityCurve]) -> Allo
     contracts = tuple(best_contract_at(c, cap) for c, cap in zip(curves, caps))
     total = math.fsum(ch.utility for ch in contracts)
     check = sum(c.base.utility for c in curves) + values[steps]
-    # both sides add the same m utilities and m bases in different orders
-    scale = math.fsum(abs(ch.utility) + abs(c.base.utility) for c, ch in zip(curves, contracts))
-    if abs(total - check) > TOL * len(curves) * scale:
+    # both sides add the same m utilities and m bases in different orders; each
+    # amount is scaled before the sum, which two amounts near the double range
+    # would overflow
+    tol = TOL * len(curves)
+    slack = math.fsum(tol * abs(u) for c, ch in zip(curves, contracts)
+                      for u in (ch.utility, c.base.utility))
+    if abs(total - check) > slack:
         raise RuntimeError(
             f"DP value {check} disagrees with backtracked total {total}"
         )
@@ -461,7 +465,7 @@ def allocate(problem: AllocationProblem) -> Allocation:
     if problem.delta is not None:
         return _allocate_dp(problem, curves)
     exact = _lagrangian(problem, curves)
-    if exact.gap_bound <= TOL * math.fsum(a.money_scale for a in problem.agents):
+    if exact.gap_bound <= math.fsum(TOL * a.money_scale for a in problem.agents):
         return exact
     try:
         grid = _allocate_dp(replace(problem, delta=0.01), curves)

@@ -61,7 +61,7 @@ from .envelope import (
     eval_envelope,
     invert_envelope,
 )
-from .errors import BelowIRThreshold, InfeasibleSafety, ValidationError
+from .errors import InfeasibleSafety, ValidationError
 from .tolerance import TOL
 
 
@@ -173,9 +173,9 @@ class Contract:
 
     def __post_init__(self) -> None:
         if not (-TOL <= self.gamma <= 1 + TOL):
-            raise ValidationError(f"gamma must lie in [0, 1], got {self.gamma!r}")
+            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
         if not (-TOL <= self.beta <= 1 + TOL):
-            raise ValidationError(f"beta must lie in [0, 1], got {self.beta!r}")
+            raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
 
 
 class ContractChoice(NamedTuple):
@@ -371,7 +371,7 @@ def build_beta_curve(agent: AgentSpec) -> BetaCurve:
 def beta_at(curve: BetaCurve, gamma: float) -> float:
     """Evaluate beta(gamma) for gamma in [gamma_ir, 1]."""
     if gamma < curve.gamma_ir - TOL:
-        raise BelowIRThreshold(
+        raise ValueError(
             f"gamma = {gamma} is below the participation threshold {curve.gamma_ir}; "
             "no safe action is implementable there"
         )

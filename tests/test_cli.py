@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import random
@@ -12,7 +13,6 @@ import pytest
 import inspection_contracts
 from inspection_contracts import cli, oracle, scheduler, single_agent
 from inspection_contracts.cli import main
-from inspection_contracts.errors import BelowRange
 from inspection_contracts.tolerance import TOL
 from conftest import (
     CANCEL,
@@ -389,9 +389,21 @@ def test_verify_fails_a_solver_below_the_oracle(tmp_path, capsys, monkeypatch):
     assert len(fails) == 1 and "solver below oracle" in fails[0]
 
 
-@pytest.mark.parametrize("exc", [BelowRange("target below u_h(0)"), ZeroDivisionError("float division")])
+def test_every_package_error_is_an_input_verdict():
+    # a ContractError is invalid input (exit 2) or infeasible (exit 1); a
+    # function called outside its domain raises ValueError (exit 3)
+    base = inspection_contracts.ContractError
+    roots = (inspection_contracts.ValidationError, inspection_contracts.InfeasibleError)
+    public = [getattr(inspection_contracts, name) for name in inspection_contracts.__all__]
+    errors = [obj for obj in public if isinstance(obj, type) and issubclass(obj, base)]
+    assert {base, *roots} < set(errors)
+    for exc in errors:
+        assert exc is base or issubclass(exc, roots), exc
+
+
+@pytest.mark.parametrize("exc", [ValueError("target below u_h(0)"), ZeroDivisionError("float division")])
 def test_an_internal_error_exits_3_with_its_class(tmp_path, capsys, monkeypatch, exc):
-    # one handler for the package's own invariant errors and for any other
+    # one handler for a function called outside its domain and for any other error
     def broken(agent):
         raise exc
 
@@ -561,8 +573,16 @@ def test_negative_counts_rejected_at_parsing(tmp_path, capsys, argv):
          "error: --targets: could not convert string to float: 'abc'\n"),
         (["sweep", "--agent", "a1", "--param", "kappa_i", "--from", "1", "--to", "2",
           "--steps", "0"], "error: need at least one point, got 0\n"),
+        # an empty entry is no number: dropping it would shift later targets
+        (["schedule", "--targets", "0.5,,0.25"],
+         "error: --targets: could not convert string to float: ''\n"),
+        (["schedule", "--targets", ""],
+         "error: --targets: could not convert string to float: ''\n"),
+        (["schedule", "--targets", ","],
+         "error: --targets: could not convert string to float: ''\n"),
     ],
-    ids=["targets-not-a-number", "sweep-no-steps"],
+    ids=["targets-not-a-number", "sweep-no-steps", "targets-empty-entry", "targets-empty",
+         "targets-only-a-comma"],
 )
 def test_bad_argument_values_are_invalid_input(tmp_path, capsys, argv, message):
     path = write(tmp_path, UNIT1_DOC)
@@ -607,6 +627,27 @@ def test_grid_step_rejected_at_parsing(tmp_path, capsys, value):
         main(["verify", path, f"--grid-step={value}"])
     assert exc.value.code == 2
     assert "expected a finite positive number" in capsys.readouterr().err
+
+
+def test_targets_may_have_spaces_around_numbers(tmp_path, capsys):
+    assert main(["schedule", write(tmp_path, UNIT1_DOC), "--targets", " 0.5 , 0.25 "]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "agent=1 target=0.500000 exact=0.500000",
+        "agent=2 target=0.250000 exact=0.250000",
+    ]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_sweep_ends_rejected_at_parsing(tmp_path, capsys, flag, value):
+    # an infinite end makes the first row 0.5 + (inf - 0.5) * 0, which is nan
+    ends = {"--from": "0.5", "--to": "4"} | {flag: value}
+    argv = ["sweep", write(tmp_path, UNIT1_DOC), "--agent", "a1", "--param", "kappa_i",
+            "--steps", "3", *(f"{k}={v}" for k, v in ends.items())]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected a finite number" in capsys.readouterr().err
 
 
 def test_verify_fine_grid_runs_and_finer_is_invalid_input(tmp_path, capsys):
@@ -692,6 +733,45 @@ def test_allocate_at_extreme_scales_keeps_the_exact_split(tmp_path, capsys, rewa
     path = write(tmp_path, doc)
     assert main(["allocate", path]) == 0
     assert "total=" in capsys.readouterr().out
+
+
+# two agents whose largest rewards sum past the double range, though their
+# utilities, and the total, do not
+NEAR_MAX_DOC = {
+    "agents": [
+        {
+            "name": "a1",
+            "actions": [
+                {"reward": 275569175.7534402, "cost": 0.007585825320038379},
+                {"reward": 1.7e308, "cost": 2.3217375065353445},
+            ],
+            "kappa_s": 5.59962791933501e307,
+            "kappa_i": 0.02463360444606191,
+            "alpha": 0.4986178326667653,
+        },
+        {
+            "name": "a2",
+            "actions": [
+                {"reward": 2.0, "cost": 1.5912423238906748},
+                {"reward": 1.7e308, "cost": 1.1433744443779324e308},
+            ],
+            "kappa_s": 2.998181827501057e307,
+            "kappa_i": 1.892973267548846e-13,
+            "alpha": 0.28127086738932533,
+        },
+    ],
+    "budget": 1,
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--delta", "0.01"]], ids=["exact", "dp"])
+def test_allocate_when_the_rewards_sum_past_the_double_range(tmp_path, capsys, flags):
+    # each money slack is TOL times one amount, summed after scaling
+    assert main(["allocate", write(tmp_path, NEAR_MAX_DOC), *flags]) == 0
+    *agents, total, _ = capsys.readouterr().out.splitlines()
+    utilities = [float(line.rpartition(" utility=")[2]) for line in agents]
+    assert len(utilities) == 2
+    assert float(total.removeprefix("total=")) == math.fsum(utilities)
 
 
 NONCONVEX_DOC = {

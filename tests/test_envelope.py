@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from inspection_contracts import (
     Action,
-    BelowRange,
     DegenerateInput,
     ValidationError,
     build_beta_curve,
@@ -146,7 +145,7 @@ class TestInvert:
     def test_below_range(self):
         acts = lines([10], [2])
         env = build_envelope(acts)
-        with pytest.raises(BelowRange):
+        with pytest.raises(ValueError):
             invert_envelope(env, *columns(acts), -2.5)
 
 

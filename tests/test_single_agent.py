@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from inspection_contracts import (
     Action,
     AgentSpec,
-    BelowIRThreshold,
     Contract,
     InfeasibleSafety,
     SweepPoint,
@@ -101,9 +100,9 @@ class TestAgentSpec:
         assert (len(checks), len(scans)) == (3, 3)
 
     def test_contract_ranges(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValueError):
             Contract(1.2, 0.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValueError):
             Contract(0.5, -0.2)
 
 
@@ -148,7 +147,7 @@ class TestBetaCurve:
 
     def test_below_threshold_raises(self, nonconvex6):
         curve = build_beta_curve(nonconvex6)
-        with pytest.raises(BelowIRThreshold):
+        with pytest.raises(ValueError):
             beta_at(curve, 0.35)
 
     def test_above_one_raises(self, nonconvex6):
