@@ -78,7 +78,18 @@ def _linspace(a: float, b: float, k: int) -> Iterator[float]:
         raise ValidationError(f"need at least one point, got {k}")
     if k == 1:
         return iter((a,))
-    return (a + (b - a) * i / (k - 1) for i in range(k))
+    lo, hi = min(a, b), max(a, b)
+
+    def point(i: int) -> float:
+        x = a + (b - a) * i / (k - 1)
+        if math.isfinite(x):
+            return x
+        # b - a, or its multiple, overflows: weigh the ends, and clamp the
+        # rounding of the weighted sum back into [a, b]
+        t = i / (k - 1)
+        return min(max(a * (1.0 - t) + b * t, lo), hi)
+
+    return map(point, range(k))
 
 
 def _allocation_from_args(instance: Instance, args):

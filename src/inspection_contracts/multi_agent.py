@@ -154,12 +154,13 @@ def _flat_from(curve: UtilityCurve) -> float:
 
 # Largest DP grid, agents x (budget steps + 1), that allocate accepts; a finer
 # delta is rejected as invalid input before any grid array is built.  Each
-# cell costs an int32 choice and at most one gain (a utility evaluation), so
-# this bounds the grid's memory; 2e7 is 4x the m=1000, B=50, delta=0.01 grid.
+# cell costs one float64 in the value table (8 bytes, 160 MB at the limit) and
+# at most one gain (a utility evaluation), so this bounds the grid's memory;
+# 2e7 is 4x the m=1000, B=50, delta=0.01 grid.
 MAX_DP_CELLS = 20_000_000
 # Most candidate sums, sum_l len(gains_l) x (budget steps + 1), the DP may take:
-# at 2-2.5 ns per sum on long rows (2-CPU x86 host, numpy 2.4) about 5 s, 8x
-# the m=100, B=10, delta=1e-3 DP.
+# at 1.6-1.8 ns per sum on long rows (2-CPU x86_64 host, numpy 2.4) about 3.5 s,
+# 8x the m=100, B=10, delta=1e-3 DP.
 MAX_DP_WORK = 2_000_000_000
 
 
@@ -238,36 +239,54 @@ def _spare_budget(problem: AllocationProblem, curves: list[UtilityCurve]) -> flo
     return max(problem.budget - total_min, 0.0)
 
 
-def _dp(gains: list[np.ndarray], steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fill the budget-allocation table row by row.
+def _dp(gains: list[np.ndarray], steps: int) -> np.ndarray:
+    """Fill the budget-allocation value table row by row.
 
     ``gains[l][eta]`` is agent l's utility gain from eta grid steps above its
-    minimum inspection.  Returns the final value row and the per-cell units
-    chosen, for backtracking.
+    minimum inspection.  Returns the table ``rows``, (m + 1) x (steps + 1):
+    ``rows[l][j]`` is the best gain of the first l agents within j budget
+    steps, and ``rows[0]`` is 0.
 
     Each agent's row is one (max,+) convolution of the previous row with its
-    gains: cell j takes the best of ``values[j-eta] + g[eta]``.  The row starts
-    at eta = 0 and takes one shifted vector pass per later eta, which writes
-    its sums where they are strictly larger.  Those are the additions the
-    per-cell definition makes, and the strict comparison keeps the least eta
-    on a tie, which spends less (no inspection wasted on flat curves).  That is
+    gains: cell j takes the best of ``rows[l][j-eta] + g[eta]``.  The row
+    starts at eta = 0 and takes one shifted vector pass per later eta, which
+    keeps the larger of the cell and its sum.  Those are the additions the
+    per-cell definition makes, so every cell is exactly the largest of its
+    sums, and ``_units`` recovers the eta that made it.  That is
     O(sum_l len(g_l) * steps) numpy work and O(steps) scratch memory besides
     the table.
     """
     import numpy as np
 
-    m = len(gains)
-    values = np.zeros(steps + 1)
-    choices = np.zeros((m, steps + 1), dtype=np.int32)
+    size = steps + 1
+    rows = np.empty((len(gains) + 1, size))
+    rows[0] = 0.0
+    tmp = np.empty(size)
     for l, g in enumerate(gains):
-        row = values + g[0]
-        for eta in range(1, min(len(g), steps + 1)):
-            cand = values[: steps + 1 - eta] + g[eta]
-            better = cand > row[eta:]
-            np.copyto(row[eta:], cand, where=better)
-            np.copyto(choices[l, eta:], eta, where=better)
-        values = row
-    return values, choices
+        prev, row = rows[l], rows[l + 1]
+        np.add(prev, g[0], out=row)
+        for eta in range(1, min(len(g), size)):
+            np.add(prev[: size - eta], g[eta], out=tmp[: size - eta])
+            np.maximum(row[eta:], tmp[: size - eta], out=row[eta:])
+    return rows
+
+
+def _units(rows: np.ndarray, gains: list[np.ndarray], j: int) -> list[int]:
+    """Each agent's grid steps in the best split of j budget steps.
+
+    Walks the agents from last to first.  An agent's cell in ``rows`` is the
+    largest of its sums ``rows[l][j-eta] + g[eta]``, so the first eta whose
+    sum equals it is the least eta making it: on a tie the agent spends less
+    (no inspection wasted on flat curves).
+    """
+    units = [0] * len(gains)
+    for l in range(len(gains) - 1, -1, -1):
+        g = gains[l]
+        k = min(len(g), j + 1)
+        sums = rows[l, j::-1][:k] + g[:k]
+        units[l] = eta = int((sums == rows[l + 1, j]).argmax())
+        j -= eta
+    return units
 
 
 def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
@@ -319,20 +338,16 @@ def _allocate_dp(problem: AllocationProblem, curves: list[UtilityCurve]) -> Allo
     minimum, then optimizes the x^l over a delta grid, each agent's grid
     cut at its first point where its utility envelope is flat (the slack
     returns to the pool).  Budget indices are integers throughout; x^l is
-    recovered by backtracking the per-cell choices.
+    recovered by backtracking through the value table.
     """
     steps, gains, grid = _prepare_grid(problem, curves)
-    values, choices = _dp(gains, steps)
+    rows = _dp(gains, steps)
 
-    caps = [0.0] * len(curves)
-    j = steps
-    for l in range(len(curves) - 1, -1, -1):
-        units = int(choices[l, j])
-        caps[l] = float(grid[l][units])
-        j -= units
+    units = _units(rows, gains, steps)
+    caps = [betas[eta] for betas, eta in zip(grid, units)]
     contracts = tuple(best_contract_at(c, cap) for c, cap in zip(curves, caps))
     total = math.fsum(ch.utility for ch in contracts)
-    check = sum(c.base.utility for c in curves) + values[steps]
+    check = sum(c.base.utility for c in curves) + rows[-1, steps]
     # both sides add the same m utilities and m bases in different orders; each
     # amount is scaled before the sum, which two amounts near the double range
     # would overflow
@@ -459,9 +474,18 @@ def allocate(problem: AllocationProblem) -> Allocation:
     certified by the dual.  A gap above ``TOL`` * sum_l R_n means the curves
     are not concave near lambda* (a duality gap); the DP then also runs, at
     step 0.01, and the better total is returned with its own certified gap.
-    A grid over the size limits leaves the exact split.
+    A grid over the size limits leaves the exact split.  Agents whose best
+    or base utilities sum past the double range are invalid input: every
+    split's total lies between those two sums.
     """
     curves = [build_utility_curve(a) for a in problem.agents]
+    for which in ("top", "base"):
+        try:
+            math.fsum(getattr(c, which).utility for c in curves)
+        except OverflowError:
+            raise ValidationError(
+                f"the agents' {which} utilities sum past the double range"
+            ) from None
     if problem.delta is not None:
         return _allocate_dp(problem, curves)
     exact = _lagrangian(problem, curves)

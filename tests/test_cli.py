@@ -723,6 +723,20 @@ def test_sweep_slices_do_not_change_the_rows(tmp_path, capsys, monkeypatch, para
     ]
 
 
+@pytest.mark.parametrize(
+    "ends, values",
+    [(["0.5", "1e308"], [0.5, 5e307, 1e308]), (["-1e308", "1e308"], [-1e308, 0.0, 1e308])],
+    ids=["product", "difference"],
+)
+def test_sweep_ends_near_the_double_range(tmp_path, capsys, ends, values):
+    # (b - a) * i overflows; the rows still run from a to b, all finite
+    argv = ["sweep", write(tmp_path, UNIT1_DOC), "--agent", "a1", "--param", "kappa_i",
+            f"--from={ends[0]}", f"--to={ends[1]}", "--steps", "3", "--precision", "1"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == values
+
+
 @pytest.mark.parametrize("reward, kappa_s", [(10.0, 5e-324), (1e155, 1.0)])
 def test_allocate_at_extreme_scales_keeps_the_exact_split(tmp_path, capsys, reward, kappa_s):
     # R_n^2 / kappa_s is infinite, so the grid DP's gap bound would be too;
@@ -772,6 +786,24 @@ def test_allocate_when_the_rewards_sum_past_the_double_range(tmp_path, capsys, f
     utilities = [float(line.rpartition(" utility=")[2]) for line in agents]
     assert len(utilities) == 2
     assert float(total.removeprefix("total=")) == math.fsum(utilities)
+
+
+def test_utilities_summing_past_the_double_range_are_invalid_input(tmp_path, capsys):
+    # each agent's utility is finite, their sum, and so every split's total, is not
+    agent = {"name": "a", "actions": [{"reward": 1.7e308, "cost": 1.0}],
+             "kappa_s": 1.0, "kappa_i": 1.0, "alpha": 0.5}
+    path = write(tmp_path, {"agents": [agent, agent | {"name": "b"}], "budget": 1})
+    assert main(["solve", path]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["allocate", path],
+        ["allocate", path, "--delta", "0.01"],
+        ["schedule", path, "--from-allocation"],
+        ["verify", path],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == "error: the agents' top utilities sum past the double range\n", argv
 
 
 NONCONVEX_DOC = {

@@ -19,7 +19,7 @@ from inspection_contracts import (
     utility_at,
 )
 from inspection_contracts import multi_agent, oracle
-from inspection_contracts.multi_agent import _dp, _prepare_grid, _spare_budget
+from inspection_contracts.multi_agent import _dp, _prepare_grid, _spare_budget, _units
 from inspection_contracts.tolerance import QUOTIENT_TOL, TOL
 from conftest import (
     NONCONVEX_C,
@@ -331,17 +331,17 @@ class TestAllocate:
         curves = [build_utility_curve(a) for a in problem.agents]
         steps, gains, _ = _prepare_grid(problem, curves)
         for m in range(1, len(curves) + 1):
-            values, _ = _dp(gains[:m], steps)
-            assert values.shape == (steps + 1,)
-            assert np.all(np.diff(values) >= -1e-12)
+            rows = _dp(gains[:m], steps)
+            assert rows.shape == (m + 1, steps + 1)
+            assert np.all(np.diff(rows, axis=1) >= -1e-12)
 
     def test_dp_final_row_gives_allocate_total(self, nonconvex6, unit1):
         problem = AllocationProblem((nonconvex6, unit1, nonconvex6), 2, delta=0.01)
         curves = [build_utility_curve(a) for a in problem.agents]
         steps, gains, _ = _prepare_grid(problem, curves)
-        values, _ = _dp(gains, steps)
+        rows = _dp(gains, steps)
         base = sum(c.base.utility for c in curves)
-        assert allocate(problem).total_utility == pytest.approx(base + values[-1])
+        assert allocate(problem).total_utility == pytest.approx(base + rows[-1, -1])
 
     def test_grid_cell_limit(self, unit1, monkeypatch):
         # two minimums of 0.1 leave 0.8 spare: 80 steps, 2 * 81 cells
@@ -602,20 +602,28 @@ class TestExactAllocate:
         assert all(foregone[first // 2 - 1 :])
 
 def _dp_per_cell(gains, steps):
-    """The per-cell definition of the DP, the reference for the kernel."""
+    """The per-cell definition of the DP, the reference for the kernel: every
+    row, and each cell's least maximizing eta."""
     m = len(gains)
-    values = np.zeros(steps + 1)
+    rows = np.zeros((m + 1, steps + 1))
     choices = np.zeros((m, steps + 1), dtype=np.int32)
     for l, g in enumerate(gains):
-        nxt = np.empty(steps + 1)
         for j in range(steps + 1):
             k = min(j, len(g) - 1) + 1
-            cand = values[j - k + 1 : j + 1][::-1] + g[:k]
+            cand = rows[l, j - k + 1 : j + 1][::-1] + g[:k]
             eta = int(np.argmax(cand))
-            nxt[j] = cand[eta]
+            rows[l + 1, j] = cand[eta]
             choices[l, j] = eta
-        values = nxt
-    return values, choices
+    return rows, choices
+
+
+def _walk(choices, j):
+    """Each agent's units from budget j, read off the reference choices."""
+    units = [0] * len(choices)
+    for l in range(len(choices) - 1, -1, -1):
+        units[l] = int(choices[l, j])
+        j -= units[l]
+    return units
 
 
 # dyadic levels make sums exact, so equal candidates really tie
@@ -650,10 +658,14 @@ def dp_inputs(draw):
 @example(([np.array([0.0, 0.5]), np.array([0.0, 0.0, 0.5])], 2))
 def test_dp_kernel_matches_per_cell_loop(problem):
     gains, steps = problem
-    values, choices = _dp(gains, steps)
-    ref_values, ref_choices = _dp_per_cell(gains, steps)
-    assert np.array_equal(values, ref_values)
-    assert np.array_equal(choices, ref_choices)
+    rows = _dp(gains, steps)
+    ref_rows, ref_choices = _dp_per_cell(gains, steps)
+    assert np.array_equal(rows, ref_rows)
+    for j in range(steps + 1):
+        assert _units(rows, gains, j) == _walk(ref_choices, j)
+        # every cell's eta, as the reference's choices table holds it
+        for l in range(len(gains)):
+            assert _units(rows[: l + 2], gains[: l + 1], j)[-1] == ref_choices[l, j]
 
 
 def _full_grid(curve, spare, delta, steps):
@@ -682,14 +694,11 @@ def test_dp_on_the_full_grid_picks_the_units_allocate_picks(seed, m, delta):
     full = [_full_grid(c, _spare_budget(problem, curves), delta, steps) for c in curves]
     full_gains = [np.array([utility_at(c, b) - c.base.utility for b in betas])
                   for c, betas in zip(curves, full)]
-    values, choices = _dp(full_gains, steps)
-    assert values[steps] == _dp(gains, steps)[0][steps]
-    j = steps
-    for l in range(m - 1, -1, -1):
-        units = int(choices[l, j])
+    rows = _dp(full_gains, steps)
+    assert rows[-1, steps] == _dp(gains, steps)[-1, steps]
+    for l, units in enumerate(_units(rows, full_gains, steps)):
         assert grid[l][: units + 1] == full[l][: units + 1]
         assert grid[l][units] == alloc.caps[l]
-        j -= units
 
 
 class TestDPvsOracle:
