@@ -16,19 +16,20 @@ single-agent contract; every piece formula is a ``BetaPiece`` method, and this
 module writes none itself, so money enters each only as a ratio.
 Splitting the budget is then a multiple-choice-knapsack-style problem.  By
 default ``allocate`` solves it by Lagrangian duality (Everett 1963): it
-bisects the budget's shadow price lambda, takes each agent's maximizer of
-U_l(beta) - lambda*beta from the rises' closed forms, and certifies the result
-with the dual bound; this path is pure Python.  Given a grid step delta it
-runs the paper's method instead, a dynamic program over a delta grid of each
-agent's candidate caps, whose discretization loss is bounded by the
-Lipschitz constants of the curves; the exact split runs it too, at step
-0.01, on a duality gap.  Only that DP imports numpy.
+bisects the budget's shadow price lambda over the ordered doubles of
+[0, inf], in at most 64 steps whatever the money scale, takes each agent's
+maximizer of U_l(beta) - lambda*beta from the rises' closed forms, and
+certifies the result with the dual bound; this path is pure Python.  Given a
+grid step delta it runs the paper's method instead, a dynamic program over a
+delta grid of each agent's candidate caps, whose discretization loss is
+bounded by the Lipschitz constants of the curves; the exact split runs it
+too, at step 0.01, on a duality gap.  Only that DP imports numpy.
 """
 
 from __future__ import annotations
 
 import math
-import sys
+import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
@@ -199,7 +200,9 @@ class Allocation:
     the value of one more unit of budget), an upper bound on every feasible
     total, and ``gap_bound`` is the certified gap ``dual_bound -
     total_utility``; ``delta`` is None, or 0.01 when the grid DP that runs on
-    a duality gap gave the better total.
+    a duality gap gave the better total.  ``shadow_price`` is inf when no
+    finite price brings the caps within the budget; if the minimums then use
+    the whole budget, ``dual_bound`` is their total.
     """
 
     caps: tuple[float, ...]
@@ -363,19 +366,19 @@ def _allocate_dp(problem: AllocationProblem, curves: list[UtilityCurve]) -> Allo
     )
 
 
-def _shifted_argmax(curve: UtilityCurve, lam: float) -> tuple[float, float]:
+def _shifted_argmax(curve: UtilityCurve, lam: float, u0: float) -> tuple[float, float]:
     """The least cap maximizing U(cap) - lam * cap, and U there.
 
     Past a rise's peak the envelope is flat, and where the running best still
     beats a rise it is flat at the previous peak, so the maximizer is beta_min,
     a rise's peak, or the point of a rise where the slope of U equals lam:
     the piece's ``stationary`` point at price kappa_i + lam, clamped into
-    [beta_lo, peak.beta].  Each candidate is valued with ``utility_at``.
+    [beta_lo, peak.beta].  ``u0`` is U(beta_min), the first candidate; each
+    other candidate is valued with ``utility_at``.
     """
     rate = curve.beta_curve.agent.kappa_i + lam
-    b0 = curve.beta_min
-    best_b = b0
-    best_u = best_v = utility_at(curve, b0)
+    b0 = best_b = curve.beta_min
+    best_u = best_v = u0
     for piece, lo, peak in curve.rises:
         # a rise's d is positive: its peak, computed already, divides by it
         stationary = piece.beta(piece.stationary(rate)) if rate > 0.0 else peak.beta
@@ -398,45 +401,64 @@ class _Priced(NamedTuple):
     used: float  # fsum of the caps, so agent order does not matter
 
 
-def _priced(curves: list[UtilityCurve], lam: float) -> _Priced:
-    points = [_shifted_argmax(c, lam) for c in curves]
+def _priced(curves: list[UtilityCurve], lam: float, top: _Priced) -> _Priced:
+    """The maximizers at price lam; ``top``, the point at lam = inf, holds each
+    agent's U(beta_min)."""
+    points = [_shifted_argmax(c, lam, u0) for c, u0 in zip(curves, top.utilities)]
     caps = [b for b, _ in points]
     return _Priced(lam, caps, [u for _, u in points], math.fsum(caps))
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    """The double halfway from lo to hi, two nonnegative doubles, in their order.
+
+    Nonnegative doubles order as their IEEE bit patterns do as integers, so
+    halving the patterns' sum halves the doubles left between the ends: any
+    bracket in [0, inf] closes to adjacent doubles within 63 halvings,
+    whatever its scale.
+    """
+    a, b = struct.unpack("<2q", struct.pack("<2d", lo, hi))
+    return struct.unpack("<d", struct.pack("<q", (a + b) // 2))[0]
 
 
 def _lagrangian(problem: AllocationProblem, curves: list[UtilityCurve]) -> Allocation:
     """The Lagrangian primal at the budget's shadow price, with its dual bound.
 
     For a price lam >= 0, D(lam) = lam*B + sum_l max_beta [U_l(beta) - lam*beta]
-    bounds every feasible total from above.  lam* is bracketed by doubling and
-    bisected on the subgradient, the budget minus the least maximizers' sum,
-    down to adjacent doubles lo < hi, infeasible and feasible.  The primal
-    takes the maximizers at hi.  The budget they leave goes first to agents
-    whose maximizer jumps between hi and lo, each taking its whole jump while
-    it fits (largest first), then what remains to the agent it raises most,
-    nudged down until the caps' ``fsum`` fits.  Ties in either go to the
-    larger cap, not the earlier agent, so the split does not depend on agent
-    order.  The dual bound is the smaller of D(lo) and D(hi); when the curves
-    are concave it meets the primal's total.
+    bounds every feasible total from above.  lam* is bisected on the
+    subgradient, the budget minus the least maximizers' sum, over the ordered
+    doubles of [0, inf].  At lam = inf every cap is its beta_min, which fits
+    by Assumption 3, so that point tops the bracket; halving the doubles
+    between the ends (``_midpoint``) closes it to adjacent doubles lo < hi,
+    infeasible and feasible, in at most 64 evaluations whatever the money
+    scale.  The primal takes the maximizers at hi.  The budget they leave
+    goes first to agents whose maximizer jumps between hi and lo, each taking
+    its whole jump while it fits (largest first), then what remains to the
+    agent it raises most, nudged down until the caps' ``fsum`` fits.  Ties in
+    either go to the larger cap, not the earlier agent, so the split does not
+    depend on agent order.  The dual bound is the smaller of D(lo) and D(hi);
+    when the curves are concave it meets the primal's total.  D(inf) is inf,
+    or the minimums' total when they use the whole budget, and the shadow
+    price is inf when no finite price fits.
     """
     _spare_budget(problem, curves)
+    mins = [c.beta_min for c in curves]
+    top = _Priced(math.inf, mins, [utility_at(c, b) for c, b in zip(curves, mins)],
+                  math.fsum(mins))
     # minimums within TOL above the budget pin every agent to its minimum
-    limit = max(float(problem.budget), math.fsum(c.beta_min for c in curves))
-    lo = hi = _priced(curves, 0.0)
+    limit = max(float(problem.budget), top.used)
+    lo = hi = _priced(curves, 0.0, top)
     if hi.used > limit:
-        # double a price in money units until it brings the caps within budget
-        price = max(a.money_scale for a in problem.agents)
-        while (hi := _priced(curves, price)).used > limit:
-            if price == sys.float_info.max:
-                raise RuntimeError("no shadow price brings the caps within the budget")
-            lo, price = hi, min(2.0 * price, sys.float_info.max)
-        while lo.lam < (mid := lo.lam + 0.5 * (hi.lam - lo.lam)) < hi.lam:
-            point = _priced(curves, mid)
-            if point.used > limit:
-                lo = point
-            else:
-                hi = point
-    dual = min(math.fsum(p.utilities) + p.lam * (limit - p.used) for p in (lo, hi))
+        hi = top
+    while lo.lam < (mid := _midpoint(lo.lam, hi.lam)) < hi.lam:
+        point = _priced(curves, mid, top)
+        if point.used > limit:
+            lo = point
+        else:
+            hi = point
+    # a point that uses the whole budget has no price term: inf * 0 is nan
+    dual = min(math.fsum(p.utilities) + (p.lam * (limit - p.used) if p.used != limit else 0.0)
+               for p in (lo, hi))
 
     caps = list(hi.caps)
     jumps = sorted(

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from inspection_contracts import Action, AgentSpec
 
@@ -99,6 +101,25 @@ def random_agent(rng, n_max=8, alpha_max=0.5):
         kappa_s=float(rng.uniform(0.0, 0.9) * slack),
         kappa_i=float(rng.uniform(0.1, 5.0)),
         alpha=float(rng.uniform(0.0, alpha_max)),
+    )
+
+
+@st.composite
+def allocation_agents(draw):
+    """1-4 actions, about half with alpha = 0 (flat stretches in the utility
+    curve)."""
+    n = draw(st.integers(1, 4))
+    rewards = np.cumsum(draw(st.lists(st.floats(0.3, 2.0), min_size=n, max_size=n)))
+    costs = np.cumsum(draw(st.lists(st.floats(0.05, 0.6), min_size=n, max_size=n)))
+    slack = float(np.max(rewards - costs))
+    assume(slack > 0.05)
+    return make_agent(
+        rewards,
+        costs,
+        kappa_s=draw(st.floats(0.3, 0.95)) * slack,
+        # cheap inspection puts the peaks at large caps, so budgets bind
+        kappa_i=draw(st.floats(0.01, 1.0)),
+        alpha=draw(st.just(0.0) | st.floats(0.0, 0.3)),
     )
 
 

@@ -806,6 +806,21 @@ def test_utilities_summing_past_the_double_range_are_invalid_input(tmp_path, cap
         assert err == "error: the agents' top utilities sum past the double range\n", argv
 
 
+def test_minimums_that_fill_the_budget_exit_0(tmp_path, capsys):
+    # big wants more than its minimum at every finite price, and the two
+    # minimums, 0.1 and 0.9, use the whole budget: the split is the minimums
+    big = {"name": "big", "actions": [{"reward": 1e308, "cost": 0.0}],
+           "kappa_s": 1e307, "kappa_i": 1.0, "alpha": 0.0}
+    small = {"name": "small", "actions": [{"reward": 10.0, "cost": 0.0}],
+             "kappa_s": 9.0, "kappa_i": 1.0, "alpha": 0.0}
+    path = write(tmp_path, {"agents": [big, small], "budget": 1})
+    assert main(["allocate", path]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["total=-1.000000", "gap_bound=0.000000"]
+    assert main(["schedule", path, "--from-allocation"]) == 0
+    assert main(["verify", path, "--grid-step", "0.01"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 NONCONVEX_DOC = {
     "agents": [
         {

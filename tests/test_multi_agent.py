@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -22,8 +23,12 @@ from inspection_contracts import multi_agent, oracle
 from inspection_contracts.multi_agent import _dp, _prepare_grid, _spare_budget, _units
 from inspection_contracts.tolerance import QUOTIENT_TOL, TOL
 from conftest import (
+    CANCEL,
+    FLAT_FIRST,
     NONCONVEX_C,
     NONCONVEX_R,
+    allocation_agents,
+    case_agent,
     make_agent,
     priced,
     random_agent,
@@ -546,6 +551,18 @@ class TestExactAllocate:
         assert alloc.caps == (0.5000000000000001,) * 2
         assert alloc.total_utility == -1.0000000000000002
 
+    def test_minimums_that_fill_the_budget_take_an_infinite_price(self):
+        # beta_min is 0.1 for big and 0.9 for small, the whole budget, yet big
+        # wants more than its minimum at every finite price: only lambda = inf
+        # fits, where D is the minimums' total
+        big = make_agent([1e308], [0.0], kappa_s=1e307)
+        small = make_agent([10.0], [0.0], kappa_s=9.0)
+        alloc = allocate(AllocationProblem((big, small), 1))
+        assert alloc.caps == (0.09999999999999998, 0.9)
+        assert (alloc.total_utility, alloc.dual_bound, alloc.gap_bound) == (-1.0, -1.0, 0.0)
+        assert alloc.shadow_price == math.inf
+        assert alloc.delta is None
+
     # draw 124 of rng 7's alpha = 0 problems: the maximizers at the shadow
     # price leave budget unspent; spending it on the agent it raises most
     # lifts the total from 5.710331522462575
@@ -600,6 +617,124 @@ class TestExactAllocate:
         assert priced_out == foregone
         assert foregone.index(True) == first // 2 - 1
         assert all(foregone[first // 2 - 1 :])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(-300, 300), min_size=1, max_size=5),
+       st.integers(1, 3))
+# one agent x 10^300 among four: a search seeded at the largest R_n and
+# bisected by value took 1,052 prices to come down to lambda* = 2.78
+@example(0, [300, 0, 0, 0], 1)
+@example(4, [300, 0, 0, 0], 2)
+def test_price_search_cost_does_not_depend_on_money_scale(seed, ks, budget):
+    rng = np.random.default_rng(seed)
+    agents = [random_agent(rng, n_max=5) for _ in ks]
+    assume(all(representable(a, 10.0**k) for a, k in zip(agents, ks)))
+    group = tuple(priced(a, 10.0**k) for a, k in zip(agents, ks))
+    prices, priced_at = [], multi_agent._priced
+
+    def counted(curves, lam, *rest):
+        prices.append(lam)
+        return priced_at(curves, lam, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multi_agent, "_priced", counted)
+        try:
+            alloc = allocate(AllocationProblem(group, budget))
+        except InfeasibleBudget:
+            return
+    assert len(prices) <= 64
+    assert math.fsum(alloc.caps) <= budget
+    assert alloc.gap_bound >= 0.0
+
+
+def _doubling_priced(curves, lam):
+    """``_priced`` as it was before U(beta_min) was taken once per split."""
+    points = [multi_agent._shifted_argmax(c, lam, utility_at(c, c.beta_min)) for c in curves]
+    caps = [b for b, _ in points]
+    return multi_agent._Priced(lam, caps, [u for _, u in points], math.fsum(caps))
+
+
+def _doubling_lagrangian(problem, curves):
+    """The reference exact split: ``_lagrangian`` with the price search it had
+    before the bisection over the ordered doubles.  The price starts at the
+    largest R_n and doubles until the caps fit, then is bisected by value
+    midpoints; the fill and the dual are the same."""
+    _spare_budget(problem, curves)
+    limit = max(float(problem.budget), math.fsum(c.beta_min for c in curves))
+    lo = hi = _doubling_priced(curves, 0.0)
+    if hi.used > limit:
+        price = max(a.money_scale for a in problem.agents)
+        while (hi := _doubling_priced(curves, price)).used > limit:
+            if price == sys.float_info.max:
+                raise RuntimeError("no shadow price brings the caps within the budget")
+            lo, price = hi, min(2.0 * price, sys.float_info.max)
+        while lo.lam < (mid := lo.lam + 0.5 * (hi.lam - lo.lam)) < hi.lam:
+            point = _doubling_priced(curves, mid)
+            if point.used > limit:
+                lo = point
+            else:
+                hi = point
+    dual = min(math.fsum(p.utilities) + p.lam * (limit - p.used) for p in (lo, hi))
+
+    caps = list(hi.caps)
+    jumps = sorted(
+        ((up - b, up, l) for l, (up, b) in enumerate(zip(lo.caps, caps)) if up > b), reverse=True
+    )
+    for *_, l in jumps:
+        before, caps[l] = caps[l], lo.caps[l]
+        if math.fsum(caps) > limit:
+            caps[l] = before
+    left = limit - math.fsum(caps)
+    if left > 0.0:
+        raises = []
+        for l, (c, b) in enumerate(zip(curves, caps)):
+            cap = min(b + left, max(multi_agent._flat_from(c), b))
+            raises.append((utility_at(c, cap) - utility_at(c, b), cap, l))
+        gain, cap, l = max(raises)
+        if gain > 0.0:
+            caps[l] = cap
+            while math.fsum(caps) > limit:
+                caps[l] = math.nextafter(caps[l], -math.inf)
+
+    contracts = tuple(best_contract_at(c, cap) for c, cap in zip(curves, caps))
+    total = math.fsum(ch.utility for ch in contracts)
+    return multi_agent.Allocation(
+        tuple(caps), contracts, total, max(dual - total, 0.0), None, dual, hi.lam
+    )
+
+
+# two to six agents share one or two inspectors, so about half the feasible
+# draws have a positive shadow price
+@settings(max_examples=300, deadline=None)
+@given(st.lists(allocation_agents(), min_size=2, max_size=6), st.integers(1, 2))
+@example(list(TestExactAllocate.GAP_AGENTS), 2)
+@example(list(TestExactAllocate.TIE_AGENTS), 3)
+@example(list(TestExactAllocate.LEFTOVER_AGENTS), 2)
+@example([case_agent(case) for case in CANCEL.values()], 1)
+@example([case_agent(case) for case in CANCEL.values()], 3)
+# agents that need no inspection, beside four unit agents that bind the budget:
+# a flat first segment, and rewards twelve orders of magnitude apart
+@example([case_agent(FLAT_FIRST)] + [make_agent([10.0], [2.0])] * 4, 1)
+@example([make_agent([13.9, 1e12], [0.8516, 1.325e11], kappa_s=1.025e11, kappa_i=2.668,
+                     alpha=0.478)] + [make_agent([10.0], [2.0])] * 4, 1)
+def test_bisecting_the_doubles_keeps_the_doubling_search_answers(agents, budget):
+    problem = AllocationProblem(tuple(agents), budget)
+    try:
+        alloc = allocate(problem)
+    except InfeasibleBudget:
+        with pytest.raises(InfeasibleBudget):
+            _doubling_lagrangian(problem, [build_utility_curve(a) for a in agents])
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multi_agent, "_lagrangian", _doubling_lagrangian)
+        ref = allocate(problem)
+    slack = TOL * math.fsum(a.money_scale for a in agents)
+    assert abs(alloc.total_utility - ref.total_utility) <= slack
+    assert abs(alloc.dual_bound - ref.dual_bound) <= slack
+    assert alloc.gap_bound <= ref.gap_bound + slack
+    assert alloc.delta == ref.delta
+
 
 def _dp_per_cell(gains, steps):
     """The per-cell definition of the DP, the reference for the kernel: every

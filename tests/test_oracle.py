@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inspection_contracts import (
@@ -27,7 +27,7 @@ from inspection_contracts import (
 from inspection_contracts import oracle
 from inspection_contracts.oracle import _grid
 from inspection_contracts.tolerance import QUOTIENT_TOL, TOL, grid_steps
-from conftest import make_agent, random_agent
+from conftest import allocation_agents, make_agent, random_agent
 
 # one action (10, 2) with kappa_i = 1 and alpha = 0: at step 0.01 the cap
 # grids of kappa_s = 3, 1 and 0.5 have 31, 24 and 16 points
@@ -241,25 +241,6 @@ class TestBruteForceAllocate:
         problem = AllocationProblem((WIDE,) * m, m)
         with pytest.raises(ValidationError, match=re.escape(f"needs {count} oracle table")):
             brute_force_allocate(problem, 0.01)
-
-
-@st.composite
-def allocation_agents(draw):
-    """1-4 actions, about half with alpha = 0 (flat stretches in the utility
-    curve)."""
-    n = draw(st.integers(1, 4))
-    rewards = np.cumsum(draw(st.lists(st.floats(0.3, 2.0), min_size=n, max_size=n)))
-    costs = np.cumsum(draw(st.lists(st.floats(0.05, 0.6), min_size=n, max_size=n)))
-    slack = float(np.max(rewards - costs))
-    assume(slack > 0.05)
-    return make_agent(
-        rewards,
-        costs,
-        kappa_s=draw(st.floats(0.3, 0.95)) * slack,
-        # cheap inspection puts the peaks at large caps, so budgets bind
-        kappa_i=draw(st.floats(0.01, 1.0)),
-        alpha=draw(st.just(0.0) | st.floats(0.0, 0.3)),
-    )
 
 
 def test_value_examples_have_their_shapes():
