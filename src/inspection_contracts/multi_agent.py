@@ -12,8 +12,9 @@ breakpoints.  The object the allocator consumes is the running maximum
 U_l(bar_beta) = max_{beta <= bar_beta} U_l(beta): nondecreasing, and stored as
 the pieces whose peak raises the running best, each with that peak.  The
 peaks are the single-agent solver's, so the curve's best point is the optimal
-single-agent contract; every piece formula is a ``BetaPiece`` method, and this
-module writes none itself, so money enters each only as a ratio.
+single-agent contract; every piece formula is a ``BetaPiece`` method, which
+only ``_values`` repeats, with the same float operations over whole cap
+grids, so money enters each only as a ratio.
 Splitting the budget is then a multiple-choice-knapsack-style problem.  By
 default ``allocate`` solves it by Lagrangian duality (Everett 1963): it
 bisects the budget's shadow price lambda over the ordered doubles of
@@ -23,14 +24,17 @@ certifies the result with the dual bound; this path is pure Python.  Given a
 grid step delta it runs the paper's method instead, a dynamic program over a
 delta grid of each agent's candidate caps, whose discretization loss is
 bounded by the Lipschitz constants of the curves; the exact split runs it
-too, at step 0.01, on a duality gap.  Only that DP imports numpy.
+too, at step 0.01, on a duality gap.  ``_values`` prices every agent's grid
+caps in one vectorized pass, and the DP fills each row of its value table
+only over the band of cells a backtrack from the budget can read, in blocks
+of (max,+) sums.  Only the DP and ``_values`` import numpy.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, NamedTuple
@@ -159,9 +163,12 @@ def _flat_from(curve: UtilityCurve) -> float:
 # at most one gain (a utility evaluation), so this bounds the grid's memory;
 # 2e7 is 4x the m=1000, B=50, delta=0.01 grid.
 MAX_DP_CELLS = 20_000_000
-# Most candidate sums, sum_l len(gains_l) x (budget steps + 1), the DP may take:
-# at 1.6-1.8 ns per sum on long rows (2-CPU x86_64 host, numpy 2.4) about 3.5 s,
-# 8x the m=100, B=10, delta=1e-3 DP.
+# Most candidate sums the DP may take, counted as sum_l len(gains_l) x (budget
+# steps + 1) whatever its bands leave out: 8x the m=100, B=10, delta=1e-3 DP.
+# At the limit, where every band but the last is the whole row (4 agents of
+# 22,361 gains, 22,360 steps), it takes about 0.4 ns per counted sum, 0.75-0.95
+# s on a 2-CPU x86_64 host (numpy 2.4).  Its scratch besides the table stays
+# under 2.4 MB.
 MAX_DP_WORK = 2_000_000_000
 
 
@@ -242,54 +249,157 @@ def _spare_budget(problem: AllocationProblem, curves: list[UtilityCurve]) -> flo
     return max(problem.budget - total_min, 0.0)
 
 
+# Most candidate sums rows[l][j-eta] + g[eta] that one numpy pass of ``_dp``
+# holds, 512 KB: a band is taken in chunks of at most this many cells, and a
+# chunk in blocks of as many etas as fit.
+_DP_PASS_SUMS = 1 << 16
+
+
 def _dp(gains: list[np.ndarray], steps: int) -> np.ndarray:
-    """Fill the budget-allocation value table row by row.
+    """Fill the budget-allocation value table row by row, over the cells a
+    backtrack from budget ``steps`` can read.
 
     ``gains[l][eta]`` is agent l's utility gain from eta grid steps above its
     minimum inspection.  Returns the table ``rows``, (m + 1) x (steps + 1):
     ``rows[l][j]`` is the best gain of the first l agents within j budget
-    steps, and ``rows[0]`` is 0.
+    steps, and ``rows[0]`` is 0.  Agent l reaches r_l = min(len(g_l) - 1,
+    steps) steps.  A backtrack from ``steps`` leaves the first l agents at
+    least lo_l = steps - sum_{l' >= l} r_l' (floored at 0), and those agents
+    spend at most hi_l = sum_{l' < l} r_l' (capped at ``steps``), so every cell
+    past hi_l is the largest of the same sums as cell hi_l.  Row l computes
+    its band, cells min(lo_l, hi_l) to hi_l, copies cell hi_l into the cells
+    above, and leaves the cells below NaN: the table answers backtracks from
+    its own budget only, and a misread cell cannot pass unnoticed.
 
-    Each agent's row is one (max,+) convolution of the previous row with its
-    gains: cell j takes the best of ``rows[l][j-eta] + g[eta]``.  The row
-    starts at eta = 0 and takes one shifted vector pass per later eta, which
-    keeps the larger of the cell and its sum.  Those are the additions the
-    per-cell definition makes, so every cell is exactly the largest of its
-    sums, and ``_units`` recovers the eta that made it.  That is
-    O(sum_l len(g_l) * steps) numpy work and O(steps) scratch memory besides
-    the table.
+    Each band is one (max,+) convolution of the previous row with the
+    agent's gains: cell j takes the largest of ``rows[l][j-eta] + g[eta]``
+    for eta <= min(j, r_l).  A strided window over the previous row adds
+    ``g[:, None]`` to a block of etas, over the cells they reach, and a max
+    over eta folds the block into the row; each pass holds at most
+    ``_DP_PASS_SUMS`` sums.  Those are the additions the per-cell definition
+    makes, so every computed cell is exactly the largest of its sums, and
+    ``_units`` recovers the eta that made it.  The scratch memory besides the
+    table is O(``_DP_PASS_SUMS`` + max_l r_l).
     """
     import numpy as np
 
     size = steps + 1
+    reach = [min(len(g), size) - 1 for g in gains]
     rows = np.empty((len(gains) + 1, size))
     rows[0] = 0.0
-    tmp = np.empty(size)
-    for l, g in enumerate(gains):
+    bands, later, hi = [], sum(reach), 0
+    for r in reach:
+        later -= r
+        hi = min(hi + r, steps)
+        bands.append((min(max(steps - later, 0), hi), hi))
+    pad = max(reach)
+    chunk = min(max(hi - lo + 1 for lo, hi in bands), _DP_PASS_SUMS)
+    # buf[pad + i] holds rows[l][c0 + i] for a chunk of cells from c0, so
+    # win[i, pad - eta] is rows[l][c0 + i - eta]; where c0 + i - eta < 0 it
+    # reads the pad or an earlier chunk's cell, a sum that is masked
+    buf = np.zeros(pad + chunk)
+    win = np.lib.stride_tricks.sliding_window_view(buf, pad + 1)
+    sums = np.empty(min(_DP_PASS_SUMS, (pad + 1) * chunk))
+    best = np.empty(chunk)
+    count = np.arange(pad + 1)
+    for l, (g, r, (lo, hi)) in enumerate(zip(gains, reach, bands)):
         prev, row = rows[l], rows[l + 1]
-        np.add(prev, g[0], out=row)
-        for eta in range(1, min(len(g), size)):
-            np.add(prev[: size - eta], g[eta], out=tmp[: size - eta])
-            np.maximum(row[eta:], tmp[: size - eta], out=row[eta:])
+        for c0 in range(lo, hi + 1, chunk):
+            width = min(chunk, hi + 1 - c0)
+            back = min(r, c0)
+            buf[pad - back : pad + width] = prev[c0 - back : c0 + width]
+            band = row[c0 : c0 + width]
+            per = _DP_PASS_SUMS // width
+            # etas e0 to e1 - 1 have sums from cell j0 = max(c0, e0) on
+            for e0 in range(0, min(r, c0 + width - 1) + 1, per):
+                e1 = min(e0 + per, r + 1)
+                i0 = max(e0 - c0, 0)
+                j0 = c0 + i0
+                cand = sums[: (e1 - e0) * (width - i0)].reshape(e1 - e0, width - i0)
+                taps = win[i0:width, pad + 1 - e1 : pad + 1 - e0][:, ::-1]
+                np.add(taps.T, g[e0:e1, None], out=cand)
+                if e1 - 1 > j0:
+                    # the block's later etas have no sum at its first cells
+                    cols = min(width - i0, e1 - 1 - j0)
+                    np.copyto(cand[:, :cols], -np.inf,
+                              where=np.greater.outer(count[e0:e1], count[j0 : j0 + cols]))
+                if e0 == 0:
+                    np.maximum.reduce(cand, axis=0, out=band)
+                else:
+                    np.maximum.reduce(cand, axis=0, out=best[: width - i0])
+                    np.maximum(band[i0:], best[: width - i0], out=band[i0:])
+        row[hi + 1 :] = row[hi]
+        row[:lo] = np.nan
     return rows
 
 
 def _units(rows: np.ndarray, gains: list[np.ndarray], j: int) -> list[int]:
-    """Each agent's grid steps in the best split of j budget steps.
+    """Each agent's grid steps in the best split of j budget steps, from the
+    table ``_dp(gains, j)`` built for that budget.
 
     Walks the agents from last to first.  An agent's cell in ``rows`` is the
     largest of its sums ``rows[l][j-eta] + g[eta]``, so the first eta whose
     sum equals it is the least eta making it: on a tie the agent spends less
-    (no inspection wasted on flat curves).
+    (no inspection wasted on flat curves).  A cell no sum reproduces, such as
+    a NaN cell outside the band of a table built for another budget, raises
+    RuntimeError.
     """
     units = [0] * len(gains)
     for l in range(len(gains) - 1, -1, -1):
         g = gains[l]
         k = min(len(g), j + 1)
         sums = rows[l, j::-1][:k] + g[:k]
-        units[l] = eta = int((sums == rows[l + 1, j]).argmax())
+        eta = int((sums == rows[l + 1, j]).argmax())
+        if not sums[eta] == rows[l + 1, j]:
+            raise RuntimeError(
+                f"no grid step of agent {l} reproduces the DP cell {rows[l + 1, j]} "
+                f"at budget step {j}"
+            )
+        units[l] = eta
         j -= eta
     return units
+
+
+def _values(curves: list[UtilityCurve], grids: list) -> list[np.ndarray]:
+    """``utility_at`` at every cap of every agent's grid, with
+    ``best_contract_at``'s float operations.
+
+    One coefficient table holds every agent's rises, each agent's led by a
+    row for its ``base`` with a peak at beta = -inf.  Each cap, raised to its
+    agent's beta_min, gathers the row of the last rise starting at or below
+    it (one ``searchsorted`` per agent), or the base row below the first
+    rise; the arithmetic then runs once over all caps.  At or past a row's
+    peak the value is the peak's, so the base row gives ``base``'s utility.
+    """
+    import numpy as np
+
+    counts = [len(g) for g in grids]
+    mins = np.repeat([c.beta_min for c in curves], counts)
+    b = np.maximum(np.concatenate(grids), mins)
+    table, lead = [], []
+    for c in curves:
+        lead.append(len(table))
+        kappa_i = c.beta_curve.agent.kappa_i
+        u = c.base.utility
+        table.append((0.0, 0.0, 0.0, 0.0, -math.inf, u, u, kappa_i))
+        for piece, _, peak in c.rises:
+            table.append((piece.r_own, piece.d, piece.c_const, piece.gamma_hi,
+                          peak.beta, peak.utility, u, kappa_i))
+            u = peak.utility
+    starts = np.cumsum([0] + counts)
+    row = np.concatenate([
+        np.searchsorted([lo for _, lo, _ in c.rises], b[start:end], side="right")
+        for c, start, end in zip(curves, starts[:-1], starts[1:])
+    ]) + np.repeat(lead, counts)
+    r_own, d, c_const, gamma_hi, peak_beta, peak_u, before, kappa_i = np.array(table)[row].T
+    denom = (r_own - d) + b * d
+    flat = denom == 0.0
+    # Python floats overflow to inf, and 0 * inf gives nan, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = np.where(flat, gamma_hi, c_const / np.where(flat, 1.0, denom))
+        u = (1.0 - gamma) * r_own - b * kappa_i
+    u = np.where(b >= peak_beta, peak_u, np.where(u > before, u, before))
+    return [u[start:end] for start, end in zip(starts[:-1], starts[1:])]
 
 
 def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
@@ -299,6 +409,8 @@ def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
     where its utility envelope goes flat (later caps only tie with it, and the
     DP keeps the first of tied choices), or else at beta_cap or the spare
     budget, with a saturation cap; the size limits count caps to the latter.
+    The caps are built for all agents in a few array passes and kept as
+    Python floats, and ``_values`` prices them all in one pass.
     """
     import numpy as np
 
@@ -312,25 +424,31 @@ def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
             f"{MAX_DP_CELLS:,}; use a larger delta"
         )
     caps_x = [min(c.beta_cap - c.beta_min, spare) for c in curves]
-    ns = [grid_steps(cap, delta) for cap in caps_x]
-    work = sum(n_l + 1 for n_l in ns) * (steps + 1)
+    sizes = [grid_steps(cap, delta) + 1 for cap in caps_x]
+    work = sum(sizes) * (steps + 1)
     if work > MAX_DP_WORK:
         raise ValidationError(
             f"delta = {delta!r} needs {work:.3g} DP candidate sums, above the limit of "
             f"{MAX_DP_WORK:,}; use a larger delta"
         )
-    grid, gains = [], []
-    for c, cap, n_l in zip(curves, caps_x, ns):
-        betas = [c.beta_min + eta * delta for eta in range(n_l + 1)]
-        end = bisect_left(betas, _flat_from(c))
-        if end <= n_l:
-            del betas[end + 1 :]
-        elif cap > n_l * delta and n_l + 1 <= steps:
-            # saturation, entry n_l + 1: reaching the flat region exactly costs a
+    # every agent's caps beta_min + eta * delta, eta < its size, end to end; each
+    # agent's first cap at or past its flat point is its count of caps below it
+    starts = np.cumsum([0] + sizes[:-1])
+    eta = np.arange(sum(sizes))
+    eta -= np.repeat(starts, sizes)
+    betas = eta * delta
+    betas += np.repeat([c.beta_min for c in curves], sizes)
+    ends = np.add.reduceat(betas < np.repeat([_flat_from(c) for c in curves], sizes),
+                           starts, dtype=np.intp).tolist()
+    grid = []
+    for c, cap, start, n, end in zip(curves, caps_x, starts.tolist(), sizes, ends):
+        caps = betas[start : start + min(end + 1, n)].tolist()
+        if end == n and cap > (n - 1) * delta and n <= steps:
+            # saturation, entry n: reaching the flat region exactly costs a
             # rounded-up number of units but can beat every grid point before it
-            betas.append(c.beta_min + cap)
-        grid.append(betas)
-        gains.append(np.array([utility_at(c, b) - c.base.utility for b in betas]))
+            caps.append(c.beta_min + cap)
+        grid.append(caps)
+    gains = [v - c.base.utility for c, v in zip(curves, _values(curves, grid))]
     return steps, gains, grid
 
 

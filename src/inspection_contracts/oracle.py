@@ -9,9 +9,10 @@ inject extra candidate gammas (typically from the solver's own answer); the
 evaluation path stays independent either way.  ``check_ic_ir`` shares one
 thing with the solvers, the agent's choice rule: the pairs
 ``agent_best_response`` chooses from.  The allocation oracle reads the
-solvers' utility curves, with ``utility_at``'s own arithmetic over whole
-grids; its independence lies in the search, which tries every cap vector on
-a step grid instead of pricing the budget.
+solvers' utility curves, priced over whole grids by the budget DP's own
+evaluator, ``multi_agent._values``, with ``utility_at``'s arithmetic; its
+independence lies in the search, which tries every cap vector on a step
+grid instead of splitting the budget by DP or by price.
 
 Not a production solver: each check runs over whole grids, in a few array
 operations per agent rather than a loop over points.
@@ -30,6 +31,7 @@ from .multi_agent import (
     AllocationProblem,
     UtilityCurve,
     _spare_budget,
+    _values,
     best_contract_at,
     build_utility_curve,
 )
@@ -136,33 +138,6 @@ def brute_force_single(
     return Contract(float(gammas[i]), float(beta[i])), float(util[i])
 
 
-def _values(curve: UtilityCurve, caps: np.ndarray) -> np.ndarray:
-    """``utility_at`` at every cap, with ``best_contract_at``'s float operations.
-
-    Each cap gathers the coefficients of the last rise starting at or below
-    it; below the first rise the value is ``base``'s, and at or past the
-    rise's peak it is the peak's.
-    """
-    b = np.maximum(caps, curve.beta_min)
-    if not curve.rises:
-        return np.full(b.shape, curve.base.utility)
-    befores = [curve.base.utility] + [peak.utility for _, _, peak in curve.rises[:-1]]
-    coef = np.array([
-        (piece.r_own, piece.d, piece.c_const, piece.gamma_hi, peak.beta, peak.utility, before)
-        for (piece, _, peak), before in zip(curve.rises, befores)
-    ])
-    j = np.searchsorted([lo for _, lo, _ in curve.rises], b, side="right") - 1
-    r_own, d, c_const, gamma_hi, peak_beta, peak_u, before = coef[np.maximum(j, 0)].T
-    denom = (r_own - d) + b * d
-    flat = denom == 0.0
-    # Python floats overflow to inf, and 0 * inf gives nan, without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma = np.where(flat, gamma_hi, c_const / np.where(flat, 1.0, denom))
-        u = (1.0 - gamma) * r_own - b * curve.beta_curve.agent.kappa_i
-    u = np.where(b >= peak_beta, peak_u, np.where(u > before, u, before))
-    return np.where(j < 0, curve.base.utility, u)
-
-
 def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
     """Exhaustive search over per-agent caps on a step grid.
 
@@ -170,13 +145,14 @@ def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
     other agents' caps, one agent's best is its largest affordable one (caps
     summing to <= budget + TOL).  That agent is the one with the most grid
     points (the first on a tie), found by bisection; the others' cap vectors
-    are tabulated, and each total is summed in agent order.  Ties go to the
-    first tabulated cap vector in row-major order, and the bisected agent
-    keeps its largest affordable cap even where a smaller one is worth as
-    much.  A step, or a number of agents, whose table entries or whose
-    bisected grid's points exceed ``MAX_ORACLE_CELLS`` raises
-    ValidationError.  Assumption 3 is ``allocate``'s own check, with its
-    ``InfeasibleBudget``.
+    are tabulated, and each table total is summed in agent order.  Ties go
+    to the first tabulated cap vector in row-major order, and the bisected
+    agent keeps its largest affordable cap even where a smaller one is worth
+    as much.  The reported total is the chosen contracts' ``fsum``, as every
+    other allocation total is, so it does not depend on agent order.  A
+    step, or a number of agents, whose table entries or whose bisected
+    grid's points exceed ``MAX_ORACLE_CELLS`` raises ValidationError.
+    Assumption 3 is ``allocate``'s own check, with its ``InfeasibleBudget``.
     """
     _check_step(step)
     curves = [build_utility_curve(a) for a in problem.agents]
@@ -196,7 +172,7 @@ def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
             f"above the limit of {MAX_ORACLE_CELLS:,}"
         )
     grids = [c.beta_min + np.arange(n) * step for c, n in zip(curves, sizes)]
-    values = [_values(c, g) for c, g in zip(curves, grids)]
+    values = _values(curves, grids)
 
     # one table axis per tabulated agent with more than one cap, in agent
     # order (so at most 19 axes fit the limit); 0-d when there is none
@@ -216,7 +192,7 @@ def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
     caps = tuple(float(g[i]) for g, i in zip(grids, index))
 
     contracts = tuple(best_contract_at(c, cap) for c, cap in zip(curves, caps))
-    total = sum(ch.utility for ch in contracts)
+    total = math.fsum(ch.utility for ch in contracts)
     return Allocation(caps, contracts, total, 0.0, step)
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -338,7 +339,11 @@ class TestAllocate:
         for m in range(1, len(curves) + 1):
             rows = _dp(gains[:m], steps)
             assert rows.shape == (m + 1, steps + 1)
-            assert np.all(np.diff(rows, axis=1) >= -1e-12)
+            for row in rows:
+                # the computed cells run from the band's first to the budget
+                cells = row[np.argmax(~np.isnan(row)) :]
+                assert not np.isnan(cells).any()
+                assert np.all(np.diff(cells) >= -1e-12)
 
     def test_dp_final_row_gives_allocate_total(self, nonconvex6, unit1):
         problem = AllocationProblem((nonconvex6, unit1, nonconvex6), 2, delta=0.01)
@@ -785,22 +790,100 @@ def dp_inputs(draw):
     return gains, steps
 
 
+def _band_start(gains, steps):
+    """Each row's first computed cell in ``_dp(gains, steps)``: the least of
+    lo_l, the budget left to the first l agents when every later agent takes
+    all its units, and hi_l, the most those agents can spend."""
+    reach = [min(len(g), steps + 1) - 1 for g in gains]
+    return [min(max(steps - sum(reach[l:]), 0), sum(reach[:l]), steps)
+            for l in range(len(gains) + 1)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(dp_inputs())
 # no budget step, and a gain curve longer than the row
 @example(([np.array([0.0, 1.0])], 0))
 # the second agent's later etas only tie the row, so it keeps eta = 0
 @example(([np.array([0.0, 0.5]), np.array([0.0, 0.0, 0.5])], 2))
+# a slack budget: each agent takes one step of five, so every band is one cell
+@example(([np.array([0.0, 1.0]), np.array([0.0, 0.25])], 5))
+# gain curves longer than the row, where eta is clipped at j
+@example(([np.array([0.0, 0.25, 0.5, 1.0, 3.0, 3.0]), np.array([0.0, 1.0, 1.0, 2.0])], 3))
 def test_dp_kernel_matches_per_cell_loop(problem):
     gains, steps = problem
-    rows = _dp(gains, steps)
     ref_rows, ref_choices = _dp_per_cell(gains, steps)
-    assert np.array_equal(rows, ref_rows)
     for j in range(steps + 1):
+        rows = _dp(gains, j)
+        assert rows.shape == (len(gains) + 1, j + 1)
+        # a cell at budget j' <= j has the same sums in the table for j; the
+        # cells below each row's band are NaN
+        expected = ref_rows[:, : j + 1].copy()
+        for l, start in enumerate(_band_start(gains, j)):
+            expected[l, :start] = np.nan
+        assert np.array_equal(rows, expected, equal_nan=True)
         assert _units(rows, gains, j) == _walk(ref_choices, j)
         # every cell's eta, as the reference's choices table holds it
         for l in range(len(gains)):
             assert _units(rows[: l + 2], gains[: l + 1], j)[-1] == ref_choices[l, j]
+
+
+@settings(max_examples=100, deadline=None)
+@given(dp_inputs(), st.sampled_from([1, 2, 3, 7]))
+def test_dp_in_small_blocks_matches_per_cell_loop(problem, block):
+    """Blocks of a few sums split each band into chunks of cells and etas."""
+    gains, steps = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multi_agent, "_DP_PASS_SUMS", block)
+        rows = _dp(gains, steps)
+    expected = _dp_per_cell(gains, steps)[0]
+    for l, start in enumerate(_band_start(gains, steps)):
+        expected[l, :start] = np.nan
+    assert np.array_equal(rows, expected, equal_nan=True)
+
+
+def test_units_raises_when_no_eta_makes_the_cell():
+    gains = [np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.75, 1.0]), np.array([0.0, 1.0])]
+    rows = _dp(gains, 4)
+    assert _units(rows, gains, 4) == [2, 1, 1]
+    # one band cell the backtrack reads, off by an ulp
+    bad = rows.copy()
+    bad[2, 3] = np.nextafter(bad[2, 3], np.inf)
+    with pytest.raises(RuntimeError, match="agent 1 reproduces"):
+        _units(bad, gains, 4)
+    # a table built for budget 4 does not answer budget 1: its cells there are NaN
+    assert np.isnan(rows[2, 1])
+    with pytest.raises(RuntimeError, match="budget step 1"):
+        _units(rows, gains, 1)
+
+
+# a candidate array for a whole agent would take 500 x 20,001 x 8 bytes, 80 MB,
+# or 2,000 x 4,001 x 8 bytes, 64 MB, where the middle agent's band is the row
+@pytest.mark.parametrize("m, length, steps", [(2, 500, 20_000), (3, 2_000, 4_000)])
+def test_dp_scratch_memory_is_bounded(m, length, steps):
+    gains = [np.linspace(0.0, 1.0, length)] * m
+    tracemalloc.start()
+    try:
+        rows = _dp(gains, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.nbytes + 4 * 2**20
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(allocation_agents(), min_size=1, max_size=4), st.integers(1, 4),
+       st.sampled_from([0.01, 0.02, 0.05]))
+def test_banded_dp_gives_the_full_table_allocation(agents, budget, delta):
+    """Budgets up to 4 leave most groups slack, where the bands are one cell."""
+    problem = AllocationProblem(tuple(agents), budget, delta=delta)
+    try:
+        alloc = allocate(problem)
+    except InfeasibleBudget:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multi_agent, "_dp", lambda gains, steps: _dp_per_cell(gains, steps)[0])
+        ref = allocate(problem)
+    assert repr(alloc) == repr(ref)
 
 
 def _full_grid(curve, spare, delta, steps):

@@ -24,10 +24,10 @@ from inspection_contracts import (
     solve_single,
     utility_at,
 )
-from inspection_contracts import oracle
+from inspection_contracts import multi_agent, oracle
 from inspection_contracts.oracle import _grid
 from inspection_contracts.tolerance import QUOTIENT_TOL, TOL, grid_steps
-from conftest import allocation_agents, make_agent, random_agent
+from conftest import allocation_agents, make_agent, priced, random_agent
 
 # one action (10, 2) with kappa_i = 1 and alpha = 0: at step 0.01 the cap
 # grids of kappa_s = 3, 1 and 0.5 have 31, 24 and 16 points
@@ -142,6 +142,16 @@ class TestBruteForceSingle:
             warnings.simplefilter("error", RuntimeWarning)
             brute_force_single(agent, 0.1, include=[(1e-300, 0.0)])
 
+    def test_total_is_the_exact_sum_of_cancelling_utilities(self, unit1):
+        # about 6.6e16, -0.1 and -2e17: summed in agent order the -0.1 is lost
+        costly = make_agent([10.0], [2.0], kappa_s=1.0, kappa_i=200.0)
+        agents = (priced(unit1, 1e16), unit1, priced(costly, 1e16))
+        alloc = brute_force_allocate(AllocationProblem(agents, 3), 0.01)
+        utilities = [ch.utility for ch in alloc.contracts]
+        assert sum(utilities) != math.fsum(utilities)
+        assert alloc.total_utility == math.fsum(utilities)
+        assert alloc.total_utility == math.fsum(reversed(utilities))
+
     def test_bad_step(self, unit1):
         with pytest.raises(ValueError):
             brute_force_single(unit1, 0.0)
@@ -207,7 +217,8 @@ class TestBruteForceAllocate:
         problem = AllocationProblem(agents, budget)
         best, grids = _enumerate_allocations(problem, step)
         alloc = brute_force_allocate(problem, step)
-        assert alloc.total_utility == best
+        assert sum(ch.utility for ch in alloc.contracts) == best
+        assert alloc.total_utility == math.fsum(ch.utility for ch in alloc.contracts)
         assert all(cap in grid for cap, grid in zip(alloc.caps, grids))
         assert sum(alloc.caps) <= budget + TOL
 
@@ -259,7 +270,7 @@ def test_value_fill_matches_utility_at(agent, step):
     curve = build_utility_curve(agent)
     caps = curve.beta_min + np.arange(grid_steps(curve.beta_cap - curve.beta_min, step) + 1) * step
     expected = [utility_at(curve, float(cap)) for cap in caps]
-    assert np.array_equal(oracle._values(curve, caps), expected)
+    assert np.array_equal(multi_agent._values([curve], [caps])[0], expected)
 
 
 class TestCheckIcIr:
@@ -439,9 +450,10 @@ def test_allocate_oracle_matches_plain_enumeration(case):
     """The bisected agent's largest affordable cap loses no allocation: the
     totals are equal, and the caps are affordable grid points.
 
-    Each oracle total adds the agents' values in agent order, the bisected
-    agent's included, as the enumeration's plain ``sum`` does, so the two
-    totals are the same float."""
+    Each table total adds the agents' values in agent order, the bisected
+    agent's included, as the enumeration's plain ``sum`` does, so the chosen
+    contracts' utilities sum in that order to the same float; the reported
+    total is their ``fsum``."""
     problem, step = case
     best, grids = _enumerate_allocations(problem, step)
     if best is None:
@@ -449,6 +461,7 @@ def test_allocate_oracle_matches_plain_enumeration(case):
             brute_force_allocate(problem, step)
         return
     alloc = brute_force_allocate(problem, step)
-    assert alloc.total_utility == best
+    assert sum(ch.utility for ch in alloc.contracts) == best
+    assert alloc.total_utility == math.fsum(ch.utility for ch in alloc.contracts)
     assert all(cap in grid for cap, grid in zip(alloc.caps, grids))
     assert sum(alloc.caps) <= problem.budget + TOL
