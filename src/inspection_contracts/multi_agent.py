@@ -26,8 +26,8 @@ delta grid of each agent's candidate caps, whose discretization loss is
 bounded by the Lipschitz constants of the curves; the exact split runs it
 too, at step 0.01, on a duality gap.  ``_values`` prices every agent's grid
 caps in one vectorized pass, and the DP fills each row of its value table
-only over the band of cells a backtrack from the budget can read, in blocks
-of (max,+) sums.  Only the DP and ``_values`` import numpy.
+in one pass over the band of cells a backtrack from the budget can read,
+in blocks of etas' (max,+) sums.  Only the DP and ``_values`` import numpy.
 """
 
 from __future__ import annotations
@@ -166,9 +166,14 @@ MAX_DP_CELLS = 20_000_000
 # Most candidate sums the DP may take, counted as sum_l len(gains_l) x (budget
 # steps + 1) whatever its bands leave out: 8x the m=100, B=10, delta=1e-3 DP.
 # At the limit, where every band but the last is the whole row (4 agents of
-# 22,361 gains, 22,360 steps), it takes about 0.4 ns per counted sum, 0.75-0.95
-# s on a 2-CPU x86_64 host (numpy 2.4).  Its scratch besides the table stays
-# under 2.4 MB.
+# 22,361 gains, 22,360 steps), it takes about 0.32 ns per counted sum, about
+# 0.65 s on a 2-CPU x86_64 host (numpy 2.4).  Each agent's gains hold at most
+# one saturation entry past its counted caps, so sum_l len(gains_l) x (steps +
+# 1) is at most MAX_DP_WORK + MAX_DP_CELLS, and the lesser factor, which bounds
+# every band and reach of ``_dp``, is below w = isqrt of that + 1 = 44,945,
+# under ``_DP_PASS_SUMS``.  So no pass holds more than ``_DP_PASS_SUMS`` sums,
+# and the scratch besides the table, 8 x (max(``_DP_PASS_SUMS``, w) + 3w)
+# bytes, stays under 2.4 MB (1.6 MB at the limits).
 MAX_DP_WORK = 2_000_000_000
 
 
@@ -250,8 +255,7 @@ def _spare_budget(problem: AllocationProblem, curves: list[UtilityCurve]) -> flo
 
 
 # Most candidate sums rows[l][j-eta] + g[eta] that one numpy pass of ``_dp``
-# holds, 512 KB: a band is taken in chunks of at most this many cells, and a
-# chunk in blocks of as many etas as fit.
+# holds, 512 KB: a band is taken in blocks of as many etas as fit, at least one.
 _DP_PASS_SUMS = 1 << 16
 
 
@@ -273,13 +277,17 @@ def _dp(gains: list[np.ndarray], steps: int) -> np.ndarray:
 
     Each band is one (max,+) convolution of the previous row with the
     agent's gains: cell j takes the largest of ``rows[l][j-eta] + g[eta]``
-    for eta <= min(j, r_l).  A strided window over the previous row adds
-    ``g[:, None]`` to a block of etas, over the cells they reach, and a max
-    over eta folds the block into the row; each pass holds at most
-    ``_DP_PASS_SUMS`` sums.  Those are the additions the per-cell definition
-    makes, so every computed cell is exactly the largest of its sums, and
-    ``_units`` recovers the eta that made it.  The scratch memory besides the
-    table is O(``_DP_PASS_SUMS`` + max_l r_l).
+    for eta <= min(j, r_l).  The cells the band reads are copied once into a
+    scratch row whose slots for budgets below 0 hold -inf, so a sum there is
+    -inf (every gain is finite) and never the largest.  A strided window over
+    that row adds ``g[:, None]`` to a block of etas, over the cells they
+    reach, and a max over eta folds the block into the band; each pass holds
+    at most ``_DP_PASS_SUMS`` sums, or one eta's.  Those are the additions the
+    per-cell definition makes, so every computed cell is exactly the largest
+    of its sums, and ``_units`` recovers the eta that made it.  The scratch
+    memory besides the table, the pass's sums, the scratch row and a block's
+    maximum, is at most max(``_DP_PASS_SUMS``, w) + 3w floats, where w =
+    min(sum_l len(g_l), steps + 1) bounds every band's width and every r_l.
     """
     import numpy as np
 
@@ -293,41 +301,32 @@ def _dp(gains: list[np.ndarray], steps: int) -> np.ndarray:
         hi = min(hi + r, steps)
         bands.append((min(max(steps - later, 0), hi), hi))
     pad = max(reach)
-    chunk = min(max(hi - lo + 1 for lo, hi in bands), _DP_PASS_SUMS)
-    # buf[pad + i] holds rows[l][c0 + i] for a chunk of cells from c0, so
-    # win[i, pad - eta] is rows[l][c0 + i - eta]; where c0 + i - eta < 0 it
-    # reads the pad or an earlier chunk's cell, a sum that is masked
-    buf = np.zeros(pad + chunk)
+    most = max(hi - lo + 1 for lo, hi in bands)
+    # buf[pad + i] holds rows[l][lo + i], so win[i, pad - eta] is
+    # rows[l][lo + i - eta]
+    buf = np.empty(pad + most)
     win = np.lib.stride_tricks.sliding_window_view(buf, pad + 1)
-    sums = np.empty(min(_DP_PASS_SUMS, (pad + 1) * chunk))
-    best = np.empty(chunk)
-    count = np.arange(pad + 1)
+    sums = np.empty(min(max(_DP_PASS_SUMS, most), (pad + 1) * most))
+    best = np.empty(most)
     for l, (g, r, (lo, hi)) in enumerate(zip(gains, reach, bands)):
         prev, row = rows[l], rows[l + 1]
-        for c0 in range(lo, hi + 1, chunk):
-            width = min(chunk, hi + 1 - c0)
-            back = min(r, c0)
-            buf[pad - back : pad + width] = prev[c0 - back : c0 + width]
-            band = row[c0 : c0 + width]
-            per = _DP_PASS_SUMS // width
-            # etas e0 to e1 - 1 have sums from cell j0 = max(c0, e0) on
-            for e0 in range(0, min(r, c0 + width - 1) + 1, per):
-                e1 = min(e0 + per, r + 1)
-                i0 = max(e0 - c0, 0)
-                j0 = c0 + i0
-                cand = sums[: (e1 - e0) * (width - i0)].reshape(e1 - e0, width - i0)
-                taps = win[i0:width, pad + 1 - e1 : pad + 1 - e0][:, ::-1]
-                np.add(taps.T, g[e0:e1, None], out=cand)
-                if e1 - 1 > j0:
-                    # the block's later etas have no sum at its first cells
-                    cols = min(width - i0, e1 - 1 - j0)
-                    np.copyto(cand[:, :cols], -np.inf,
-                              where=np.greater.outer(count[e0:e1], count[j0 : j0 + cols]))
-                if e0 == 0:
-                    np.maximum.reduce(cand, axis=0, out=band)
-                else:
-                    np.maximum.reduce(cand, axis=0, out=best[: width - i0])
-                    np.maximum(band[i0:], best[: width - i0], out=band[i0:])
+        width, back = hi + 1 - lo, min(r, lo)
+        buf[: pad - back] = -np.inf
+        buf[pad - back : pad + width] = prev[lo - back : hi + 1]
+        band = row[lo : hi + 1]
+        per = max(_DP_PASS_SUMS // width, 1)
+        # etas e0 to e1 - 1 have sums from cell max(lo, e0) on
+        for e0 in range(0, r + 1, per):
+            e1 = min(e0 + per, r + 1)
+            i0 = max(e0 - lo, 0)
+            cand = sums[: (e1 - e0) * (width - i0)].reshape(e1 - e0, width - i0)
+            taps = win[i0:width, pad + 1 - e1 : pad + 1 - e0][:, ::-1]
+            np.add(taps.T, g[e0:e1, None], out=cand)
+            if e0 == 0:
+                np.maximum.reduce(cand, axis=0, out=band)
+            else:
+                np.maximum.reduce(cand, axis=0, out=best[: width - i0])
+                np.maximum(band[i0:], best[: width - i0], out=band[i0:])
         row[hi + 1 :] = row[hi]
         row[:lo] = np.nan
     return rows

@@ -830,7 +830,8 @@ def test_dp_kernel_matches_per_cell_loop(problem):
 @settings(max_examples=100, deadline=None)
 @given(dp_inputs(), st.sampled_from([1, 2, 3, 7]))
 def test_dp_in_small_blocks_matches_per_cell_loop(problem, block):
-    """Blocks of a few sums split each band into chunks of cells and etas."""
+    """Blocks of a few sums split each band into blocks of etas, one eta
+    where the band is wider than the block."""
     gains, steps = problem
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multi_agent, "_DP_PASS_SUMS", block)
@@ -857,8 +858,11 @@ def test_units_raises_when_no_eta_makes_the_cell():
 
 
 # a candidate array for a whole agent would take 500 x 20,001 x 8 bytes, 80 MB,
-# or 2,000 x 4,001 x 8 bytes, 64 MB, where the middle agent's band is the row
-@pytest.mark.parametrize("m, length, steps", [(2, 500, 20_000), (3, 2_000, 4_000)])
+# or 2,000 x 4,001 x 8 bytes, 64 MB, where the middle agent's band is the row;
+# in the last case row 1's band is 8,001 cells wide and its reach 8,000, so a
+# scratch of (reach + 1) x band sums would take 512 MB
+@pytest.mark.parametrize("m, length, steps",
+                         [(2, 500, 20_000), (3, 2_000, 4_000), (2, 8_001, 8_000)])
 def test_dp_scratch_memory_is_bounded(m, length, steps):
     gains = [np.linspace(0.0, 1.0, length)] * m
     tracemalloc.start()
@@ -868,6 +872,17 @@ def test_dp_scratch_memory_is_bounded(m, length, steps):
     finally:
         tracemalloc.stop()
     assert peak < rows.nbytes + 4 * 2**20
+
+
+def test_dp_scratch_bound_holds_at_the_size_limits():
+    """No band the limits admit is w cells wide: sum_l len(g_l) x (steps + 1)
+    is at most MAX_DP_WORK + MAX_DP_CELLS, and a band is at most the lesser
+    factor wide.  So every pass holds at most ``_DP_PASS_SUMS`` sums, and the
+    DP's scratch, a pass of sums, the scratch row and a block's maximum,
+    stays under the 2.4 MB its docs state."""
+    w = math.isqrt(multi_agent.MAX_DP_WORK + multi_agent.MAX_DP_CELLS) + 1
+    assert w == 44_945 < multi_agent._DP_PASS_SUMS
+    assert 8 * (max(multi_agent._DP_PASS_SUMS, w) + 3 * w) < 2.4e6
 
 
 @settings(max_examples=100, deadline=None)
