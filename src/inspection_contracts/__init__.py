@@ -4,17 +4,19 @@ Library layout:
 
 * ``envelope``     - upper envelope of the agent-utility lines (hull duality)
 * ``single_agent`` - the beta(gamma) curve, the optimal contract, statics sweeps
-* ``multi_agent``  - per-agent utility curves; the exact (Lagrangian) budget
-                     split, and the paper's grid DP
+* ``multi_agent``  - per-agent utility curves and the exact (Lagrangian)
+                     budget split
+* ``grid_dp``      - the paper's grid DP for the budget split
 * ``scheduler``    - sequential randomized inspector assignment, exact marginals
 * ``oracle``       - brute-force cross-checks for all of the above
 * ``instances``    - strict JSON instance ingestion
 * ``cli``          - batch front end
 
-``oracle`` imports numpy, and ``multi_agent`` imports it only inside the grid
-DP, which an explicit ``delta`` selects and the exact split runs, at step
-0.01, only on a duality gap.  Both modules' names are loaded on first access,
-so ``import inspection_contracts``, the single-agent stack and the default
+Only ``oracle`` and ``grid_dp`` import numpy.  ``allocate`` imports
+``grid_dp`` only when an explicit ``delta`` selects the grid DP, or when the
+exact split meets a duality gap and runs it at step 0.01.  The names of
+``multi_agent``, ``grid_dp`` and ``oracle`` are loaded on first access, so
+``import inspection_contracts``, the single-agent stack and the default
 ``allocate`` run without numpy.
 """
 
@@ -124,11 +126,11 @@ _LAZY = {
             "allocate",
             "best_contract_at",
             "build_utility_curve",
-            "gap_bound",
             "utility_at",
         ),
         "multi_agent",
     ),
+    "gap_bound": "grid_dp",
     **dict.fromkeys(
         ("brute_force_allocate", "brute_force_single", "check_ic_ir"), "oracle"
     ),

@@ -6,9 +6,9 @@ inputs and seed.  Exit codes: 0 ok, 1 infeasible instance, 2 invalid input,
 3 internal invariant breach (including failed verification), 141 when
 stdout's reader has gone (128 + SIGPIPE, as the shell reports for ``cat``).
 Only the handlers that allocate or verify import ``multi_agent``, and only
-``verify`` imports ``oracle``.  numpy comes with ``oracle``, or with the grid
-DP that ``--delta`` selects; the exact allocation runs without it unless it
-meets a duality gap.
+``verify`` imports ``oracle``.  numpy comes with ``oracle``, or with
+``grid_dp``, the grid DP, which ``--delta`` selects and the exact allocation
+runs only on a duality gap.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def _cmd_verify(args, out: IO[str]) -> int:
         report(
             ok,
             f"solve[{named.name}] vs grid oracle (step {step})",
-            f"solver={sol.utility:.9f} oracle={ref:.9f}"
+            f"solver={sol.utility!r} oracle={ref!r}"
             + ("" if ok else f" solver {'below' if gap < 0 else 'above'} oracle;"
                f" counterexample: contract={pair}"),
         )
@@ -259,7 +259,7 @@ def _cmd_verify(args, out: IO[str]) -> int:
         report(
             ok,
             "allocate vs exhaustive search (step 0.01)",
-            f"exact={alloc.total_utility:.9f} dual={alloc.dual_bound:.9f} brute={ref:.9f}"
+            f"exact={alloc.total_utility!r} dual={alloc.dual_bound!r} brute={ref!r}"
             + ("" if ok else f" counterexample: caps={ref_alloc.caps}"),
         )
     sched = scheduler.build_schedule(list(alloc.caps), instance.budget)

@@ -10,7 +10,7 @@ evaluation path stays independent either way.  ``check_ic_ir`` shares one
 thing with the solvers, the agent's choice rule: the pairs
 ``agent_best_response`` chooses from.  The allocation oracle reads the
 solvers' utility curves, priced over whole grids by the budget DP's own
-evaluator, ``multi_agent._values``, with ``utility_at``'s arithmetic; its
+evaluator, ``grid_dp._values``, with ``utility_at``'s arithmetic; its
 independence lies in the search, which tries every cap vector on a step
 grid instead of splitting the budget by DP or by price.
 
@@ -26,12 +26,11 @@ from functools import reduce
 import numpy as np
 
 from .errors import NoSafeContract, ValidationError
+from .grid_dp import _values
 from .multi_agent import (
     Allocation,
     AllocationProblem,
-    UtilityCurve,
     _spare_budget,
-    _values,
     best_contract_at,
     build_utility_curve,
 )

@@ -1,5 +1,5 @@
-"""numpy is loaded only by ``verify`` and by the grid DP, which --delta selects
-and the exact split runs only on a duality gap."""
+"""numpy is loaded only by ``verify`` and by the grid DP, ``grid_dp``, which
+--delta selects and the exact split runs only on a duality gap."""
 
 import os
 import pathlib
@@ -26,9 +26,9 @@ for argv in {argvs!r}:
 print(*(sys.modules.get(m) is not None for m in {modules!r}))
 """
 
-# numpy, and the one module that imports it on import; multi_agent imports it
-# only inside the grid DP
-NUMPY_MODULES = ("numpy", "inspection_contracts.oracle")
+# numpy, and the two modules that import it; multi_agent imports grid_dp only
+# in the branch of allocate that runs the grid DP
+NUMPY_MODULES = ("numpy", "inspection_contracts.oracle", "inspection_contracts.grid_dp")
 
 SINGLE_AGENT = [
     ["solve"],
@@ -58,20 +58,20 @@ def run_child(argvs, block_numpy):
 def test_single_agent_subcommands_run_without_numpy():
     proc = run_child(SINGLE_AGENT, block_numpy=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False False"
+    assert proc.stdout.splitlines()[-1] == "False False False"
 
 
 def test_default_allocation_runs_without_numpy():
     proc = run_child(EXACT_ALLOCATION, block_numpy=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False False"
+    assert proc.stdout.splitlines()[-1] == "False False False"
 
 
 def test_grid_dp_loads_numpy():
     # keeps the checks above from passing because nothing ever imports numpy
     proc = run_child([["allocate", "--delta", "0.01"]], block_numpy=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "True False"
+    assert proc.stdout.splitlines()[-1] == "True False True"
     blocked = run_child([["allocate", "--delta", "0.01"]], block_numpy=True)
     assert blocked.returncode != 0
     assert "numpy" in blocked.stderr

@@ -20,8 +20,9 @@ from inspection_contracts import (
     solve_single,
     utility_at,
 )
-from inspection_contracts import multi_agent, oracle
-from inspection_contracts.multi_agent import _dp, _prepare_grid, _spare_budget, _units
+from inspection_contracts import grid_dp, multi_agent, oracle
+from inspection_contracts.grid_dp import _dp, _prepare_grid, _units
+from inspection_contracts.multi_agent import _spare_budget
 from inspection_contracts.tolerance import QUOTIENT_TOL, TOL
 from conftest import (
     CANCEL,
@@ -356,9 +357,9 @@ class TestAllocate:
     def test_grid_cell_limit(self, unit1, monkeypatch):
         # two minimums of 0.1 leave 0.8 spare: 80 steps, 2 * 81 cells
         problem = AllocationProblem((unit1,) * 2, 1, delta=0.01)
-        monkeypatch.setattr(multi_agent, "MAX_DP_CELLS", 162)
+        monkeypatch.setattr(grid_dp, "MAX_DP_CELLS", 162)
         allocate(problem)
-        monkeypatch.setattr(multi_agent, "MAX_DP_CELLS", 161)
+        monkeypatch.setattr(grid_dp, "MAX_DP_CELLS", 161)
         with pytest.raises(ValidationError, match="162 cells"):
             allocate(problem)
 
@@ -366,9 +367,9 @@ class TestAllocate:
         # 80 steps; each agent's grid stops at its cap 1/3 - 0.1 after 23
         # steps, so the DP adds 2 * 24 * 81 candidate sums
         problem = AllocationProblem((unit1,) * 2, 1, delta=0.01)
-        monkeypatch.setattr(multi_agent, "MAX_DP_WORK", 3888)
+        monkeypatch.setattr(grid_dp, "MAX_DP_WORK", 3888)
         allocate(problem)
-        monkeypatch.setattr(multi_agent, "MAX_DP_WORK", 3887)
+        monkeypatch.setattr(grid_dp, "MAX_DP_WORK", 3887)
         with pytest.raises(ValidationError, match="3.89e\\+03 DP candidate sums"):
             allocate(problem)
 
@@ -497,7 +498,7 @@ class TestExactAllocate:
         problem = AllocationProblem(self.GAP_AGENTS, 2)
         curves = [build_utility_curve(a) for a in self.GAP_AGENTS]
         exact = multi_agent._lagrangian(problem, curves)
-        monkeypatch.setattr(multi_agent, "MAX_DP_CELLS", 100)
+        monkeypatch.setattr(grid_dp, "MAX_DP_CELLS", 100)
         assert allocate(problem) == exact
 
     # draw 2877 of rng 7's alpha = 0 problems: the DP at delta = 0.01 ties the
@@ -834,7 +835,7 @@ def test_dp_in_small_blocks_matches_per_cell_loop(problem, block):
     where the band is wider than the block."""
     gains, steps = problem
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multi_agent, "_DP_PASS_SUMS", block)
+        mp.setattr(grid_dp, "_DP_PASS_SUMS", block)
         rows = _dp(gains, steps)
     expected = _dp_per_cell(gains, steps)[0]
     for l, start in enumerate(_band_start(gains, steps)):
@@ -880,9 +881,9 @@ def test_dp_scratch_bound_holds_at_the_size_limits():
     factor wide.  So every pass holds at most ``_DP_PASS_SUMS`` sums, and the
     DP's scratch, a pass of sums, the scratch row and a block's maximum,
     stays under the 2.4 MB its docs state."""
-    w = math.isqrt(multi_agent.MAX_DP_WORK + multi_agent.MAX_DP_CELLS) + 1
-    assert w == 44_945 < multi_agent._DP_PASS_SUMS
-    assert 8 * (max(multi_agent._DP_PASS_SUMS, w) + 3 * w) < 2.4e6
+    w = math.isqrt(grid_dp.MAX_DP_WORK + grid_dp.MAX_DP_CELLS) + 1
+    assert w == 44_945 < grid_dp._DP_PASS_SUMS
+    assert 8 * (max(grid_dp._DP_PASS_SUMS, w) + 3 * w) < 2.4e6
 
 
 @settings(max_examples=100, deadline=None)
@@ -896,7 +897,7 @@ def test_banded_dp_gives_the_full_table_allocation(agents, budget, delta):
     except InfeasibleBudget:
         return
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multi_agent, "_dp", lambda gains, steps: _dp_per_cell(gains, steps)[0])
+        mp.setattr(grid_dp, "_dp", lambda gains, steps: _dp_per_cell(gains, steps)[0])
         ref = allocate(problem)
     assert repr(alloc) == repr(ref)
 

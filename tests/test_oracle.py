@@ -24,7 +24,7 @@ from inspection_contracts import (
     solve_single,
     utility_at,
 )
-from inspection_contracts import multi_agent, oracle
+from inspection_contracts import grid_dp, oracle
 from inspection_contracts.oracle import _grid
 from inspection_contracts.tolerance import QUOTIENT_TOL, TOL, grid_steps
 from conftest import allocation_agents, make_agent, priced, random_agent
@@ -270,7 +270,7 @@ def test_value_fill_matches_utility_at(agent, step):
     curve = build_utility_curve(agent)
     caps = curve.beta_min + np.arange(grid_steps(curve.beta_cap - curve.beta_min, step) + 1) * step
     expected = [utility_at(curve, float(cap)) for cap in caps]
-    assert np.array_equal(multi_agent._values([curve], [caps])[0], expected)
+    assert np.array_equal(grid_dp._values([curve], [caps])[0], expected)
 
 
 class TestCheckIcIr:
