@@ -8,7 +8,7 @@ stdout's reader has gone (128 + SIGPIPE, as the shell reports for ``cat``).
 Only the handlers that allocate or verify import ``multi_agent``, and only
 ``verify`` imports ``oracle``.  numpy comes with ``oracle``, or with
 ``grid_dp``, the grid DP, which ``--delta`` selects and the exact allocation
-runs only on a duality gap.
+runs only on a duality gap; ``verify``'s oracle does not need it.
 """
 
 from __future__ import annotations

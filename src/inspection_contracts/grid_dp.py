@@ -4,11 +4,10 @@
 too, at step 0.01, on a duality gap.  Caps are rewritten as bar_beta^l =
 beta_min^l + x^l, and the x^l range over a delta grid of each agent's
 candidate caps; the loss to that discretization is bounded by the Lipschitz
-constants of the curves (``gap_bound``).  ``_values`` prices every agent's
-grid caps in one vectorized pass, with ``best_contract_at``'s float
-operations, and the DP fills each row of its value table in one pass over
-the band of cells a backtrack from the budget can read, in blocks of etas'
-(max,+) sums.
+constants of the curves (``gap_bound``).  Each agent's grid caps are priced
+by ``multi_agent._values``, the curve's own rule, and the DP fills each row
+of its value table in one numpy pass over the band of cells a backtrack from
+the budget can read, in blocks of etas' (max,+) sums.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from .multi_agent import (
     UtilityCurve,
     _flat_from,
     _spare_budget,
+    _values,
     best_contract_at,
 )
 from .single_agent import AgentSpec
@@ -169,48 +169,6 @@ def _units(rows: np.ndarray, gains: list[np.ndarray], j: int) -> list[int]:
     return units
 
 
-def _values(curves: list[UtilityCurve], grids: list) -> list[np.ndarray]:
-    """``utility_at`` at every cap of every agent's grid, with
-    ``best_contract_at``'s float operations.
-
-    Every cap must be at or above its agent's beta_min, where
-    ``best_contract_at`` leaves it as it is: beta_min plus a nonnegative
-    amount is, since float rounding is monotone.  One coefficient table holds
-    every agent's rises, each agent's led by a row for its ``base`` with a
-    peak at beta = -inf.  Each cap gathers the row of the last rise starting
-    at or below it (one ``searchsorted`` per agent), or the base row below the
-    first rise; the arithmetic then runs once over all caps.  At or past a
-    row's peak the value is the peak's, so the base row gives ``base``'s
-    utility.
-    """
-    counts = [len(g) for g in grids]
-    b = np.concatenate(grids)
-    table, lead = [], []
-    for c in curves:
-        lead.append(len(table))
-        kappa_i = c.beta_curve.agent.kappa_i
-        u = c.base.utility
-        table.append((0.0, 0.0, 0.0, 0.0, -math.inf, u, u, kappa_i))
-        for piece, _, peak in c.rises:
-            table.append((piece.r_own, piece.d, piece.c_const, piece.gamma_hi,
-                          peak.beta, peak.utility, u, kappa_i))
-            u = peak.utility
-    starts = np.cumsum([0] + counts)
-    row = np.concatenate([
-        np.searchsorted([lo for _, lo, _ in c.rises], b[start:end], side="right")
-        for c, start, end in zip(curves, starts[:-1], starts[1:])
-    ]) + np.repeat(lead, counts)
-    r_own, d, c_const, gamma_hi, peak_beta, peak_u, before, kappa_i = np.array(table)[row].T
-    denom = (r_own - d) + b * d
-    flat = denom == 0.0
-    # Python floats overflow to inf, and 0 * inf gives nan, without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma = np.where(flat, gamma_hi, c_const / np.where(flat, 1.0, denom))
-        u = (1.0 - gamma) * r_own - b * kappa_i
-    u = np.where(b >= peak_beta, peak_u, np.where(u > before, u, before))
-    return [u[start:end] for start, end in zip(starts[:-1], starts[1:])]
-
-
 def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
     """The budget steps, and each agent's candidate caps and gains.
 
@@ -218,8 +176,8 @@ def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
     where its utility envelope goes flat (later caps only tie with it, and the
     DP keeps the first of tied choices), or else at beta_cap or the spare
     budget, with a saturation cap; the size limits count caps to the latter.
-    The caps are built for all agents in a few array passes and kept as
-    Python floats, and ``_values`` prices them all in one pass.
+    The caps are Python floats, built and priced (``_values``) one agent at a
+    time; only the gains become arrays, for ``_dp``.
     """
     spare = _spare_budget(problem, curves)
     delta = problem.delta
@@ -238,24 +196,22 @@ def _prepare_grid(problem: AllocationProblem, curves: list[UtilityCurve]):
             f"delta = {delta!r} needs {work:.3g} DP candidate sums, above the limit of "
             f"{MAX_DP_WORK:,}; use a larger delta"
         )
-    # every agent's caps beta_min + eta * delta, eta < its size, end to end; each
-    # agent's first cap at or past its flat point is its count of caps below it
-    starts = np.cumsum([0] + sizes[:-1])
-    eta = np.arange(sum(sizes))
-    eta -= np.repeat(starts, sizes)
-    betas = eta * delta
-    betas += np.repeat([c.beta_min for c in curves], sizes)
-    ends = np.add.reduceat(betas < np.repeat([_flat_from(c) for c in curves], sizes),
-                           starts, dtype=np.intp).tolist()
-    grid = []
-    for c, cap, start, n, end in zip(curves, caps_x, starts.tolist(), sizes, ends):
-        caps = betas[start : start + min(end + 1, n)].tolist()
-        if end == n and cap > (n - 1) * delta and n <= steps:
-            # saturation, entry n: reaching the flat region exactly costs a
-            # rounded-up number of units but can beat every grid point before it
-            caps.append(c.beta_min + cap)
+    grid, gains = [], []
+    for c, cap, n in zip(curves, caps_x, sizes):
+        lo, flat, caps = c.beta_min, _flat_from(c), []
+        for eta in range(n):
+            b = eta * delta + lo
+            caps.append(b)
+            if b >= flat:
+                break
+        else:
+            # no cap reached the flat point; saturation, entry n: reaching the
+            # flat region exactly costs a rounded-up number of units but can
+            # beat every grid point before it
+            if cap > (n - 1) * delta and n <= steps:
+                caps.append(lo + cap)
         grid.append(caps)
-    gains = [v - c.base.utility for c, v in zip(curves, _values(curves, grid))]
+        gains.append(np.subtract(_values(c, caps), c.base.utility))
     return steps, gains, grid
 
 

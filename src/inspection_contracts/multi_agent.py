@@ -12,9 +12,10 @@ breakpoints.  The object the allocator consumes is the running maximum
 U_l(bar_beta) = max_{beta <= bar_beta} U_l(beta): nondecreasing, and stored as
 the pieces whose peak raises the running best, each with that peak.  The
 peaks are the single-agent solver's, so the curve's best point is the optimal
-single-agent contract; every piece formula is a ``BetaPiece`` method, which
-only ``grid_dp._values`` repeats, with the same float operations over whole
-cap grids, so money enters each only as a ratio.
+single-agent contract; every piece formula is a ``BetaPiece`` method, so
+money enters each only as a ratio.  ``best_contract_at`` values one cap, and
+``_values`` a whole nondecreasing grid of caps (the grid DP's and the
+oracle's) by the same rule and float operations.
 Splitting the budget is then a multiple-choice-knapsack-style problem.  By
 default ``allocate`` solves it by Lagrangian duality (Everett 1963): it
 bisects the budget's shadow price lambda over the ordered doubles of
@@ -139,6 +140,34 @@ def utility_at(curve: UtilityCurve, beta_bar: float) -> float:
     return best_contract_at(curve, beta_bar).utility
 
 
+def _values(curve: UtilityCurve, caps: list[float]) -> list[float]:
+    """``utility_at`` at each of ``caps``, with ``best_contract_at``'s float
+    operations, in one walk over the caps and the rises together.
+
+    The caps must be nondecreasing and at or above beta_min, where
+    ``best_contract_at`` leaves them as they are.  A cap belongs to the last
+    rise whose ``beta_lo`` is at or below it, as ``bisect_right`` decides, and
+    is valued by that rise's peak and ``before`` rule.
+    """
+    kappa_i = curve.beta_curve.agent.kappa_i
+    rises = iter(curve.rises)
+    rise = next(rises, None)
+    # below the first rise every cap is worth base, a peak at beta = -inf
+    piece, peak_beta, top, before = None, -math.inf, curve.base.utility, None
+    values = []
+    for b in caps:
+        while rise is not None and rise[1] <= b:
+            piece, _, peak = rise
+            before, peak_beta, top = top, peak.beta, peak.utility
+            rise = next(rises, None)
+        if b >= peak_beta:
+            values.append(top)
+        else:
+            u = piece.utility(b, kappa_i)
+            values.append(u if u > before else before)
+    return values
+
+
 def _flat_from(curve: UtilityCurve) -> float:
     """The least cap from which the utility envelope is flat: at or past the
     last rise's peak and its beta_lo, ``utility_at`` is that peak."""
@@ -225,8 +254,9 @@ def _shifted_argmax(curve: UtilityCurve, lam: float, u0: float) -> tuple[float, 
     b0 = best_b = curve.beta_min
     best_u = best_v = u0
     for piece, lo, peak in curve.rises:
-        # a rise's d is positive: its peak, computed already, divides by it
-        stationary = piece.beta(piece.stationary(rate)) if rate > 0.0 else peak.beta
+        # rate > 0 (kappa_i > 0, lam >= 0), and a rise's d is positive: its
+        # peak, computed already, divides by it
+        stationary = piece.beta(piece.stationary(rate))
         for b in (min(max(stationary, lo), peak.beta), peak.beta):
             # a peak can round below beta_min, which is not a cap
             b = max(b, b0)

@@ -9,13 +9,13 @@ inject extra candidate gammas (typically from the solver's own answer); the
 evaluation path stays independent either way.  ``check_ic_ir`` shares one
 thing with the solvers, the agent's choice rule: the pairs
 ``agent_best_response`` chooses from.  The allocation oracle reads the
-solvers' utility curves, priced over whole grids by the budget DP's own
-evaluator, ``grid_dp._values``, with ``utility_at``'s arithmetic; its
-independence lies in the search, which tries every cap vector on a step
-grid instead of splitting the budget by DP or by price.
+solvers' utility curves, priced over whole grids by ``multi_agent._values``,
+``utility_at``'s rule, as the budget DP prices its own; its independence
+lies in the search, which tries every cap vector on a step grid instead of
+splitting the budget by DP or by price.
 
-Not a production solver: each check runs over whole grids, in a few array
-operations per agent rather than a loop over points.
+Not a production solver: each check runs over whole grids, the single-agent
+scan and the allocation table search in a few array operations each.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from functools import reduce
 import numpy as np
 
 from .errors import NoSafeContract, ValidationError
-from .grid_dp import _values
 from .multi_agent import (
     Allocation,
     AllocationProblem,
     _spare_budget,
+    _values,
     best_contract_at,
     build_utility_curve,
 )
@@ -43,7 +43,9 @@ from .tolerance import TOL, grid_steps
 # built.  Each pass holds about a dozen arrays of that many cells.  At the
 # limit, on a 2-CPU Xeon host, a 1-action agent (10^6 points) takes about
 # 80 ms and 106 MB, and three agents (a 1228 x 790 table) about 40 ms and
-# 32 MB.  The default step 1e-3 on an 8-action agent needs about 8e3 cells.
+# 32 MB.  One allocation agent with 10^6 caps, each priced in Python by
+# ``_values``, takes about 0.41 s and 85 MB.  The default step 1e-3 on an
+# 8-action agent needs about 8e3 cells.
 # At step 0.01 (at most 101 caps per agent) every table of up to three agents
 # fits; four unit agents need 24^3 entries, six 24^5, too many.
 MAX_ORACLE_CELLS = 1_000_000
@@ -170,8 +172,10 @@ def brute_force_allocate(problem: AllocationProblem, step: float) -> Allocation:
             f"(the smaller agents' cap vectors, or the widest agent's caps), "
             f"above the limit of {MAX_ORACLE_CELLS:,}"
         )
-    grids = [c.beta_min + np.arange(n) * step for c, n in zip(curves, sizes)]
-    values = _values(curves, grids)
+    points = [[eta * step + lo for eta in range(n)]
+              for lo, n in zip([c.beta_min for c in curves], sizes)]
+    values = [np.array(_values(c, p)) for c, p in zip(curves, points)]
+    grids = [np.array(p) for p in points]
 
     # one table axis per tabulated agent with more than one cap, in agent
     # order (so at most 19 axes fit the limit); 0-d when there is none

@@ -1,5 +1,6 @@
-"""numpy is loaded only by ``verify`` and by the grid DP, ``grid_dp``, which
---delta selects and the exact split runs only on a duality gap."""
+"""numpy is loaded only by ``verify``, through ``oracle``, and by the grid DP,
+``grid_dp``, which --delta selects and the exact split runs only on a duality
+gap; ``verify`` prices the oracle's cap grids without ``grid_dp``."""
 
 import os
 import pathlib
@@ -26,8 +27,9 @@ for argv in {argvs!r}:
 print(*(sys.modules.get(m) is not None for m in {modules!r}))
 """
 
-# numpy, and the two modules that import it; multi_agent imports grid_dp only
-# in the branch of allocate that runs the grid DP
+# numpy, and the two modules that import it: oracle, which only verify
+# imports, and grid_dp, which multi_agent imports only in the branch of
+# allocate that runs the grid DP
 NUMPY_MODULES = ("numpy", "inspection_contracts.oracle", "inspection_contracts.grid_dp")
 
 SINGLE_AGENT = [
@@ -75,6 +77,14 @@ def test_grid_dp_loads_numpy():
     blocked = run_child([["allocate", "--delta", "0.01"]], block_numpy=True)
     assert blocked.returncode != 0
     assert "numpy" in blocked.stderr
+
+
+def test_verify_loads_the_oracle_but_not_grid_dp():
+    # the example's exact split has no duality gap, and the oracle prices its
+    # cap grids with multi_agent's own rule
+    proc = run_child([["verify"]], block_numpy=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True True False"
 
 
 def test_every_exported_name_resolves_and_is_listed():

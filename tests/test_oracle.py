@@ -24,7 +24,7 @@ from inspection_contracts import (
     solve_single,
     utility_at,
 )
-from inspection_contracts import grid_dp, oracle
+from inspection_contracts import multi_agent, oracle
 from inspection_contracts.oracle import _grid
 from inspection_contracts.tolerance import QUOTIENT_TOL, TOL, grid_steps
 from conftest import allocation_agents, make_agent, priced, random_agent
@@ -266,11 +266,17 @@ def test_value_examples_have_their_shapes():
 @example(FREE_START, 1e-3)
 @example(WIDE, 0.01)
 def test_value_fill_matches_utility_at(agent, step):
-    """The whole-grid value fill is ``utility_at`` at each cap, bit for bit."""
+    """The whole-grid value fill is ``utility_at`` at each cap, bit for bit,
+    also at each rise's ``beta_lo`` (which belongs to that rise), the double
+    just below it, and each peak's beta."""
     curve = build_utility_curve(agent)
-    caps = curve.beta_min + np.arange(grid_steps(curve.beta_cap - curve.beta_min, step) + 1) * step
-    expected = [utility_at(curve, float(cap)) for cap in caps]
-    assert np.array_equal(grid_dp._values([curve], [caps])[0], expected)
+    caps = [eta * step + curve.beta_min
+            for eta in range(grid_steps(curve.beta_cap - curve.beta_min, step) + 1)]
+    for _, lo, peak in curve.rises:
+        caps += [lo, math.nextafter(lo, -math.inf), peak.beta]
+    caps = sorted(cap for cap in caps if cap >= curve.beta_min)
+    expected = [utility_at(curve, cap) for cap in caps]
+    assert multi_agent._values(curve, caps) == expected
 
 
 class TestCheckIcIr:
