@@ -14,8 +14,8 @@ the pieces whose peak raises the running best, each with that peak.  The
 peaks are the single-agent solver's, so the curve's best point is the optimal
 single-agent contract; every piece formula is a ``BetaPiece`` method, so
 money enters each only as a ratio.  ``best_contract_at`` values one cap, and
-``_values`` a whole nondecreasing grid of caps (the grid DP's and the
-oracle's) by the same rule and float operations.
+``_values`` nondecreasing caps (the grid DP's and the oracle's grids, and the
+price search's candidates) by the same rule and float operations.
 Splitting the budget is then a multiple-choice-knapsack-style problem.  By
 default ``allocate`` solves it by Lagrangian duality (Everett 1963): it
 bisects the budget's shadow price lambda over the ordered doubles of
@@ -115,7 +115,7 @@ def best_contract_at(curve: UtilityCurve, beta_bar: float) -> ContractChoice:
     Ties between a rising stretch and the running max resolve toward the
     smaller beta, matching the single-agent tie-break.
     """
-    if beta_bar < curve.beta_min - TOL:
+    if not beta_bar >= curve.beta_min - TOL:
         raise ValueError(
             f"cap {beta_bar} is below beta_min = {curve.beta_min}; "
             "no safe action is implementable within it"
@@ -247,23 +247,23 @@ def _shifted_argmax(curve: UtilityCurve, lam: float, u0: float) -> tuple[float, 
     beats a rise it is flat at the previous peak, so the maximizer is beta_min,
     a rise's peak, or the point of a rise where the slope of U equals lam:
     the piece's ``stationary`` point at price kappa_i + lam, clamped into
-    [beta_lo, peak.beta].  ``u0`` is U(beta_min), the first candidate; each
-    other candidate is valued with ``utility_at``.
+    [beta_lo, peak.beta].  ``u0`` is U(beta_min), the first candidate.  The
+    others are raised to beta_min, sorted (a peak can round below its own
+    beta_lo) and valued in one ``_values`` walk, so the first best is the least.
     """
     rate = curve.beta_curve.agent.kappa_i + lam
     b0 = best_b = curve.beta_min
     best_u = best_v = u0
+    caps = []
     for piece, lo, peak in curve.rises:
-        # rate > 0 (kappa_i > 0, lam >= 0), and a rise's d is positive: its
-        # peak, computed already, divides by it
         stationary = piece.beta(piece.stationary(rate))
-        for b in (min(max(stationary, lo), peak.beta), peak.beta):
-            # a peak can round below beta_min, which is not a cap
-            b = max(b, b0)
-            u = utility_at(curve, b)
-            v = u - lam * (b - b0)
-            if v > best_v or (v == best_v and b < best_b):
-                best_b, best_u, best_v = b, u, v
+        # a peak can round below beta_min, which is not a cap
+        caps += (max(min(max(stationary, lo), peak.beta), b0), max(peak.beta, b0))
+    caps.sort()
+    for b, u in zip(caps, _values(curve, caps)):
+        v = u - lam * (b - b0)
+        if v > best_v:
+            best_b, best_u, best_v = b, u, v
     return best_b, best_u
 
 

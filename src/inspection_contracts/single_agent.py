@@ -370,7 +370,7 @@ def build_beta_curve(agent: AgentSpec) -> BetaCurve:
 
 def beta_at(curve: BetaCurve, gamma: float) -> float:
     """Evaluate beta(gamma) for gamma in [gamma_ir, 1]."""
-    if gamma < curve.gamma_ir - TOL:
+    if not gamma >= curve.gamma_ir - TOL:
         raise ValueError(
             f"gamma = {gamma} is below the participation threshold {curve.gamma_ir}; "
             "no safe action is implementable there"

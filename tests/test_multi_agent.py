@@ -59,8 +59,10 @@ class TestUtilityCurve:
 
     def test_below_minimum(self, unit1):
         curve = build_utility_curve(unit1)
-        with pytest.raises(ValueError):
-            utility_at(curve, 0.05)
+        # a NaN cap is outside the domain too
+        for cap in (0.05, math.nan):
+            with pytest.raises(ValueError):
+                utility_at(curve, cap)
 
     def test_degenerate_point_curve(self):
         agent = make_agent([10.0], [2.0], kappa_s=0.0)
@@ -740,6 +742,50 @@ def test_bisecting_the_doubles_keeps_the_doubling_search_answers(agents, budget)
     assert abs(alloc.dual_bound - ref.dual_bound) <= slack
     assert alloc.gap_bound <= ref.gap_bound + slack
     assert alloc.delta == ref.delta
+
+
+def _per_candidate_argmax(curve, lam, u0):
+    """The reference ``_shifted_argmax``: as it was before its candidates were
+    valued in one ``_values`` walk, each through ``utility_at`` in rise order,
+    with ties to the least cap."""
+    rate = curve.beta_curve.agent.kappa_i + lam
+    b0 = best_b = curve.beta_min
+    best_u = best_v = u0
+    for piece, lo, peak in curve.rises:
+        stationary = piece.beta(piece.stationary(rate))
+        for b in (min(max(stationary, lo), peak.beta), peak.beta):
+            b = max(b, b0)
+            u = utility_at(curve, b)
+            v = u - lam * (b - b0)
+            if v > best_v or (v == best_v and b < best_b):
+                best_b, best_u, best_v = b, u, v
+    return best_b, best_u
+
+
+# five actions whose second rise has its peak at beta 0.5103901686622212, one
+# ulp below its own beta_lo, so at lam = 0 the candidates arrive out of order
+OUT_OF_ORDER = make_agent(
+    [1.193102348208734, 2.0205135366589584, 3.1464336466729996, 4.9585629650663,
+     6.846436942191925],
+    [0.2467873581899886, 0.611128765091357, 0.8381569301831252, 1.2150219467929584,
+     1.4508731208218817],
+    kappa_s=1.9017047799097584, kappa_i=4.462344324823483, alpha=0.11357879676668986,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(allocation_agents(),
+       st.sampled_from([0.0, 5e-324, TOL, 1e300]) | st.floats(0.0, 10.0) | st.floats(0.0, 1e300))
+# CANCEL["D"]'s second peak rounds below beta_min; FLAT_FIRST needs no inspection
+@example(case_agent(CANCEL["D"]), 0.0)
+@example(case_agent(CANCEL["D"]), CANCEL["D"][2])
+@example(case_agent(FLAT_FIRST), 0.0)
+@example(case_agent(FLAT_FIRST), FLAT_FIRST[2])
+@example(OUT_OF_ORDER, 0.0)
+def test_one_walk_keeps_the_per_candidate_argmax(agent, lam):
+    curve = build_utility_curve(agent)
+    u0 = utility_at(curve, curve.beta_min)
+    assert multi_agent._shifted_argmax(curve, lam, u0) == _per_candidate_argmax(curve, lam, u0)
 
 
 def _dp_per_cell(gains, steps):

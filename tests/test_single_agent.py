@@ -147,8 +147,10 @@ class TestBetaCurve:
 
     def test_below_threshold_raises(self, nonconvex6):
         curve = build_beta_curve(nonconvex6)
-        with pytest.raises(ValueError):
-            beta_at(curve, 0.35)
+        # a NaN gamma is outside the domain too
+        for gamma in (0.35, math.nan):
+            with pytest.raises(ValueError):
+                beta_at(curve, gamma)
 
     def test_above_one_raises(self, nonconvex6):
         curve = build_beta_curve(nonconvex6)
