@@ -12,10 +12,11 @@ breakpoints.  The object the allocator consumes is the running maximum
 U_l(bar_beta) = max_{beta <= bar_beta} U_l(beta): nondecreasing, and stored as
 the pieces whose peak raises the running best, each with that peak.  The
 peaks are the single-agent solver's, so the curve's best point is the optimal
-single-agent contract; every piece formula is a ``BetaPiece`` method, so
-money enters each only as a ratio.  ``best_contract_at`` values one cap, and
-``_values`` nondecreasing caps (the grid DP's and the oracle's grids, and the
-price search's candidates) by the same rule and float operations.
+single-agent contract; every piece formula is a ``BetaPiece`` method or
+``_peak``, so money enters each only as a ratio.  ``best_contract_at`` values
+one cap, and ``_values`` nondecreasing caps (the grid DP's and the oracle's
+grids, and the price search's candidates) by the same rule and float
+operations.
 Splitting the budget is then a multiple-choice-knapsack-style problem.  By
 default ``allocate`` solves it by Lagrangian duality (Everett 1963): it
 bisects the budget's shadow price lambda over the ordered doubles of
@@ -33,7 +34,7 @@ import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InfeasibleBudget, ValidationError
@@ -42,6 +43,7 @@ from .single_agent import (
     BetaCurve,
     BetaPiece,
     ContractChoice,
+    _peak,
     beta_at,
     build_beta_curve,
 )
@@ -74,24 +76,28 @@ class UtilityCurve:
 def build_utility_curve(agent: AgentSpec) -> UtilityCurve:
     """Walk the beta-curve pieces in increasing beta and keep the running best.
 
-    ``base`` is the best peak among the clamped pieces (beta = 0), or the
-    contract at gamma = 1 when no piece is clamped.  The unclamped pieces are
-    then visited from gamma = 1 downward; a piece whose peak (the same one
-    ``solve_single`` compares) beats the running best is recorded as a rise,
-    and its peak becomes the running best.
+    ``base`` is the best peak among the clamped pieces (beta = 0; the first
+    of tied peaks), or the contract at gamma = 1 when no piece is clamped.
+    The unclamped pieces are then visited from gamma = 1 downward; a piece
+    whose peak (the same floats ``solve_single`` compares) beats the running
+    best is recorded as a rise, and its peak becomes the running best.  Only
+    the peaks kept become ``ContractChoice`` records.
     """
     bc = build_beta_curve(agent)
     beta_min = beta_at(bc, 1.0)
+    kappa_i = agent.kappa_i
 
-    clamped = [p.peak(agent.kappa_i) for p in bc.pieces if p.clamped]
-    if clamped:
-        base = max(clamped, key=attrgetter("utility"))
-    else:
-        last = bc.pieces[-1]
-        base = ContractChoice(1.0, beta_min, last.owner, -beta_min * agent.kappa_i)
+    base = None
+    for piece in bc.pieces:
+        if piece.clamped:
+            gamma, beta, u = _peak(piece, kappa_i)
+            if base is None or u > base.utility:
+                base = ContractChoice(gamma, beta, piece.owner, u)
+    if base is None:
+        base = ContractChoice(1.0, beta_min, bc.pieces[-1].owner, -beta_min * kappa_i)
 
     rises: list[tuple[BetaPiece, float, ContractChoice]] = []
-    cur = base
+    best = base.utility
     cursor = beta_min
     for piece in reversed(bc.pieces):
         if piece.clamped:
@@ -101,10 +107,10 @@ def build_utility_curve(agent: AgentSpec) -> UtilityCurve:
         if hi <= lo:
             continue
         cursor = hi
-        peak = piece.peak(agent.kappa_i)
-        if peak.utility > cur.utility:
-            rises.append((piece, lo, peak))
-            cur = peak
+        gamma, beta, u = _peak(piece, kappa_i)
+        if u > best:
+            rises.append((piece, lo, ContractChoice(gamma, beta, piece.owner, u)))
+            best = u
 
     return UtilityCurve(bc, beta_min, cursor, base, tuple(rises))
 
@@ -212,11 +218,12 @@ class Allocation:
     (``dual_bound`` and ``shadow_price`` are None).  On the exact path
     ``dual_bound`` is the Lagrangian dual's value at ``shadow_price`` (lambda*,
     the value of one more unit of budget), an upper bound on every feasible
-    total, and ``gap_bound`` is the certified gap ``dual_bound -
-    total_utility``; ``delta`` is None, or 0.01 when the grid DP that runs on
-    a duality gap gave the better total.  ``shadow_price`` is inf when no
-    finite price brings the caps within the budget; if the minimums then use
-    the whole budget, ``dual_bound`` is their total.
+    total and never below ``total_utility``, and ``gap_bound`` is the
+    certified gap ``dual_bound - total_utility``; ``delta`` is None, or 0.01
+    when the grid DP that runs on a duality gap gave the better total.
+    ``shadow_price`` is inf when no finite price brings the caps within the
+    budget; if the minimums then use the whole budget, ``dual_bound`` is
+    their total.
     """
 
     caps: tuple[float, ...]
@@ -246,7 +253,7 @@ def _shifted_argmax(curve: UtilityCurve, lam: float, u0: float) -> tuple[float, 
     Past a rise's peak the envelope is flat, and where the running best still
     beats a rise it is flat at the previous peak, so the maximizer is beta_min,
     a rise's peak, or the point of a rise where the slope of U equals lam:
-    the piece's ``stationary`` point at price kappa_i + lam, clamped into
+    the piece's peak at price kappa_i + lam (``_peak``), clamped into
     [beta_lo, peak.beta].  ``u0`` is U(beta_min), the first candidate.  The
     others are raised to beta_min, sorted (a peak can round below its own
     beta_lo) and valued in one ``_values`` walk, so the first best is the least.
@@ -256,7 +263,7 @@ def _shifted_argmax(curve: UtilityCurve, lam: float, u0: float) -> tuple[float, 
     best_u = best_v = u0
     caps = []
     for piece, lo, peak in curve.rises:
-        stationary = piece.beta(piece.stationary(rate))
+        stationary = _peak(piece, rate)[1]
         # a peak can round below beta_min, which is not a cap
         caps += (max(min(max(stationary, lo), peak.beta), b0), max(peak.beta, b0))
     caps.sort()
@@ -311,10 +318,11 @@ def _lagrangian(problem: AllocationProblem, curves: list[UtilityCurve]) -> Alloc
     its whole jump while it fits (largest first), then what remains to the
     agent it raises most, nudged down until the caps' ``fsum`` fits.  Ties in
     either go to the larger cap, not the earlier agent, so the split does not
-    depend on agent order.  The dual bound is the smaller of D(lo) and D(hi);
-    when the curves are concave it meets the primal's total.  D(inf) is inf,
-    or the minimums' total when they use the whole budget, and the shadow
-    price is inf when no finite price fits.
+    depend on agent order.  The dual bound is the smaller of D(lo) and D(hi),
+    floored at the primal's total, which a rounded D can fall below; when the
+    curves are concave it meets that total.  D(inf) is inf, or the minimums'
+    total when they use the whole budget, and the shadow price is inf when no
+    finite price fits.
     """
     _spare_budget(problem, curves)
     mins = [c.beta_min for c in curves]
@@ -358,9 +366,9 @@ def _lagrangian(problem: AllocationProblem, curves: list[UtilityCurve]) -> Alloc
 
     contracts = tuple(best_contract_at(c, cap) for c, cap in zip(curves, caps))
     total = math.fsum(ch.utility for ch in contracts)
-    return Allocation(
-        tuple(caps), contracts, total, max(dual - total, 0.0), None, dual, hi.lam
-    )
+    # a true dual bounds every feasible total, so D's rounding below it is lost
+    dual = max(dual, total)
+    return Allocation(tuple(caps), contracts, total, dual - total, None, dual, hi.lam)
 
 
 def allocate(problem: AllocationProblem) -> Allocation:
@@ -398,6 +406,6 @@ def allocate(problem: AllocationProblem) -> Allocation:
         return exact
     if grid.total_utility <= exact.total_utility:
         return exact
-    gap = max(exact.dual_bound - grid.total_utility, 0.0)
-    return replace(grid, gap_bound=gap, dual_bound=exact.dual_bound,
+    dual = max(exact.dual_bound, grid.total_utility)
+    return replace(grid, gap_bound=dual - grid.total_utility, dual_bound=dual,
                    shadow_price=exact.shadow_price)

@@ -28,18 +28,20 @@ in closed form, so each piece has one best contract (its peak).  The optimal
 contract is the best peak, and the multi-agent utility curve is the running
 best of the same peaks in beta order.  Each ``BetaPiece`` stores its
 coefficients and owns every closed form on it: beta at gamma, gamma and
-utility at beta, and the peak.
+utility at beta, and the peak, whose floats ``_peak`` computes.
 
 No scalar parameter enters the upper envelope, so an ``AgentSpec`` builds it
 once and every curve of the agent reuses it.  A parameter sweep reuses it for
 every row, and a kappa_i sweep reuses the whole curve: kappa_i enters only
 the peaks.
 
-A solve builds a record per piece and per peak, so the solver's records
-(``BetaPiece``, ``BetaCurve``, ``ContractChoice`` and ``SweepPoint``) are
-named tuples, the cheapest immutable record to build: hashable, equal by
-value, and equal to plain tuples of the same values.  ``Contract``,
-``SingleAgentSolution`` and ``AgentSpec`` are frozen dataclasses.
+A solve builds a record per piece but compares the peaks as plain floats
+(``_peak``), so only the best peak, or a utility curve's rises, become
+records.  The solver's records (``BetaPiece``, ``BetaCurve``,
+``ContractChoice`` and ``SweepPoint``) are named tuples, the cheapest
+immutable record to build: hashable, equal by value, and equal to plain
+tuples of the same values.  ``Contract``, ``SingleAgentSolution`` and
+``AgentSpec`` are frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -241,22 +243,31 @@ class BetaPiece(NamedTuple):
 
     def stationary(self, price: float) -> float:
         """The maximizer of (1 - gamma)*r_own - price*beta(gamma) on an unclamped
-        piece: sqrt(price*c_const / (r_own*d)), in ratios, clamped into it."""
-        root = math.sqrt(price / self.r_own) * math.sqrt(max(self.c_const / self.d, 0.0))
-        return min(max(root, self.gamma_lo), self.gamma_hi)
+        piece: ``_peak``'s gamma at price ``price``."""
+        return _peak(self, price)[0]
 
     def peak(self, kappa_i: float) -> ContractChoice:
-        """The best contract on this piece, with the principal's utility.
-
-        On an unclamped piece the utility (1 - gamma)*r_own - beta(gamma)*kappa_i
-        is concave and the peak is its ``stationary`` point at price kappa_i.
-        On a clamped piece beta is 0 and the utility falls in gamma, so the
-        peak is the left end.
-        """
-        gamma = self.gamma_lo if self.clamped else self.stationary(kappa_i)
-        beta = self.beta(gamma)
-        u = (1.0 - gamma) * self.r_own - beta * kappa_i
+        """The best contract on this piece, with the principal's utility
+        (``_peak``'s three floats and the owner)."""
+        gamma, beta, u = _peak(self, kappa_i)
         return ContractChoice(gamma, beta, self.owner, u)
+
+
+def _peak(piece: BetaPiece, kappa_i: float) -> tuple[float, float, float]:
+    """The (gamma, beta, utility) of a piece's best contract, as plain floats.
+
+    On an unclamped piece the utility (1 - gamma)*r_own - beta(gamma)*kappa_i
+    is concave and the peak is its stationary point sqrt(kappa_i*c_const /
+    (r_own*d)), in ratios, clamped into the piece.  On a clamped piece beta
+    is 0 and the utility falls in gamma, so the peak is the left end.
+    """
+    gamma_lo, gamma_hi, _, _, clamped, r_own, c_const, d = piece
+    if clamped:
+        return gamma_lo, 0.0, (1.0 - gamma_lo) * r_own
+    root = math.sqrt(kappa_i / r_own) * math.sqrt(max(c_const / d, 0.0))
+    gamma = min(max(root, gamma_lo), gamma_hi)
+    beta = min(max(_beta_raw(r_own, c_const, d, gamma), 0.0), 1.0)
+    return gamma, beta, (1.0 - gamma) * r_own - beta * kappa_i
 
 
 class BetaCurve(NamedTuple):
@@ -443,7 +454,7 @@ class SingleAgentSolution:
 def solve_single(agent: AgentSpec) -> SingleAgentSolution:
     """Optimal linear contract for one agent: the best peak over the pieces.
 
-    Each beta-curve piece's peak (``BetaPiece.peak``) is its stationary point,
+    Each beta-curve piece's peak (``_peak``) is its stationary point,
     or the left end of a clamped piece; the utility is concave per piece, so
     the best peak is optimal.  Ties go to smaller beta, then smaller gamma.
     """
@@ -451,10 +462,20 @@ def solve_single(agent: AgentSpec) -> SingleAgentSolution:
 
 
 def _best_peak(curve: BetaCurve, kappa_i: float) -> SingleAgentSolution:
-    """``solve_single`` on a built curve; kappa_i enters only the peaks."""
-    peaks = (p.peak(kappa_i) for p in curve.pieces)
-    best = max(peaks, key=lambda c: (c.utility, -c.beta, -c.gamma))
-    return SingleAgentSolution(Contract(best.gamma, best.beta), best.action, best.utility)
+    """``solve_single`` on a built curve; kappa_i enters only the peaks.
+
+    One walk over the pieces keeps the best peak's floats: a later peak wins
+    only with a higher utility, then a smaller beta, then a smaller gamma, so
+    the first of fully tied peaks stays.  Only the winner becomes a record.
+    """
+    pieces = iter(curve.pieces)
+    best = next(pieces)
+    gamma, beta, u = _peak(best, kappa_i)
+    for piece in pieces:
+        g, b, v = _peak(piece, kappa_i)
+        if v > u or (v == u and (b < beta or (b == beta and g < gamma))):
+            best, gamma, beta, u = piece, g, b, v
+    return SingleAgentSolution(Contract(gamma, beta), best.owner, u)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 from operator import attrgetter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from inspection_contracts import (
     load_instance,
     parse_instance,
 )
+from inspection_contracts import instances
 from inspection_contracts.envelope import segment_at
+from inspection_contracts.instances import _float_columns
 from inspection_contracts.single_agent import check_safety
 from inspection_contracts.tolerance import TOL
 from conftest import CANCEL, FLAT_FIRST, case_agent, priced, random_agent
@@ -384,8 +387,9 @@ def test_beta_curve_matches_the_reference_walk(agent, k):
 
 
 @st.composite
-def json_action_lists(draw):
-    """(reward, cost) pairs, each value a JSON int or float or a float subclass.
+def json_action_lists(draw, floats=st.booleans()):
+    """(reward, cost) pairs, each value a JSON int or float or a float subclass,
+    or, when ``floats`` draws True, every value a float.
 
     The pairs mostly increase.  Some points sit a few ulps off the line
     through the previous two, where the hull's ``TOL`` test decides whether
@@ -415,6 +419,8 @@ def json_action_lists(draw):
         pairs[i] = (pairs[i][0], pairs[j][1])
     if draw(st.booleans()):
         pairs = [pairs[k] for k in draw(st.permutations(range(len(pairs))))]
+    if draw(floats):
+        return [(float(r), float(c)) for r, c in pairs]
     as_money = st.booleans().map(lambda money: Money if money else (lambda v: v))
     return [(draw(as_money)(r), draw(as_money)(c)) for r, c in pairs]
 
@@ -455,6 +461,9 @@ def test_parsed_spec_and_envelope_match_references(pairs):
     # the check on the order sorted() gives, independent of the spec's own sort
     ref = as_loaded(lambda: (build_envelope(ordered), AgentSpec(ordered, 0.0, 1.0, 0.0))[1])
     assert got == direct == ref
+    # an all-float list is read column by column, any other entry by entry
+    all_float = all(type(v) is float for pair in pairs for v in pair)
+    assert (_float_columns(doc["agents"][0]["actions"]) is not None) == all_float
     if isinstance(ref, tuple):
         return
     assert (got.rewards, got.costs) == (direct.rewards, direct.costs)
@@ -462,6 +471,49 @@ def test_parsed_spec_and_envelope_match_references(pairs):
     assert got.actions == direct.actions == ordered
     scan = reference_scan(ordered)
     assert got.envelope == direct.envelope == scan and repr(got.envelope) == repr(scan)
+
+
+def parsed(doc):
+    """``parse_instance(doc)``'s one spec, by value and envelope, or its error."""
+    try:
+        spec = parse_instance(doc).agents[0].spec
+    except ContractError as exc:
+        return type(exc), str(exc)
+    return repr(spec), spec.envelope
+
+
+# ways to spoil one entry of an all-float list, each of which takes the list
+# off the column path: a field's value as an int, a float subclass, NaN or
+# JSON's 1e400, or the entry as a list or a dict with a field too many or few
+SPOILERS = {
+    "int": lambda entry, key: dict(entry, **{key: round(entry[key])}),
+    "subclass": lambda entry, key: dict(entry, **{key: Money(entry[key])}),
+    "nan": lambda entry, key: dict(entry, **{key: math.nan}),
+    "1e400": lambda entry, key: dict(entry, **{key: json.loads("1e400")}),
+    "list": lambda entry, key: [entry["reward"], entry["cost"]],
+    "extra": lambda entry, key: dict(entry, weight=1.0),
+    "missing": lambda entry, key: {k: v for k, v in entry.items() if k != key},
+}
+
+
+@given(json_action_lists(floats=st.just(True)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_column_ingest_matches_the_per_entry_loop(pairs, data):
+    entries = [{"reward": r, "cost": c} for r, c in pairs]
+    doc = {"agents": [{"name": "a", "actions": entries, "kappa_s": 0.0, "kappa_i": 1.0,
+                       "alpha": 0.0}]}
+    assert _float_columns(entries) == ([r for r, _ in pairs], [c for _, c in pairs])
+    got = parsed(doc)
+    with patch.object(instances, "_float_columns", return_value=None):
+        assert got == parsed(doc)
+
+    k = data.draw(st.integers(0, len(entries) - 1))
+    spoil = SPOILERS[data.draw(st.sampled_from(sorted(SPOILERS)))]
+    entries[k] = spoil(entries[k], data.draw(st.sampled_from(["reward", "cost"])))
+    assert _float_columns(entries) is None
+    got = parsed(doc)
+    with patch.object(instances, "_float_columns", return_value=None):
+        assert got == parsed(doc)
 
 
 def test_all_float_instance_builds_no_action(monkeypatch):

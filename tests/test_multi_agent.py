@@ -393,6 +393,8 @@ class TestExactAllocate:
         assert alloc.shadow_price == pytest.approx(15.0, rel=1e-12)
         assert alloc.dual_bound == pytest.approx(23.0, abs=1e-12)
         assert alloc.gap_bound <= TOL * 40.0
+        # D(lo) rounds to 22.999999999999996 here, below the total
+        assert (alloc.total_utility, alloc.dual_bound, alloc.gap_bound) == (23.0, 23.0, 0.0)
 
     def test_slack_budget_has_zero_price(self, unit1):
         alloc = allocate(AllocationProblem((unit1,) * 2, 2))
@@ -742,6 +744,7 @@ def test_bisecting_the_doubles_keeps_the_doubling_search_answers(agents, budget)
     assert abs(alloc.dual_bound - ref.dual_bound) <= slack
     assert alloc.gap_bound <= ref.gap_bound + slack
     assert alloc.delta == ref.delta
+    assert alloc.dual_bound >= alloc.total_utility
 
 
 def _per_candidate_argmax(curve, lam, u0):

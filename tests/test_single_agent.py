@@ -10,8 +10,12 @@ from hypothesis import strategies as st
 from inspection_contracts import (
     Action,
     AgentSpec,
+    BetaCurve,
+    BetaPiece,
     Contract,
+    ContractChoice,
     InfeasibleSafety,
+    SingleAgentSolution,
     SweepPoint,
     ValidationError,
     agent_best_response,
@@ -26,11 +30,15 @@ from inspection_contracts import (
     sweep_parameter,
 )
 from inspection_contracts import envelope
-from inspection_contracts.single_agent import _with_param
+from inspection_contracts.multi_agent import UtilityCurve
+from inspection_contracts.single_agent import _best_peak, _with_param
 from inspection_contracts.tolerance import TOL
 from conftest import (
+    CANCEL,
+    FLAT_FIRST,
     NONCONVEX_C,
     NONCONVEX_R,
+    case_agent,
     make_agent,
     near_one_ir_agent,
     priced,
@@ -361,6 +369,123 @@ def test_answer_does_not_depend_on_currency_unit(agent, k):
     assert sol.contract.beta == pytest.approx(base.contract.beta, abs=1e-9)
     assert sol.utility == pytest.approx(base.utility * unit, rel=1e-9)
     assert check_ic_ir(priced(agent, unit), sol.contract, (sol.action, True))
+
+
+def _reference_peak(piece, kappa_i):
+    """``BetaPiece.peak``'s reference: its closed form written out on its own,
+    through the piece's ``beta``."""
+    if piece.clamped:
+        gamma = piece.gamma_lo
+    else:
+        root = math.sqrt(kappa_i / piece.r_own) * math.sqrt(max(piece.c_const / piece.d, 0.0))
+        gamma = min(max(root, piece.gamma_lo), piece.gamma_hi)
+    beta = piece.beta(gamma)
+    u = (1.0 - gamma) * piece.r_own - beta * kappa_i
+    return ContractChoice(gamma, beta, piece.owner, u)
+
+
+def _max_peak(curve, kappa_i):
+    """``_best_peak``'s reference: a record per peak, and ``max`` over them."""
+    peaks = (p.peak(kappa_i) for p in curve.pieces)
+    best = max(peaks, key=lambda c: (c.utility, -c.beta, -c.gamma))
+    return SingleAgentSolution(Contract(best.gamma, best.beta), best.action, best.utility)
+
+
+def _reference_utility_curve(agent):
+    """``build_utility_curve``'s reference: every peak as a record."""
+    bc = build_beta_curve(agent)
+    beta_min = beta_at(bc, 1.0)
+    clamped = [p.peak(agent.kappa_i) for p in bc.pieces if p.clamped]
+    if clamped:
+        base = max(clamped, key=lambda c: c.utility)
+    else:
+        base = ContractChoice(1.0, beta_min, bc.pieces[-1].owner, -beta_min * agent.kappa_i)
+    rises = []
+    cur, cursor = base, beta_min
+    for piece in reversed(bc.pieces):
+        if piece.clamped:
+            continue
+        lo, hi = cursor, piece.beta(piece.gamma_lo)
+        if hi <= lo:
+            continue
+        cursor = hi
+        peak = piece.peak(agent.kappa_i)
+        if peak.utility > cur.utility:
+            rises.append((piece, lo, peak))
+            cur = peak
+    return UtilityCurve(bc, beta_min, cursor, base, tuple(rises))
+
+
+# two actions and no safety cost: both pieces are clamped, on [0.5, 0.75] and
+# [0.75, 1], and at kappa_i = 1 both peaks are worth exactly 2, (1 - 0.5)*4
+# and (1 - 0.75)*8; the first is the utility curve's base
+TIED_CLAMPED = make_agent([4.0, 8.0], [2.0, 5.0], kappa_s=0.0)
+CLAMPED_HALF, CLAMPED_THREE_QUARTERS = build_beta_curve(TIED_CLAMPED).pieces
+# an unclamped piece whose peak is worth 2 too: gamma = 0.25, where beta = 1
+# and (1 - 0.25)*4 - 1 = 2
+STEEP = BetaPiece(0.25, 0.5, 2, 2, False, 4.0, 1.0, 4.0)
+
+
+def _tie_curve(*pieces):
+    """A hand-built curve: ``_best_peak`` reads only its pieces."""
+    return BetaCurve(TIED_CLAMPED, pieces[0].gamma_lo, pieces)
+
+
+TIES = [
+    # a tie in utility and beta goes to the smaller gamma, wherever it is
+    (build_beta_curve(TIED_CLAMPED), (0.5, 0.0, 0)),
+    (_tie_curve(CLAMPED_THREE_QUARTERS, CLAMPED_HALF), (0.5, 0.0, 0)),
+    # a tie in utility goes to the smaller beta, before the smaller gamma
+    (_tie_curve(STEEP, CLAMPED_THREE_QUARTERS), (0.75, 0.0, 1)),
+    (_tie_curve(CLAMPED_THREE_QUARTERS, STEEP), (0.75, 0.0, 1)),
+    # a full tie goes to the first piece
+    (_tie_curve(CLAMPED_HALF, CLAMPED_HALF._replace(owner=1)), (0.5, 0.0, 0)),
+    (_tie_curve(CLAMPED_HALF._replace(owner=1), CLAMPED_HALF), (0.5, 0.0, 1)),
+]
+
+
+@pytest.mark.parametrize("curve, winner", TIES)
+def test_tied_peaks_follow_the_documented_rule(curve, winner):
+    sol = _best_peak(curve, 1.0)
+    assert (sol.contract.gamma, sol.contract.beta, sol.action, sol.utility) == (*winner, 2.0)
+
+
+@st.composite
+def curves_and_prices(draw):
+    """A valid agent's curve and a kappa_i: a multiple of the agent's own, or
+    one near either end of the double range."""
+    agent = draw(valid_agents())
+    kappa_i = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]).map(lambda f: f * agent.kappa_i)
+                   | st.floats(1e-301, 1e-299) | st.floats(1e299, 1e301))
+    return build_beta_curve(agent), kappa_i
+
+
+def _case_curve(case):
+    agent = case_agent(case)
+    return build_beta_curve(agent), agent.kappa_i
+
+
+@settings(max_examples=300, deadline=None)
+@given(curves_and_prices())
+@example(_case_curve(CANCEL["A"]))
+@example(_case_curve(CANCEL["B"]))
+@example(_case_curve(CANCEL["C"]))
+@example(_case_curve(CANCEL["D"]))
+@example(_case_curve(FLAT_FIRST))
+@example((build_beta_curve(make_agent(NONCONVEX_R, NONCONVEX_C)), 1.0))
+@example((TIES[0][0], 1.0))
+@example((TIES[2][0], 1.0))
+@example((TIES[3][0], 1.0))
+@example((TIES[5][0], 1.0))
+def test_one_walk_keeps_the_best_peak_by_max(case):
+    curve, kappa_i = case
+    # bit for bit: repr tells -0.0 from 0.0 and prints each double exactly
+    assert repr(_best_peak(curve, kappa_i)) == repr(_max_peak(curve, kappa_i))
+    assert [repr(p.peak(kappa_i)) for p in curve.pieces] == [
+        repr(_reference_peak(p, kappa_i)) for p in curve.pieces
+    ]
+    agent = replace(curve.agent, kappa_i=kappa_i)
+    assert repr(build_utility_curve(agent)) == repr(_reference_utility_curve(agent))
 
 
 @st.composite
