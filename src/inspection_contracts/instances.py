@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import itemgetter, sub
 from pathlib import Path
 
 from .errors import ContractError, ValidationError
@@ -88,33 +87,6 @@ def _action(entry: object, where: str) -> tuple[float, float]:
     return _number(entry["reward"], f"{where}.reward"), _number(entry["cost"], f"{where}.cost")
 
 
-def _float_columns(entries: list) -> tuple[list[float], list[float]] | None:
-    """The reward and cost columns of a list whose every entry is exactly
-    {"reward": float, "cost": float} with finite values, or None.
-
-    Such entries pass every check in ``_action`` unchanged, so each test here
-    is one C-level pass over the whole list.
-    """
-    if set(map(type, entries)) != {dict} or set(map(len, entries)) != {2}:
-        return None
-    try:
-        rewards = list(map(itemgetter("reward"), entries))
-        costs = list(map(itemgetter("cost"), entries))
-    except KeyError:
-        return None
-    # x - x is 0.0 for a finite float and NaN, which is true, for inf and NaN
-    for column in (rewards, costs):
-        if set(map(type, column)) != {float} or any(map(sub, column, column)):
-            return None
-    return rewards, costs
-
-
-def _checked_columns(entries: list, where: str) -> tuple[list[float], list[float]]:
-    """The reward and cost columns, each entry checked by ``_action``."""
-    pairs = [_action(entry, f"{where}.actions[{k}]") for k, entry in enumerate(entries)]
-    return [r for r, _ in pairs], [c for _, c in pairs]
-
-
 def parse_instance(doc: object) -> Instance:
     if not isinstance(doc, dict):
         raise ValidationError("instance document must be a JSON object")
@@ -147,8 +119,21 @@ def parse_instance(doc: object) -> Instance:
             raise ValidationError(f"{where}.name: expected a string UTF-8 can encode") from None
         if not isinstance(raw["actions"], list) or not raw["actions"]:
             raise ValidationError(f"{where}.actions: expected a nonempty list")
-        actions = raw["actions"]
-        rewards, costs = _float_columns(actions) or _checked_columns(actions, where)
+        rewards: list[float] = []
+        costs: list[float] = []
+        for k, entry in enumerate(raw["actions"]):
+            # the common entry, exactly {"reward": float, "cost": float} with
+            # finite values (x - x is NaN for inf and NaN), passes every check
+            # in _action unchanged, so it needs neither them nor its path
+            if type(entry) is dict and entry.keys() == _ACTION_FIELDS:
+                r, c = entry["reward"], entry["cost"]
+                if type(r) is float and type(c) is float and r - r == 0.0 and c - c == 0.0:
+                    rewards.append(r)
+                    costs.append(c)
+                    continue
+            r, c = _action(entry, f"{where}.actions[{k}]")
+            rewards.append(r)
+            costs.append(c)
         # parsed outside the try below, whose prefix their paths already carry
         scalars = [
             _number(raw[key], f"{where}.{key}") for key in ("kappa_s", "kappa_i", "alpha")

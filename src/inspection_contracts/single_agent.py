@@ -241,11 +241,6 @@ class BetaPiece(NamedTuple):
         """The principal's utility at inspection ``beta`` on this piece."""
         return (1.0 - self.gamma(beta)) * self.r_own - beta * kappa_i
 
-    def stationary(self, price: float) -> float:
-        """The maximizer of (1 - gamma)*r_own - price*beta(gamma) on an unclamped
-        piece: ``_peak``'s gamma at price ``price``."""
-        return _peak(self, price)[0]
-
     def peak(self, kappa_i: float) -> ContractChoice:
         """The best contract on this piece, with the principal's utility
         (``_peak``'s three floats and the owner)."""

@@ -2,7 +2,6 @@ import json
 import math
 import sys
 from operator import attrgetter
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -24,9 +23,7 @@ from inspection_contracts import (
     load_instance,
     parse_instance,
 )
-from inspection_contracts import instances
 from inspection_contracts.envelope import segment_at
-from inspection_contracts.instances import _float_columns
 from inspection_contracts.single_agent import check_safety
 from inspection_contracts.tolerance import TOL
 from conftest import CANCEL, FLAT_FIRST, case_agent, priced, random_agent
@@ -461,9 +458,6 @@ def test_parsed_spec_and_envelope_match_references(pairs):
     # the check on the order sorted() gives, independent of the spec's own sort
     ref = as_loaded(lambda: (build_envelope(ordered), AgentSpec(ordered, 0.0, 1.0, 0.0))[1])
     assert got == direct == ref
-    # an all-float list is read column by column, any other entry by entry
-    all_float = all(type(v) is float for pair in pairs for v in pair)
-    assert (_float_columns(doc["agents"][0]["actions"]) is not None) == all_float
     if isinstance(ref, tuple):
         return
     assert (got.rewards, got.costs) == (direct.rewards, direct.costs)
@@ -473,18 +467,10 @@ def test_parsed_spec_and_envelope_match_references(pairs):
     assert got.envelope == direct.envelope == scan and repr(got.envelope) == repr(scan)
 
 
-def parsed(doc):
-    """``parse_instance(doc)``'s one spec, by value and envelope, or its error."""
-    try:
-        spec = parse_instance(doc).agents[0].spec
-    except ContractError as exc:
-        return type(exc), str(exc)
-    return repr(spec), spec.envelope
-
-
-# ways to spoil one entry of an all-float list, each of which takes the list
-# off the column path: a field's value as an int, a float subclass, NaN or
-# JSON's 1e400, or the entry as a list or a dict with a field too many or few
+# ways to spoil one entry of an all-float list, each of which takes that entry
+# off the loader's float fast path: a field's value as an int, a float
+# subclass, NaN or JSON's 1e400, or the entry as a list or a dict with a field
+# too many or too few
 SPOILERS = {
     "int": lambda entry, key: dict(entry, **{key: round(entry[key])}),
     "subclass": lambda entry, key: dict(entry, **{key: Money(entry[key])}),
@@ -496,24 +482,39 @@ SPOILERS = {
 }
 
 
-@given(json_action_lists(floats=st.just(True)), st.data())
+@given(
+    json_action_lists(floats=st.just(True)),
+    st.data(),
+    st.sampled_from(sorted(SPOILERS)),
+    st.sampled_from(["reward", "cost"]),
+)
 @settings(max_examples=300, deadline=None)
-def test_column_ingest_matches_the_per_entry_loop(pairs, data):
+def test_one_spoiled_entry_among_floats_is_checked_on_its_own(pairs, data, kind, key):
     entries = [{"reward": r, "cost": c} for r, c in pairs]
+    k = data.draw(st.integers(0, len(entries) - 1))
+    entries[k] = SPOILERS[kind](entries[k], key)
     doc = {"agents": [{"name": "a", "actions": entries, "kappa_s": 0.0, "kappa_i": 1.0,
                        "alpha": 0.0}]}
-    assert _float_columns(entries) == ([r for r, _ in pairs], [c for _, c in pairs])
-    got = parsed(doc)
-    with patch.object(instances, "_float_columns", return_value=None):
-        assert got == parsed(doc)
-
-    k = data.draw(st.integers(0, len(entries) - 1))
-    spoil = SPOILERS[data.draw(st.sampled_from(sorted(SPOILERS)))]
-    entries[k] = spoil(entries[k], data.draw(st.sampled_from(["reward", "cost"])))
-    assert _float_columns(entries) is None
-    got = parsed(doc)
-    with patch.object(instances, "_float_columns", return_value=None):
-        assert got == parsed(doc)
+    try:
+        got = parse_instance(doc).agents[0].spec
+    except ContractError as exc:
+        got = type(exc), str(exc)
+    where = f"agents[0].actions[{k}]"
+    want = {
+        "nan": (ValidationError, f"{where}.{key}: expected a finite number, got nan"),
+        "1e400": (ValidationError, f"{where}.{key}: expected a finite number, got inf"),
+        "list": (ValidationError, f"{where}: expected an object"),
+        "extra": (ValidationError, f"{where}: unknown field(s) ['weight']"),
+        "missing": (ValidationError, f"{where}: missing field(s) [{key!r}]"),
+    }.get(kind)
+    if want is None:
+        # an int or a float subclass is read as its float value
+        actions = tuple(Action(float(e["reward"]), float(e["cost"])) for e in entries)
+        want = as_loaded(lambda: AgentSpec(actions, 0.0, 1.0, 0.0))
+    assert got == want
+    if not isinstance(want, tuple):
+        assert repr(got) == repr(want)
+        assert all(type(v) is float for v in got.rewards + got.costs)
 
 
 def test_all_float_instance_builds_no_action(monkeypatch):

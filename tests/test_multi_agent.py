@@ -755,7 +755,8 @@ def _per_candidate_argmax(curve, lam, u0):
     b0 = best_b = curve.beta_min
     best_u = best_v = u0
     for piece, lo, peak in curve.rises:
-        stationary = piece.beta(piece.stationary(rate))
+        root = math.sqrt(rate / piece.r_own) * math.sqrt(max(piece.c_const / piece.d, 0.0))
+        stationary = piece.beta(min(max(root, piece.gamma_lo), piece.gamma_hi))
         for b in (min(max(stationary, lo), peak.beta), peak.beta):
             b = max(b, b0)
             u = utility_at(curve, b)
