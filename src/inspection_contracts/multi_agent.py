@@ -12,11 +12,11 @@ breakpoints.  The object the allocator consumes is the running maximum
 U_l(bar_beta) = max_{beta <= bar_beta} U_l(beta): nondecreasing, and stored as
 the pieces whose peak raises the running best, each with that peak.  The
 peaks are the single-agent solver's, so the curve's best point is the optimal
-single-agent contract; every piece formula is a ``BetaPiece`` method or
-``_peak``, so money enters each only as a ratio.  ``best_contract_at`` values
-one cap, and ``_values`` nondecreasing caps (the grid DP's and the oracle's
-grids, and the price search's candidates) by the same rule and float
-operations.
+single-agent contract, up to peaks tied in utility; every piece formula is a
+``BetaPiece`` method or ``_peak``, so money enters each only as a ratio.
+``best_contract_at`` values one cap, and ``_values`` nondecreasing caps (the
+grid DP's and the oracle's grids, and the price search's candidates) by the
+same rule and float operations.
 Splitting the budget is then a multiple-choice-knapsack-style problem.  By
 default ``allocate`` solves it by Lagrangian duality (Everett 1963): it
 bisects the budget's shadow price lambda over the ordered doubles of

@@ -27,8 +27,8 @@ fixed, the principal's utility is concave in gamma with its stationary point
 in closed form, so each piece has one best contract (its peak).  The optimal
 contract is the best peak, and the multi-agent utility curve is the running
 best of the same peaks in beta order.  Each ``BetaPiece`` stores its
-coefficients and owns every closed form on it: beta at gamma, gamma and
-utility at beta, and the peak, whose floats ``_peak`` computes.
+coefficients and owns the closed forms of beta at gamma and of gamma and
+utility at beta; ``_peak`` computes its peak's floats.
 
 No scalar parameter enters the upper envelope, so an ``AgentSpec`` builds it
 once and every curve of the agent reuses it.  A parameter sweep reuses it for
@@ -240,12 +240,6 @@ class BetaPiece(NamedTuple):
     def utility(self, beta: float, kappa_i: float) -> float:
         """The principal's utility at inspection ``beta`` on this piece."""
         return (1.0 - self.gamma(beta)) * self.r_own - beta * kappa_i
-
-    def peak(self, kappa_i: float) -> ContractChoice:
-        """The best contract on this piece, with the principal's utility
-        (``_peak``'s three floats and the owner)."""
-        gamma, beta, u = _peak(self, kappa_i)
-        return ContractChoice(gamma, beta, self.owner, u)
 
 
 def _peak(piece: BetaPiece, kappa_i: float) -> tuple[float, float, float]:

@@ -1,7 +1,10 @@
-"""numpy is loaded only by ``verify``, through ``oracle``, and by the grid DP,
+"""What each entry point loads.  ``import inspection_contracts`` loads no
+submodule, and each public name loads only its own module, on first access.
+numpy is loaded only by ``verify``, through ``oracle``, and by the grid DP,
 ``grid_dp``, which --delta selects and the exact split runs only on a duality
 gap; ``verify`` prices the oracle's cap grids without ``grid_dp``."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -45,16 +48,45 @@ EXACT_ALLOCATION = [
 ]
 
 
+def run_python(code, *args):
+    """Runs ``code`` in a fresh interpreter that imports this checkout's src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 def run_child(argvs, block_numpy):
     code = RUN_SUBCOMMANDS.format(argvs=argvs, modules=NUMPY_MODULES)
     if block_numpy:
         code = NO_NUMPY + code
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code, str(EXAMPLE)],
-        env=env, capture_output=True, text=True, timeout=60,
+    return run_python(code, str(EXAMPLE))
+
+
+def loaded_after(statement):
+    """numpy and the package's submodules, if loaded after ``statement``."""
+    proc = run_python(
+        f"import sys\n{statement}\n"
+        'print(sorted(m for m in sys.modules if m == "numpy"'
+        ' or m.startswith("inspection_contracts.")))'
     )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_after("import inspection_contracts") == []
+
+
+def test_a_public_name_loads_only_its_own_module():
+    loaded = loaded_after("from inspection_contracts import build_schedule")
+    assert "inspection_contracts.scheduler" in loaded
+    others = ["numpy"] + [
+        f"inspection_contracts.{m}" for m in ("single_agent", "multi_agent", "grid_dp", "oracle")
+    ]
+    assert not set(loaded) & set(others), loaded
 
 
 def test_single_agent_subcommands_run_without_numpy():
@@ -97,3 +129,25 @@ def test_every_exported_name_resolves_and_is_listed():
 
     assert allocate is multi_agent.allocate
     assert cli.__name__ == "inspection_contracts.cli"
+
+
+# a literal copy: a name dropped from, added to or moved in the table fails here
+PUBLIC_NAMES = [
+    "Action", "AgentSpec", "Allocation", "AllocationProblem", "BetaCurve", "BetaPiece",
+    "BudgetExceeded", "Contract", "ContractChoice", "ContractError", "DegenerateInput",
+    "InfeasibleBudget", "InfeasibleError", "InfeasibleSafety", "InspectionSchedule",
+    "Instance", "InvalidProbability", "NamedAgent", "NoSafeContract", "SingleAgentSolution",
+    "SweepPoint", "UpperEnvelope", "UtilityCurve", "ValidationError", "agent_best_response",
+    "allocate", "best_contract_at", "beta_at", "brute_force_allocate", "brute_force_single",
+    "build_beta_curve", "build_envelope", "build_schedule", "build_utility_curve",
+    "check_ic_ir", "eval_envelope", "exact_marginals", "gap_bound", "invert_envelope",
+    "load_instance", "needs_inspection", "parse_instance", "principal_utility",
+    "sample_assignment", "solve_single", "sweep_parameter", "utility_at",
+]
+
+
+def test_public_names_are_unchanged_and_are_their_modules_objects():
+    assert inspection_contracts.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        obj = getattr(inspection_contracts, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name

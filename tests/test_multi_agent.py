@@ -23,6 +23,7 @@ from inspection_contracts import (
 from inspection_contracts import grid_dp, multi_agent, oracle
 from inspection_contracts.grid_dp import _dp, _prepare_grid, _units
 from inspection_contracts.multi_agent import _spare_budget
+from inspection_contracts.single_agent import _peak
 from inspection_contracts.tolerance import QUOTIENT_TOL, TOL
 from conftest import (
     CANCEL,
@@ -122,7 +123,7 @@ class TestUtilityCurve:
             agent = random_agent(rng, alpha_max=alpha_max)
             curve = build_utility_curve(agent)
             slack = TOL * (agent.money_scale + agent.kappa_i)
-            peaks = [p.peak(agent.kappa_i).gamma for p in curve.beta_curve.pieces]
+            peaks = [_peak(p, agent.kappa_i)[0] for p in curve.beta_curve.pieces]
             beta, util = oracle._scan(agent, np.append(oracle._grid(1e-3, agent.n), peaks))
             for cap in np.linspace(curve.beta_min, curve.beta_cap, 25):
                 value = utility_at(curve, cap)

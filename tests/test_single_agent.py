@@ -229,7 +229,7 @@ _UNIT1_PIECE = (
     [
         (lambda a: build_beta_curve(a).pieces[0], "d", _UNIT1_PIECE),
         (
-            lambda a: build_beta_curve(a).pieces[0].peak(a.kappa_i),
+            lambda a: build_utility_curve(a).top,
             "utility",
             "ContractChoice(gamma=0.3, beta=0.33333333333333337, action=0,"
             " utility=6.666666666666667)",
@@ -372,8 +372,8 @@ def test_answer_does_not_depend_on_currency_unit(agent, k):
 
 
 def _reference_peak(piece, kappa_i):
-    """``BetaPiece.peak``'s reference: its closed form written out on its own,
-    through the piece's ``beta``."""
+    """``_peak``'s reference, with the owner: its closed form written out on
+    its own, through the piece's ``beta``."""
     if piece.clamped:
         gamma = piece.gamma_lo
     else:
@@ -386,7 +386,7 @@ def _reference_peak(piece, kappa_i):
 
 def _max_peak(curve, kappa_i):
     """``_best_peak``'s reference: a record per peak, and ``max`` over them."""
-    peaks = (p.peak(kappa_i) for p in curve.pieces)
+    peaks = (_reference_peak(p, kappa_i) for p in curve.pieces)
     best = max(peaks, key=lambda c: (c.utility, -c.beta, -c.gamma))
     return SingleAgentSolution(Contract(best.gamma, best.beta), best.action, best.utility)
 
@@ -395,7 +395,7 @@ def _reference_utility_curve(agent):
     """``build_utility_curve``'s reference: every peak as a record."""
     bc = build_beta_curve(agent)
     beta_min = beta_at(bc, 1.0)
-    clamped = [p.peak(agent.kappa_i) for p in bc.pieces if p.clamped]
+    clamped = [_reference_peak(p, agent.kappa_i) for p in bc.pieces if p.clamped]
     if clamped:
         base = max(clamped, key=lambda c: c.utility)
     else:
@@ -409,7 +409,7 @@ def _reference_utility_curve(agent):
         if hi <= lo:
             continue
         cursor = hi
-        peak = piece.peak(agent.kappa_i)
+        peak = _reference_peak(piece, agent.kappa_i)
         if peak.utility > cur.utility:
             rises.append((piece, lo, peak))
             cur = peak
@@ -481,9 +481,6 @@ def test_one_walk_keeps_the_best_peak_by_max(case):
     curve, kappa_i = case
     # bit for bit: repr tells -0.0 from 0.0 and prints each double exactly
     assert repr(_best_peak(curve, kappa_i)) == repr(_max_peak(curve, kappa_i))
-    assert [repr(p.peak(kappa_i)) for p in curve.pieces] == [
-        repr(_reference_peak(p, kappa_i)) for p in curve.pieces
-    ]
     agent = replace(curve.agent, kappa_i=kappa_i)
     assert repr(build_utility_curve(agent)) == repr(_reference_utility_curve(agent))
 
