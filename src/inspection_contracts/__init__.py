@@ -28,7 +28,10 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "envelope": ("Action", "UpperEnvelope", "build_envelope", "eval_envelope", "invert_envelope"),
+    "envelope": (
+        "Action", "ActionSet", "UpperEnvelope", "build_envelope", "eval_envelope",
+        "invert_envelope",
+    ),
     "errors": (
         "BudgetExceeded", "ContractError", "DegenerateInput", "InfeasibleBudget",
         "InfeasibleError", "InfeasibleSafety", "InvalidProbability", "NoSafeContract",

@@ -9,19 +9,21 @@ sorted).  Segment j is owned by hull action i_j between two consecutive
 breakpoints, and neighbouring hull lines intersect exactly at the breakpoint
 they share.
 
-The helpers take an agent's actions as two columns, ``rewards`` and
-``costs`` (action i is (rewards[i], costs[i])), the form ``AgentSpec`` stores;
-only ``build_envelope`` takes ``Action`` records, which it converts.  The
-envelope is built over gamma in [0, inf); truncation to [0, 1] is a caller
-concern.
+An ``ActionSet`` holds an agent's actions as two columns, ``rewards`` and
+``costs`` (action i is (rewards[i], costs[i])), sorted by cost and checked
+once, together with their envelope; ``AgentSpec`` stores one, and specs that
+differ only in a scalar parameter share it, since none enters the envelope.
+The helpers take the envelope and the two columns; only ``build_envelope``
+takes ``Action`` records, which it converts.  The envelope is built over
+gamma in [0, inf); truncation to [0, 1] is a caller concern.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 from itertools import islice
 from operator import lt
 
@@ -31,7 +33,7 @@ from .tolerance import TOL
 
 @dataclass(frozen=True, slots=True)
 class Action:
-    """One effort level's reward and cost; ``AgentSpec`` checks the values."""
+    """One effort level's reward and cost; ``ActionSet`` checks the values."""
 
     reward: float
     cost: float
@@ -93,7 +95,7 @@ def _check_actions(rewards: Sequence[float], costs: Sequence[float]) -> None:
 def build_envelope(actions: Sequence[Action]) -> UpperEnvelope:
     """Build the upper envelope of the lines gamma*R_i - c_i.
 
-    Checks the actions as ``AgentSpec`` does: strictly increasing costs and
+    Checks the actions as ``ActionSet`` does, without its sort: strictly increasing costs and
     rewards (Assumption 1) with finite nonnegative values.  The slope into a
     lower hull point (R_i, c_i) is the breakpoint where line i takes over; a
     point whose slope exceeds the previous one by no more than ``TOL`` is
@@ -124,6 +126,39 @@ def _scan_hull(rewards: Sequence[float], costs: Sequence[float]) -> UpperEnvelop
     if any(b >= a for a, b in zip(breakpoints[1:], breakpoints)):
         raise RuntimeError("envelope breakpoints are not strictly increasing")
     return UpperEnvelope(tuple(hull), tuple(breakpoints), tuple(values))
+
+
+@dataclass(frozen=True)
+class ActionSet:
+    """An agent's actions as two columns, sorted by cost and checked, and their hull.
+
+    ``ActionSet(rewards, costs)`` takes the columns in any order: it sorts
+    them by cost (stably, and only when the costs do not already increase),
+    checks them once (``_check_actions``) and builds the upper envelope
+    (``envelope``).  Iterating yields the actions as ``Action`` records.
+    """
+
+    rewards: tuple[float, ...]
+    costs: tuple[float, ...]
+    envelope: UpperEnvelope = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        rewards, costs = self.rewards, self.costs
+        if len(rewards) != len(costs):
+            raise ValidationError(f"{len(rewards)} rewards but {len(costs)} costs")
+        if not _increasing(costs):
+            # the one stable sort by cost, the order sorted(key=cost) gives
+            order = sorted(range(len(costs)), key=costs.__getitem__)
+            rewards = [rewards[i] for i in order]
+            costs = [costs[i] for i in order]
+        rewards, costs = tuple(rewards), tuple(costs)
+        _check_actions(rewards, costs)
+        object.__setattr__(self, "rewards", rewards)
+        object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "envelope", _scan_hull(rewards, costs))
+
+    def __iter__(self) -> Iterator[Action]:
+        return map(Action, self.rewards, self.costs)
 
 
 def segment_at(env: UpperEnvelope, gamma: float) -> int:

@@ -17,6 +17,8 @@ typos in the kappa names cannot silently change the model.  Error messages
 carry the JSON path of the offending field; bad action values surface as
 ValidationError, Assumption 1 violations as DegenerateInput and Assumption 2
 violations as InfeasibleSafety, all prefixed with the agent's path and name.
+Each agent's actions are read into two float columns, which become the
+spec's ``ActionSet``; the loader builds no ``Action`` record.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .envelope import ActionSet
 from .errors import ContractError, ValidationError
 from .single_agent import AgentSpec, check_safety
 
@@ -139,7 +142,7 @@ def parse_instance(doc: object) -> Instance:
             _number(raw[key], f"{where}.{key}") for key in ("kappa_s", "kappa_i", "alpha")
         ]
         try:
-            spec = AgentSpec.from_columns(rewards, costs, *scalars)
+            spec = AgentSpec(ActionSet(rewards, costs), *scalars)
             check_safety(spec)
         except ContractError as exc:
             raise type(exc)(f"{where} ({name!r}): {exc}") from None

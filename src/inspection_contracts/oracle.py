@@ -91,8 +91,8 @@ def _scan(agent: AgentSpec, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     gammas, so every reduction runs down the few action rows.
     """
     tie = TOL * agent.money_scale
-    rewards = np.array(agent.rewards)
-    costs = np.array(agent.costs)[:, None]
+    rewards = np.array(agent.actions.rewards)
+    costs = np.array(agent.actions.costs)[:, None]
     safe = rewards[:, None] * gammas - costs
     top = safe.max(axis=0)
     best_safe = top - agent.kappa_s

@@ -30,10 +30,12 @@ best of the same peaks in beta order.  Each ``BetaPiece`` stores its
 coefficients and owns the closed forms of beta at gamma and of gamma and
 utility at beta; ``_peak`` computes its peak's floats.
 
-No scalar parameter enters the upper envelope, so an ``AgentSpec`` builds it
-once and every curve of the agent reuses it.  A parameter sweep reuses it for
-every row, and a kappa_i sweep reuses the whole curve: kappa_i enters only
-the peaks.
+No scalar parameter enters the upper envelope, so an ``AgentSpec`` holds
+its checked columns and their envelope in one ``ActionSet``, which every
+curve of the agent reuses and every spec made from it by
+``dataclasses.replace`` shares.  A kappa_s or alpha sweep row is such a
+spec, and a kappa_i sweep reuses the whole curve: kappa_i enters only the
+peaks.
 
 A solve builds a record per piece but compares the peaks as plain floats
 (``_peak``), so only the best peak, or a utility curve's rises, become
@@ -49,20 +51,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from contextlib import suppress
-from collections.abc import Iterable, Sequence
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import NamedTuple
 
-from .envelope import (
-    Action,
-    UpperEnvelope,
-    _check_actions,
-    _increasing,
-    _scan_hull,
-    eval_envelope,
-    invert_envelope,
-)
+from .envelope import ActionSet, eval_envelope, invert_envelope
 from .errors import InfeasibleSafety, ValidationError
 from .tolerance import TOL
 
@@ -82,88 +75,43 @@ def _check_param(name: str, value: float) -> None:
         raise ValidationError(f"alpha must lie in [0, 1), got {value!r}")
 
 
-def _action_view(spec: AgentSpec) -> tuple[Action, ...]:
-    return tuple(map(Action, spec.rewards, spec.costs))
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class AgentSpec:
-    """One agent: actions plus the three cost/probability parameters.
+    """One agent: its checked actions plus the three cost/probability parameters.
 
-    The actions are stored as two columns, ``rewards`` and ``costs`` (action
-    i is (rewards[i], costs[i])), sorted by cost and checked once, on
-    construction, as are the field ranges; the solvers trust a built spec.
-    ``AgentSpec(actions, kappa_s, kappa_i, alpha)`` takes ``Action`` records
-    and ``AgentSpec.from_columns`` the two columns; ``actions`` is a view of
-    the columns as ``Action`` records, built on each access.  The upper
-    envelope (``envelope``) is built once here too: none of kappa_s, kappa_i
-    or alpha enters it, so every curve and every sweep row reuses it.
-    Feasibility of safety (Assumption 2, max(R_i - c_i) > kappa_s) is checked
-    by ``check_safety``, which the curve builders and the loader call.
+    ``actions`` is an ``ActionSet``: the columns ``rewards`` and ``costs``,
+    sorted by cost and checked, and their upper envelope.  Given ``Action``
+    records instead, the spec builds the set from them.  The field ranges
+    are checked on construction too, after the actions; the solvers trust a
+    built spec.  None of kappa_s, kappa_i or alpha enters the envelope, so
+    ``dataclasses.replace`` on a scalar field shares the set, unchecked and
+    unscanned, and every curve and every sweep row reuses it.  Feasibility
+    of safety (Assumption 2, max(R_i - c_i) > kappa_s) is checked by
+    ``check_safety``, which the curve builders and the loader call.
     """
 
-    # init-only and not stored; as an InitVar with a default (the view),
-    # dataclasses.replace reads it and passes it back to __init__
-    actions: InitVar[tuple[Action, ...]] = property(_action_view)
-    rewards: tuple[float, ...] = field(init=False)
-    costs: tuple[float, ...] = field(init=False)
+    actions: ActionSet
     kappa_s: float
     kappa_i: float
     alpha: float
-    envelope: UpperEnvelope = field(init=False, repr=False, compare=False)
 
-    def __init__(
-        self, actions: Iterable[Action], kappa_s: float, kappa_i: float, alpha: float
-    ) -> None:
-        acts = tuple(actions)
-        self._build([a.reward for a in acts], [a.cost for a in acts], kappa_s, kappa_i, alpha)
-
-    @classmethod
-    def from_columns(
-        cls,
-        rewards: Sequence[float],
-        costs: Sequence[float],
-        kappa_s: float,
-        kappa_i: float,
-        alpha: float,
-    ) -> AgentSpec:
-        """The spec of the actions (rewards[i], costs[i]), in any order."""
-        if len(rewards) != len(costs):
-            raise ValidationError(f"{len(rewards)} rewards but {len(costs)} costs")
-        spec = cls.__new__(cls)
-        spec._build(rewards, costs, kappa_s, kappa_i, alpha)
-        return spec
-
-    def _build(
-        self,
-        rewards: Sequence[float],
-        costs: Sequence[float],
-        kappa_s: float,
-        kappa_i: float,
-        alpha: float,
-    ) -> None:
-        if not _increasing(costs):
-            # the one stable sort by cost, the order sorted(key=cost) gives
-            order = sorted(range(len(costs)), key=costs.__getitem__)
-            rewards = [rewards[i] for i in order]
-            costs = [costs[i] for i in order]
-        rewards, costs = tuple(rewards), tuple(costs)
-        _check_actions(rewards, costs)
-        for name, value in zip(_PARAMS, (kappa_s, kappa_i, alpha)):
-            _check_param(name, value)
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "rewards", rewards)
-        object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "envelope", _scan_hull(rewards, costs))
+    def __post_init__(self) -> None:
+        if not isinstance(self.actions, ActionSet):
+            acts = tuple(self.actions)
+            object.__setattr__(
+                self, "actions", ActionSet([a.reward for a in acts], [a.cost for a in acts])
+            )
+        for name in _PARAMS:
+            _check_param(name, getattr(self, name))
 
     @property
     def n(self) -> int:
-        return len(self.rewards)
+        return len(self.actions.rewards)
 
     @property
     def money_scale(self) -> float:
         """R_n, the largest reward: money slacks are ``TOL * money_scale``."""
-        return self.rewards[-1]
+        return self.actions.rewards[-1]
 
 
 @dataclass(frozen=True)
@@ -283,7 +231,8 @@ def needs_inspection(agent: AgentSpec) -> bool:
 
 def check_safety(agent: AgentSpec) -> float:
     """The hull's u_h(1) = max(R_i - c_i); InfeasibleSafety unless > kappa_s (Assumption 2)."""
-    top = eval_envelope(agent.envelope, agent.rewards, agent.costs, 1.0)
+    acts = agent.actions
+    top = eval_envelope(acts.envelope, acts.rewards, acts.costs, 1.0)
     if top <= agent.kappa_s:
         raise InfeasibleSafety(
             f"max(R_i - c_i) = {top} does not exceed kappa_s = {agent.kappa_s} "
@@ -304,8 +253,7 @@ def build_beta_curve(agent: AgentSpec) -> BetaCurve:
     action, the shadow is the next hull action, which owns the segment's
     right end.
     """
-    rewards, costs = agent.rewards, agent.costs
-    env = agent.envelope
+    rewards, costs, env = agent.actions.rewards, agent.actions.costs, agent.actions.envelope
     top = check_safety(agent)
     gamma_ir = invert_envelope(env, rewards, costs, agent.kappa_s)
 
@@ -397,7 +345,7 @@ def _accepted_pairs(agent: AgentSpec, contract: Contract) -> list[tuple[int, boo
     gamma, kappa_s = contract.gamma, agent.kappa_s
     shade = (1.0 - contract.beta) * (1.0 - agent.alpha) * gamma
     utils: dict[tuple[int, bool], float] = {}
-    for i, (r, c) in enumerate(zip(agent.rewards, agent.costs)):
+    for i, (r, c) in enumerate(zip(agent.actions.rewards, agent.actions.costs)):
         utils[i, True] = gamma * r - c - kappa_s
         utils[i, False] = shade * r - c
     floor = max(max(utils.values()), 0.0) - TOL * agent.money_scale
@@ -430,7 +378,7 @@ def principal_utility(
     i, safe = response
     if not safe:
         return -math.inf
-    return (1.0 - contract.gamma) * agent.rewards[i] - contract.beta * agent.kappa_i
+    return (1.0 - contract.gamma) * agent.actions.rewards[i] - contract.beta * agent.kappa_i
 
 
 @dataclass(frozen=True)
@@ -485,18 +433,6 @@ class SweepPoint(NamedTuple):
         return self.gamma is not None
 
 
-def _with_param(agent: AgentSpec, name: str, value: float) -> AgentSpec:
-    """``replace(agent, **{name: value})`` that checks only ``value``.
-
-    The copy shares the agent's checked columns and its envelope, which no
-    scalar field enters.
-    """
-    _check_param(name, value)
-    spec = object.__new__(AgentSpec)
-    vars(spec).update(vars(agent), **{name: value})
-    return spec
-
-
 def sweep_parameter(
     agent: AgentSpec, which: str, grid: list[float]
 ) -> list[SweepPoint]:
@@ -504,10 +440,10 @@ def sweep_parameter(
 
     Rows where the perturbed agent is invalid or infeasible are emitted as
     infeasible markers instead of aborting the sweep.  Each row equals
-    ``solve_single(replace(agent, **{which: v}))`` but reuses what ``v`` does
-    not touch: every row shares the agent's columns and envelope, and a
-    kappa_i sweep, where beta(gamma) does not depend on kappa_i, builds the
-    curve once and takes each row's best peak.
+    ``solve_single(replace(agent, **{which: v}))``, and a kappa_s or alpha row
+    is just that: the row's spec shares the agent's ``ActionSet``.  A kappa_i
+    sweep, where beta(gamma) does not depend on kappa_i, builds the curve once
+    and takes each row's best peak.
     """
     if which not in _PARAMS:
         raise ValueError(f"which must be one of {_PARAMS}, got {which!r}")
@@ -521,7 +457,7 @@ def sweep_parameter(
     for v in grid:
         try:
             if curve is None:
-                sol = solve_single(_with_param(agent, which, v))
+                sol = solve_single(replace(agent, **{which: v}))
             else:
                 _check_param(which, v)
                 sol = _best_peak(curve, v)

@@ -126,8 +126,8 @@ def allocation_agents(draw):
 def priced(agent, unit):
     """The same agent with every amount of money multiplied by ``unit``."""
     return make_agent(
-        [r * unit for r in agent.rewards],
-        [c * unit for c in agent.costs],
+        [r * unit for r in agent.actions.rewards],
+        [c * unit for c in agent.actions.costs],
         kappa_s=agent.kappa_s * unit,
         kappa_i=agent.kappa_i * unit,
         alpha=agent.alpha,
@@ -138,7 +138,7 @@ def representable(agent, unit):
     """Whether doubles can hold ``agent`` and ``priced(agent, unit)``: no
     nonzero amount of money falls below the normal range, and R_n * (R_n /
     kappa_s), the allocator's curvature term, stays finite in either unit."""
-    amounts = (*agent.rewards, *agent.costs, agent.kappa_s, agent.kappa_i)
+    amounts = (*agent.actions.rewards, *agent.actions.costs, agent.kappa_s, agent.kappa_i)
     r = agent.money_scale
     for u in (1.0, unit):
         if any(x != 0.0 and abs(x * u) < sys.float_info.min for x in amounts):

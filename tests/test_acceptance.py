@@ -73,7 +73,7 @@ def test_criterion_2_beta_curve_structure(instances_200):
             ok = False
             break
         cuts = [curve.gamma_ir]
-        cuts += [b for b in curve.agent.envelope.breakpoints if curve.gamma_ir < b < 1.0]
+        cuts += [b for b in curve.agent.actions.envelope.breakpoints if curve.gamma_ir < b < 1.0]
         cuts.append(1.0)
         for lo, hi in zip(cuts, cuts[1:]):
             for _ in range(4):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from inspection_contracts import (
     Action,
+    ActionSet,
     DegenerateInput,
     ValidationError,
     build_beta_curve,
@@ -28,6 +29,21 @@ def columns(actions):
 
 def pointwise_max(actions, gamma):
     return max(gamma * a.reward - a.cost for a in actions)
+
+
+class TestActionSet:
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValidationError) as exc:
+            ActionSet([10.0, 12.0], [2.0])
+        assert type(exc.value) is ValidationError
+        assert str(exc.value) == "2 rewards but 1 costs"
+
+    def test_sorts_by_cost_and_yields_records(self):
+        acts = ActionSet([6.0, 2.0, 7.0], [2.0, 1.0, 2.1])
+        assert (acts.rewards, acts.costs) == ((2.0, 6.0, 7.0), (1.0, 2.0, 2.1))
+        assert tuple(acts) == lines([2.0, 6.0, 7.0], [1.0, 2.0, 2.1])
+        assert acts.envelope == build_envelope(acts)
+        assert repr(acts) == "ActionSet(rewards=(2.0, 6.0, 7.0), costs=(1.0, 2.0, 2.1))"
 
 
 class TestBuild:
@@ -215,7 +231,7 @@ def test_breakpoint_values_come_from_the_left_hull_line():
     # g*R - c on it cancels to 0.0; the left line's gives about 3.4e-9
     actions = CANCEL["A"][0]
     agent = case_agent(CANCEL["A"])
-    env = agent.envelope
+    env = agent.actions.envelope
     g = env.breakpoints[0]
     r0, c0 = actions[env.hull_actions[0]]
     assert env.breakpoint_values[0] == g * r0 - c0

@@ -54,7 +54,7 @@ def test_roundtrip(tmp_path):
     inst = load_instance(path)
     assert inst.budget == 2
     assert inst.agents[0].name == "a1"
-    assert inst.agents[0].spec.rewards == (10.0,)
+    assert inst.agents[0].spec.actions.rewards == (10.0,)
 
 
 def test_budget_defaults_to_one():
@@ -145,7 +145,7 @@ def test_unsorted_actions_are_canonicalized():
         actions=[{"reward": 6.0, "cost": 2.0}, {"reward": 2.0, "cost": 1.0}]
     )
     inst = parse_instance(doc)
-    assert inst.agents[0].spec.costs == (1.0, 2.0)
+    assert inst.agents[0].spec.actions.costs == (1.0, 2.0)
 
 
 def test_name_utf8_cannot_encode_rejected():
@@ -302,7 +302,7 @@ def reference_walk(spec):
     Every envelope lookup goes through ``segment_at``, ``eval_envelope`` and
     ``invert_envelope``, and every closed form is written out on its own.
     """
-    rewards, costs, env = spec.rewards, spec.costs, spec.envelope
+    rewards, costs, env = spec.actions.rewards, spec.actions.costs, spec.actions.envelope
     top = check_safety(spec)
     gamma_ir = invert_envelope(env, rewards, costs, spec.kappa_s)
     cuts = {gamma_ir, 1.0}
@@ -374,7 +374,7 @@ curve_agents = st.one_of(
 def test_beta_curve_matches_the_reference_walk(agent, k):
     # in any currency unit where every nonzero amount stays a normal double
     unit = 10.0**k
-    amounts = (*agent.rewards, *agent.costs, agent.kappa_s, agent.kappa_i)
+    amounts = (*agent.actions.rewards, *agent.actions.costs, agent.kappa_s, agent.kappa_i)
     assume(all(x == 0.0 or sys.float_info.min <= x * unit < math.inf for x in amounts))
     spec = priced(agent, unit)
     curve = build_beta_curve(spec)
@@ -460,11 +460,12 @@ def test_parsed_spec_and_envelope_match_references(pairs):
     assert got == direct == ref
     if isinstance(ref, tuple):
         return
-    assert (got.rewards, got.costs) == (direct.rewards, direct.costs)
-    assert all(type(v) is float for v in got.rewards + got.costs)
-    assert got.actions == direct.actions == ordered
+    assert got.actions == direct.actions
+    assert all(type(v) is float for v in got.actions.rewards + got.actions.costs)
+    assert tuple(got.actions) == tuple(direct.actions) == ordered
     scan = reference_scan(ordered)
-    assert got.envelope == direct.envelope == scan and repr(got.envelope) == repr(scan)
+    env = got.actions.envelope
+    assert env == direct.actions.envelope == scan and repr(env) == repr(scan)
 
 
 # ways to spoil one entry of an all-float list, each of which takes that entry
@@ -514,7 +515,7 @@ def test_one_spoiled_entry_among_floats_is_checked_on_its_own(pairs, data, kind,
     assert got == want
     if not isinstance(want, tuple):
         assert repr(got) == repr(want)
-        assert all(type(v) is float for v in got.rewards + got.costs)
+        assert all(type(v) is float for v in got.actions.rewards + got.actions.costs)
 
 
 def test_all_float_instance_builds_no_action(monkeypatch):
@@ -533,6 +534,7 @@ def test_all_float_instance_builds_no_action(monkeypatch):
     ]
     inst = parse_instance(doc)
     for named in inst.agents:
-        assert (named.spec.rewards, named.spec.costs) == ((10.0, 14.0), (2.0, 3.0))
+        acts = named.spec.actions
+        assert (acts.rewards, acts.costs) == ((10.0, 14.0), (2.0, 3.0))
     with pytest.raises(AssertionError, match="an Action was built"):
         Action(1.0, 2.0)

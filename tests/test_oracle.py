@@ -49,8 +49,8 @@ def _scan_full(agent, gammas, betas):
     does.
     """
     tie = TOL * agent.money_scale
-    rewards = np.array(agent.rewards)
-    costs = np.array(agent.costs)
+    rewards = np.array(agent.actions.rewards)
+    costs = np.array(agent.actions.costs)
     safe = gammas[:, None] * rewards[None, :] - costs[None, :]
     top = safe.max(axis=1)
     best_safe = top - agent.kappa_s
@@ -78,13 +78,13 @@ def _scan_reference(agent, gammas):
     tie = TOL * agent.money_scale
     betas, utils = [], []
     for gamma in map(float, gammas):
-        safe = [r * gamma - c for r, c in zip(agent.rewards, agent.costs)]
+        safe = [r * gamma - c for r, c in zip(agent.actions.rewards, agent.actions.costs)]
         top = max(safe)
         best_safe = top - agent.kappa_s
         act = max(i for i, u in enumerate(safe) if u >= top - tie)
-        base = (1.0 - gamma) * agent.rewards[act]
+        base = (1.0 - gamma) * agent.actions.rewards[act]
         need = []
-        for r, c in zip(agent.rewards, agent.costs):
+        for r, c in zip(agent.actions.rewards, agent.actions.costs):
             shade = r * ((1.0 - agent.alpha) * gamma)
             floor = best_safe + c
             if shade > 0.0:
@@ -400,7 +400,7 @@ def test_oracle_contract_meets_the_raw_definition(case):
     if beta > 0.0:
         assert unsafe >= best_safe - tie
     act = max(i for i, u in enumerate(safe) if u >= max(safe) - tie)
-    expected = (1.0 - gamma) * agent.actions[act].reward - agent.kappa_i * beta
+    expected = (1.0 - gamma) * agent.actions.rewards[act] - agent.kappa_i * beta
     assert abs(utility - expected) <= tie
 
 

@@ -1,6 +1,6 @@
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from inspection_contracts import (
     Action,
+    ActionSet,
     AgentSpec,
     BetaCurve,
     BetaPiece,
     Contract,
     ContractChoice,
+    DegenerateInput,
     InfeasibleSafety,
     SingleAgentSolution,
     SweepPoint,
@@ -25,13 +27,14 @@ from inspection_contracts import (
     build_utility_curve,
     check_ic_ir,
     needs_inspection,
+    parse_instance,
     principal_utility,
     solve_single,
     sweep_parameter,
 )
 from inspection_contracts import envelope
 from inspection_contracts.multi_agent import UtilityCurve
-from inspection_contracts.single_agent import _best_peak, _with_param
+from inspection_contracts.single_agent import _best_peak
 from inspection_contracts.tolerance import TOL
 from conftest import (
     CANCEL,
@@ -50,8 +53,8 @@ from conftest import (
 class TestAgentSpec:
     def test_actions_canonicalized_by_cost(self):
         agent = AgentSpec((Action(6, 2), Action(2, 1)), 0.5, 1.0, 0.0)
-        assert agent.costs == (1.0, 2.0)
-        assert agent.rewards == (2.0, 6.0)
+        assert agent.actions.costs == (1.0, 2.0)
+        assert agent.actions.rewards == (2.0, 6.0)
 
     def test_field_ranges(self):
         acts = (Action(10, 2),)
@@ -72,14 +75,40 @@ class TestAgentSpec:
                         build(acts)
                     assert err.type is ValidationError
 
-    def test_from_columns_rejects_unequal_lengths(self):
-        with pytest.raises(ValidationError) as exc:
-            AgentSpec.from_columns([10.0, 12.0], [2.0], 1.0, 1.0, 0.0)
-        assert type(exc.value) is ValidationError
-        assert str(exc.value) == "2 rewards but 1 costs"
+    def test_records_a_set_and_the_loader_give_one_spec(self):
+        assert [f.name for f in fields(AgentSpec)] == ["actions", "kappa_s", "kappa_i", "alpha"]
+        entries = [{"reward": 6.0, "cost": 2.0}, {"reward": 2.0, "cost": 1.0}]
+        doc = {"agents": [{"name": "a", "actions": entries, "kappa_s": 0.5, "kappa_i": 1.0,
+                           "alpha": 0.1}]}
+        specs = [
+            AgentSpec((Action(6.0, 2.0), Action(2.0, 1.0)), 0.5, 1.0, 0.1),
+            AgentSpec(ActionSet([6.0, 2.0], [2.0, 1.0]), 0.5, 1.0, 0.1),
+            parse_instance(doc).agents[0].spec,
+        ]
+        for spec in specs:
+            assert type(spec.actions) is ActionSet
+            assert spec == specs[0] and hash(spec) == hash(specs[0])
+            assert repr(spec) == repr(specs[0])
+            assert spec.actions.envelope == specs[0].actions.envelope
+
+    @pytest.mark.parametrize("which", ["kappa_s", "kappa_i", "alpha"])
+    def test_replace_shares_the_action_set(self, which):
+        agent = make_agent(NONCONVEX_R, NONCONVEX_C)
+        row = replace(agent, **{which: 0.5})
+        assert row.actions is agent.actions and getattr(row, which) == 0.5
+        with pytest.raises(ValidationError):
+            replace(agent, **{which: -1.0})
+
+    def test_actions_are_checked_before_the_parameters(self):
+        # equal rewards and three bad parameters: the order breach is reported
+        with pytest.raises(DegenerateInput):
+            AgentSpec((Action(2.0, 1.0), Action(2.0, 3.0)), -1.0, 0.0, 1.0)
+        with pytest.raises(ValidationError, match="kappa_s"):
+            AgentSpec((Action(2.0, 1.0),), -1.0, 0.0, 1.0)
 
     def test_actions_checked_once_per_spec(self, monkeypatch):
-        # the hull is scanned once per spec too, and sweep rows reuse both
+        # the hull is scanned once per spec too; sweep rows and replace() on a
+        # scalar field share both
         calls = {"_check_actions": [], "_scan_hull": []}
         for fn, seen in calls.items():
             original = getattr(envelope, fn)
@@ -102,10 +131,11 @@ class TestAgentSpec:
         for which in ("kappa_i", "kappa_s", "alpha"):
             sweep_parameter(agent, which, [0.1, 0.5])
         assert (len(checks), len(scans)) == (1, 1)
-        replace(agent, kappa_i=2.0)
-        assert (len(checks), len(scans)) == (2, 2)
+        for which in ("kappa_s", "kappa_i", "alpha"):
+            replace(agent, **{which: 0.5})
+        assert (len(checks), len(scans)) == (1, 1)
         build_envelope(agent.actions)
-        assert (len(checks), len(scans)) == (3, 3)
+        assert (len(checks), len(scans)) == (2, 2)
 
     def test_contract_ranges(self):
         with pytest.raises(ValueError):
@@ -237,8 +267,8 @@ _UNIT1_PIECE = (
         (
             build_beta_curve,
             "gamma_ir",
-            "BetaCurve(agent=AgentSpec(rewards=(10.0,), costs=(2.0,), kappa_s=1.0,"
-            f" kappa_i=1.0, alpha=0.0), gamma_ir=0.3, pieces=({_UNIT1_PIECE},))",
+            "BetaCurve(agent=AgentSpec(actions=ActionSet(rewards=(10.0,), costs=(2.0,)),"
+            f" kappa_s=1.0, kappa_i=1.0, alpha=0.0), gamma_ir=0.3, pieces=({_UNIT1_PIECE},))",
         ),
         (
             lambda a: sweep_parameter(a, "kappa_s", [100.0])[0],
@@ -332,7 +362,7 @@ class TestSolveSingle:
             resp = agent_best_response(agent, sol.contract)
             assert resp == (sol.action, True)
             gamma = sol.contract.gamma
-            own = agent.actions[sol.action]
+            own = tuple(agent.actions)[sol.action]
             assert gamma * own.reward - own.cost - agent.kappa_s >= -1e-9
 
 
@@ -489,7 +519,7 @@ def test_one_walk_keeps_the_best_peak_by_max(case):
 def near_tie_contracts(draw, agent):
     """The solver's contract, or one where two pairs (or a pair and the
     outside option) tie, nudged by a few ulps up to a few TOL."""
-    rewards, costs, k_s = agent.rewards, agent.costs, agent.kappa_s
+    rewards, costs, k_s = agent.actions.rewards, agent.actions.costs, agent.kappa_s
     i, j = draw(st.integers(0, agent.n - 1)), draw(st.integers(0, agent.n - 1))
     kind = draw(st.sampled_from(["solver", "ir", "safe-safe", "safe-unsafe"]))
     beta = draw(st.floats(0.0, 1.0))
@@ -588,18 +618,8 @@ def sweep_cases(draw):
 @given(sweep_cases())
 def test_sweep_equals_solving_each_row(case):
     agent, which, grid = case
-    assert agent.envelope == build_envelope(agent.actions)
+    assert agent.actions.envelope == build_envelope(agent.actions)
     assert sweep_parameter(agent, which, grid) == [_solved_row(agent, which, v) for v in grid]
-    for v in grid:
-        try:
-            row = _with_param(agent, which, v)
-        except ValidationError:
-            with pytest.raises(ValidationError):
-                replace(agent, **{which: v})
-            continue
-        assert row == replace(agent, **{which: v})
-        assert row.envelope is agent.envelope
-        assert row.rewards is agent.rewards and row.costs is agent.costs
 
 
 @settings(max_examples=200, deadline=None)
@@ -640,7 +660,8 @@ class TestCurveShape:
             agent = random_agent(self.rng)
             curve = build_beta_curve(agent)
             cuts = [curve.gamma_ir]
-            cuts += [b for b in curve.agent.envelope.breakpoints if curve.gamma_ir < b < 1]
+            breakpoints = curve.agent.actions.envelope.breakpoints
+            cuts += [b for b in breakpoints if curve.gamma_ir < b < 1]
             cuts.append(1.0)
             for lo, hi in zip(cuts, cuts[1:]):
                 a, b = np.sort(self.rng.uniform(lo, hi, 2))
