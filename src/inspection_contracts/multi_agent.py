@@ -11,8 +11,8 @@ concave on each inverted piece but discontinuous downward at envelope
 breakpoints.  The object the allocator consumes is the running maximum
 U_l(bar_beta) = max_{beta <= bar_beta} U_l(beta): nondecreasing, and stored as
 the pieces whose peak raises the running best, each with that peak.  The
-peaks are the single-agent solver's, so the curve's best point is the optimal
-single-agent contract, up to peaks tied in utility; every piece formula is a
+peaks are the single-agent solver's, compared by its tie rule, so the curve's
+best point is the optimal single-agent contract; every piece formula is a
 ``BetaPiece`` method or ``_peak``, so money enters each only as a ratio.
 ``best_contract_at`` values one cap, and ``_values`` nondecreasing caps (the
 grid DP's and the oracle's grids, and the price search's candidates) by the
@@ -43,6 +43,7 @@ from .single_agent import (
     BetaCurve,
     BetaPiece,
     ContractChoice,
+    _beats,
     _peak,
     beta_at,
     build_beta_curve,
@@ -79,9 +80,10 @@ def build_utility_curve(agent: AgentSpec) -> UtilityCurve:
     ``base`` is the best peak among the clamped pieces (beta = 0; the first
     of tied peaks), or the contract at gamma = 1 when no piece is clamped.
     The unclamped pieces are then visited from gamma = 1 downward; a piece
-    whose peak (the same floats ``solve_single`` compares) beats the running
-    best is recorded as a rise, and its peak becomes the running best.  Only
-    the peaks kept become ``ContractChoice`` records.
+    whose peak (the same floats ``solve_single`` compares) ``_beats`` the
+    running best, by ``solve_single``'s tie rule, is recorded as a rise, and
+    its peak becomes the running best.  So ``top`` is ``solve_single``'s
+    contract.  Only the peaks kept become ``ContractChoice`` records.
     """
     bc = build_beta_curve(agent)
     beta_min = beta_at(bc, 1.0)
@@ -97,7 +99,7 @@ def build_utility_curve(agent: AgentSpec) -> UtilityCurve:
         base = ContractChoice(1.0, beta_min, bc.pieces[-1].owner, -beta_min * kappa_i)
 
     rises: list[tuple[BetaPiece, float, ContractChoice]] = []
-    best = base.utility
+    best = base
     cursor = beta_min
     for piece in reversed(bc.pieces):
         if piece.clamped:
@@ -108,9 +110,9 @@ def build_utility_curve(agent: AgentSpec) -> UtilityCurve:
             continue
         cursor = hi
         gamma, beta, u = _peak(piece, kappa_i)
-        if u > best:
-            rises.append((piece, lo, ContractChoice(gamma, beta, piece.owner, u)))
-            best = u
+        if _beats(gamma, beta, u, best.gamma, best.beta, best.utility):
+            best = ContractChoice(gamma, beta, piece.owner, u)
+            rises.append((piece, lo, best))
 
     return UtilityCurve(bc, beta_min, cursor, base, tuple(rises))
 

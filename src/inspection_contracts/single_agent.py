@@ -207,6 +207,15 @@ def _peak(piece: BetaPiece, kappa_i: float) -> tuple[float, float, float]:
     return gamma, beta, (1.0 - gamma) * r_own - beta * kappa_i
 
 
+def _beats(g: float, b: float, v: float, gamma: float, beta: float, u: float) -> bool:
+    """Whether the peak (g, b, v) beats the peak (gamma, beta, u).
+
+    A higher utility wins, then a smaller beta, then a smaller gamma: the
+    one tie rule of ``_best_peak`` and of the utility curve's rise walk.
+    """
+    return v > u or (v == u and (b < beta or (b == beta and g < gamma)))
+
+
 class BetaCurve(NamedTuple):
     """Piecewise closed-form representation of beta(gamma) on [gamma_ir, 1]."""
 
@@ -402,15 +411,15 @@ def _best_peak(curve: BetaCurve, kappa_i: float) -> SingleAgentSolution:
     """``solve_single`` on a built curve; kappa_i enters only the peaks.
 
     One walk over the pieces keeps the best peak's floats: a later peak wins
-    only with a higher utility, then a smaller beta, then a smaller gamma, so
-    the first of fully tied peaks stays.  Only the winner becomes a record.
+    only if it ``_beats`` the best so far, so the first of fully tied peaks
+    stays.  Only the winner becomes a record.
     """
     pieces = iter(curve.pieces)
     best = next(pieces)
     gamma, beta, u = _peak(best, kappa_i)
     for piece in pieces:
         g, b, v = _peak(piece, kappa_i)
-        if v > u or (v == u and (b < beta or (b == beta and g < gamma))):
+        if _beats(g, b, v, gamma, beta, u):
             best, gamma, beta, u = piece, g, b, v
     return SingleAgentSolution(Contract(gamma, beta), best.owner, u)
 

@@ -83,10 +83,7 @@ class TestUtilityCurve:
         agents += [make_agent([10.0], [2.0], kappa_s=ks) for ks in TINY_KAPPA_S]
         for agent in agents:
             top, sol = build_utility_curve(agent).top, solve_single(agent)
-            assert top.action == sol.action
-            assert abs(top.gamma - sol.contract.gamma) <= TOL
-            assert abs(top.beta - sol.contract.beta) <= TOL
-            assert abs(top.utility - sol.utility) <= TOL * agent.money_scale
+            assert tuple(top) == (sol.contract.gamma, sol.contract.beta, sol.action, sol.utility)
 
     def test_nondecreasing_and_continuous(self):
         rng = np.random.default_rng(77)

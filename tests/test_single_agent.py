@@ -414,10 +414,15 @@ def _reference_peak(piece, kappa_i):
     return ContractChoice(gamma, beta, piece.owner, u)
 
 
+def _rank(choice):
+    """The solver's tie rule as a sort key: utility, then smaller beta, then smaller gamma."""
+    return choice.utility, -choice.beta, -choice.gamma
+
+
 def _max_peak(curve, kappa_i):
     """``_best_peak``'s reference: a record per peak, and ``max`` over them."""
     peaks = (_reference_peak(p, kappa_i) for p in curve.pieces)
-    best = max(peaks, key=lambda c: (c.utility, -c.beta, -c.gamma))
+    best = max(peaks, key=_rank)
     return SingleAgentSolution(Contract(best.gamma, best.beta), best.action, best.utility)
 
 
@@ -440,7 +445,7 @@ def _reference_utility_curve(agent):
             continue
         cursor = hi
         peak = _reference_peak(piece, agent.kappa_i)
-        if peak.utility > cur.utility:
+        if _rank(peak) > _rank(cur):
             rises.append((piece, lo, peak))
             cur = peak
     return UtilityCurve(bc, beta_min, cursor, base, tuple(rises))
@@ -513,6 +518,19 @@ def test_one_walk_keeps_the_best_peak_by_max(case):
     assert repr(_best_peak(curve, kappa_i)) == repr(_max_peak(curve, kappa_i))
     agent = replace(curve.agent, kappa_i=kappa_i)
     assert repr(build_utility_curve(agent)) == repr(_reference_utility_curve(agent))
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_agents())
+# two peaks tied in utility, 1.1e-16 apart in beta: the curve kept the first
+# in beta order, the larger beta, until both walks shared one tie rule
+@example(make_agent([1.7082911027108005, 3.324784959859281],
+                    [0.21840037874196172, 0.5180680620343416], kappa_s=0.7439184575522756,
+                    kappa_i=1.8970174414884304, alpha=0.2247135937148101))
+def test_utility_curve_top_is_the_solvers_contract(agent):
+    sol = solve_single(agent)
+    top = build_utility_curve(agent).top
+    assert tuple(top) == (sol.contract.gamma, sol.contract.beta, sol.action, sol.utility)
 
 
 @st.composite
