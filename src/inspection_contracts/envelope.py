@@ -95,12 +95,14 @@ def _check_actions(rewards: Sequence[float], costs: Sequence[float]) -> None:
 def build_envelope(actions: Sequence[Action]) -> UpperEnvelope:
     """Build the upper envelope of the lines gamma*R_i - c_i.
 
-    Checks the actions as ``ActionSet`` does, without its sort: strictly increasing costs and
-    rewards (Assumption 1) with finite nonnegative values.  The slope into a
-    lower hull point (R_i, c_i) is the breakpoint where line i takes over; a
-    point whose slope exceeds the previous one by no more than ``TOL`` is
-    weakly dominated and dropped, so every segment has a unique owner.
+    Checks the actions as ``ActionSet`` does, but without its sort: strictly
+    increasing costs and rewards (Assumption 1) with finite nonnegative
+    values.  The slope into a lower hull point (R_i, c_i) is the breakpoint
+    where line i takes over; a point whose slope exceeds the previous one by
+    no more than ``TOL`` is weakly dominated and dropped, so every segment
+    has a unique owner.
     """
+    actions = tuple(actions)  # an ActionSet makes its records on each pass
     rewards = [a.reward for a in actions]
     costs = [a.cost for a in actions]
     _check_actions(rewards, costs)
