@@ -142,6 +142,15 @@ def build_schedule(targets: list[float] | tuple[float, ...], budget: int) -> Ins
         while pos < m and cums[pos] < b - QUOTIENT_TOL:
             pos += 1
         l_b = pos if pos < m else None
+        if l_b is not None:
+            # agents whose running sum is still below b lie inside inspector
+            # b's unit; pushed past the boundary they would need an inspector
+            # b + 1, which the budget may not have, so the boundary is the
+            # last of them with mass
+            while l_b + 1 < m and cums[l_b + 1] < b:
+                l_b += 1
+            while cleaned[l_b] == 0.0:
+                l_b -= 1
         end = m if l_b is None else l_b
         window = [(i, cleaned[i]) for i in range(prev_l + 1, end) if cleaned[i] > 0.0]
         if l_b is not None:

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inspection_contracts import (
@@ -104,6 +104,9 @@ class TestMarginals:
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
     st.integers(1, 4),
 )
+# agent 1 lies inside inspector 1's unit, 1e-9 short of its end: a boundary
+# placed on agent 0 left agent 1 to an inspector 2 that the budget lacks
+@example([0.9999999995, 3e-10], 1)
 def test_marginals_match_any_feasible_targets(raw, budget):
     total = sum(raw)
     targets = [t * budget / total * 0.99 for t in raw] if total > budget else raw
@@ -137,6 +140,7 @@ def test_uniform_full_budget_marginals(m, share):
     st.integers(1, 50),
     st.integers(0, 2**32),
 )
+@example([0.9999999999999999, 9.145504928400479e-94], 0, 1, 0)
 def test_spare_inspectors_are_idle(targets, extra, k, seed):
     # rules hold real mass only, so past the targets' sum a larger budget adds
     # only idle inspectors; at a budget equal to the sum, the last boundary
